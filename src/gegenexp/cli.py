@@ -5,9 +5,10 @@ grid), bx (one sheared integral, optionally cross-checked), verify
 (closed-form vs oracle suites).
 
 Exit codes: 0 success, 2 usage or domain error, 3 series-hypothesis
-violation, 4 oracle non-convergence outside the suites.  A failing verify
-suite exits 1.  All file output is UTF-8 with LF line endings; floats are
-serialized with repr, Python's shortest round-trip representation.
+violation, 4 oracle or 2F1 non-convergence outside the suites.  A failing
+verify suite, or one that ran no cases, exits 1.  All file output is UTF-8
+with LF line endings; floats are serialized with repr, Python's shortest
+round-trip representation.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import expansion as ex
 from . import verify as vf
 from .expansion import ExpansionParams, HypothesisError
 from .oracle import OracleConvergenceError
-from .specfun import DomainError, PoleError
+from .specfun import ConvergenceError, DomainError, PoleError
 
 
 def _jsonable(x):
@@ -194,7 +195,7 @@ def main(argv=None) -> int:
     except HypothesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OracleConvergenceError as exc:
+    except (OracleConvergenceError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (DomainError, PoleError) as exc:

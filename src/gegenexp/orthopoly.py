@@ -127,6 +127,13 @@ class QuadratureRule:
     lam: float | None
     order: int
 
+    def __post_init__(self):
+        # Rules are cached and shared, so callers get read-only views.
+        for name in ("nodes", "weights"):
+            view = np.asarray(getattr(self, name), dtype=float).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
+
     def integrate(self, f) -> float:
         return float(self.weights @ f(self.nodes))
 

@@ -3,7 +3,8 @@
 Each suite draws reproducible random parameter points, evaluates one of the
 closed forms, recomputes the same quantity with the quadrature oracle, and
 records the comparison.  A case passes when |closed - oracle| is at most
-tol * (1 + |closed|).
+tol * (1 + |closed|); a suite passes when it ran at least one case and
+every case passed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import expansion as ex
 from . import oracle as orc
 from .orthopoly import u_prefactor
-from .specfun import DomainError
+from .specfun import ConvergenceError, DomainError
 
 DEFAULT_SEED = 20240401
 
@@ -462,21 +463,22 @@ _BUILDERS = {
 
 
 def _run_case(case: Case, tol: float) -> CaseResult:
+    """Evaluate one case; an error inside it fails the case, not the suite."""
     start = time.perf_counter()
+    cf = oc = abs_err = rel_err = float("nan")
+    passed = False
     note = None
     try:
         cf = float(case.closed())
         oc = float(case.oracle())
+    except orc.OracleConvergenceError as exc:
+        note = f"oracle did not converge: {exc}"
+    except (DomainError, ConvergenceError) as exc:
+        note = f"{type(exc).__name__}: {exc}"
+    else:
         abs_err = abs(cf - oc)
         rel_err = abs_err / (1.0 + abs(cf))
         passed = abs_err <= tol * (1.0 + abs(cf))
-    except orc.OracleConvergenceError as exc:
-        cf = float(case.closed())
-        oc = float("nan")
-        abs_err = float("nan")
-        rel_err = float("nan")
-        passed = False
-        note = f"oracle did not converge: {exc}"
     return CaseResult(
         case.identity,
         case.params,
@@ -491,10 +493,13 @@ def _run_case(case: Case, tol: float) -> CaseResult:
 
 
 def max_workers() -> int:
-    env = os.environ.get("GEGEN_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return 1
+    """Suite thread count from GEGEN_THREADS (default 1)."""
+    env = os.environ.get("GEGEN_THREADS", "").strip()
+    if not env:
+        return 1
+    if not env.isdigit() or int(env) < 1:
+        raise DomainError(f"GEGEN_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def run_suite(
@@ -528,7 +533,7 @@ def run_suite(
         suite=suite,
         seed=seed,
         tol=tol,
-        overall_pass=all(r.passed for r in results),
+        overall_pass=bool(results) and all(r.passed for r in results),
         cases=results,
     )
     return report

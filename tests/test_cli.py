@@ -187,6 +187,20 @@ class TestVerify:
         )
         assert code == 1
 
+    def test_zero_cases_exits_1(self, capsys):
+        code = main(["verify", "--suite", "mehta", "--cases", "0", "--no-timing"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["overall_pass"] is False
+        assert report["cases"] == []
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_thread_count_exits_2(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("GEGEN_THREADS", value)
+        code = main(["verify", "--suite", "mehta", "--cases", "1"])
+        assert code == 2
+        assert "GEGEN_THREADS" in capsys.readouterr().err
+
     def test_thread_cap_does_not_change_report(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["verify", "--suite", "stz", "--cases", "3", "--no-timing",
@@ -214,6 +228,22 @@ class TestExitCodes:
              "--ell", "1", "--m", "2", "--x", "0.6", "--oracle"]
         )
         assert code == 4
+
+
+    def test_2f1_nonconvergence_exits_4(self, monkeypatch, capsys):
+        from gegenexp import expansion as ex
+        from gegenexp.specfun import ConvergenceError
+
+        def boom(*args, **kwargs):
+            raise ConvergenceError("2F1 series did not converge")
+
+        monkeypatch.setattr(ex, "sheared_integral", boom)
+        code = main(
+            ["bx", "--lambda", "1", "--mu", "1", "--nu", "1.2",
+             "--ell", "1", "--m", "2", "--x", "0.6"]
+        )
+        assert code == 4
+        assert "did not converge" in capsys.readouterr().err
 
 
 class TestCsvRoundTrip:

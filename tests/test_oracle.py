@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gegenexp.expansion import identity_rhs, weighted_power_mass
+from gegenexp import oracle as orc
+from gegenexp import verify as vf
+from gegenexp.expansion import identity_rhs, plus_base_integral, weighted_power_mass
 from gegenexp.oracle import (
     OracleConvergenceError,
     QuadratureSpec,
@@ -157,6 +159,37 @@ class TestRefinement:
         assert ok >= 0.95 * total
 
 
+    @pytest.mark.parametrize("x", [0.9999, -0.9999, 1.0 - 1e-7])
+    def test_near_corner_shears(self, x):
+        # the split line nearly meets a corner of the square: the endpoint
+        # factor left on the outer axis is the ladder's hardest case
+        for a, b, c in [(0.7, 1.3, 1.1), (2.1, 0.4, 0.8), (0.35, 0.5, 0.65)]:
+            spec = QuadratureSpec(
+                dimension=2,
+                kernel="plus",
+                kernel_exponent=2.0 * c - 1.0,
+                x_shear=x,
+                weight_exponents=(a - 1.0, b - 1.0),
+            )
+            r = refine_until(spec, 1e-9)
+            assert r.value == pytest.approx(plus_base_integral(a, b, c, x), rel=1e-9)
+
+    def test_default_main_case_starts_coarse(self, monkeypatch):
+        # a default-seed main case converges on the ladder's first rungs
+        results = []
+        real = orc.refine_until
+
+        def recording(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(orc, "refine_until", recording)
+        report = vf.run_suite("main", cases=1)
+        assert report.overall_pass
+        assert len(results) == 1
+        assert results[0].evaluations < 100_000
+
+
 class TestHermite2D:
     def test_separable_case(self):
         r = integrate_hermite_2d(1.0, 0.0, 0, 0)
@@ -191,6 +224,12 @@ class TestTriangles:
         assert lower + upper == pytest.approx(
             weighted_power_mass(lam, mu, nu), rel=1e-10
         )
+
+
+def test_unit_rule_is_read_only():
+    for arr in orc._unit_rule(0.4, -0.3, 6, 8):
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
 
 
 class TestRegularizedKernel:

@@ -200,6 +200,17 @@ class TestRules:
         r = gauss_hermite_rule(64)
         assert float(r.weights.sum()) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
+    def test_cached_rules_are_read_only(self):
+        for rule in (
+            gauss_jacobi_rule(0.0, 0.0, 4),
+            gauss_jacobi_rule(0.3, -0.2, 1),
+            gauss_gegenbauer_rule(1.5, 6),
+            gauss_hermite_rule(8),
+        ):
+            for arr in (rule.nodes, rule.weights):
+                with pytest.raises(ValueError):
+                    arr[0] = 5.0
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             gauss_jacobi_rule(-1.0, 0.0, 4)
