@@ -51,7 +51,6 @@ from .orthopoly import (
 from .specfun import (
     ConvergenceError,
     DomainError,
-    HypParams,
     HypResult,
     HypStatus,
     PoleError,
@@ -59,7 +58,6 @@ from .specfun import (
     gamma,
     hyp2f1,
     hyp2f1_half,
-    hyp2f1_params,
     log_gamma,
     pochhammer,
     rgamma,

@@ -115,10 +115,9 @@ def _cmd_bx(args) -> int:
     )
     print(repr(value))
     if args.oracle:
-        run = vf._u_scaled_spec(
-            args.lam, args.mu, args.nu, args.ell, args.m, args.x, args.variant, 1e-9
+        oracle_value = vf.sheared_oracle(
+            args.variant, args.lam, args.mu, args.nu, args.ell, args.m, args.x, 1e-9
         )
-        oracle_value = run()
         print(f"oracle {oracle_value!r}")
         print(f"abs_err {abs(value - oracle_value)!r}")
     return 0

@@ -26,7 +26,14 @@ from .orthopoly import (
     gegenbauer_norm_sq,
     u_prefactor,
 )
-from .specfun import DomainError, gamma_ratio, hyp2f1, pochhammer, rgamma
+from .specfun import (
+    DomainError,
+    gamma_ratio,
+    gamma_sign_array,
+    hyp2f1,
+    nonpositive_int_mask,
+    pochhammer,
+)
 
 LN2 = math.log(2.0)
 LNPI = math.log(math.pi)
@@ -73,7 +80,6 @@ class CoeffTable:
     L: int
     M: int
     values: np.ndarray
-    parity_zeroed: bool = True
 
 
 @dataclass(frozen=True)
@@ -109,15 +115,6 @@ def expansion_coeff(lam: float, mu: float, nu: float, ell: int, m: int) -> float
     )
 
 
-def _is_pole(x: np.ndarray) -> np.ndarray:
-    r = np.round(x)
-    return (x < 0.5) & (r <= 0.0) & (np.abs(x - r) <= 1e-10)
-
-
-def _sign_gamma(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, 1.0, np.where(np.floor(-x) % 2 == 0, -1.0, 1.0))
-
-
 def coeff_grid(params: ExpansionParams, L: int, M: int) -> np.ndarray:
     """Dense (L+1) x (M+1) coefficient grid without the parity mask.
 
@@ -141,10 +138,10 @@ def coeff_grid(params: ExpansionParams, L: int, M: int) -> np.ndarray:
     dead = np.zeros((L + 1, M + 1), dtype=bool)
     for arg in (base + p + q, base + p - q, base - p + q, base - p - q):
         arg = np.broadcast_to(arg, out.shape)
-        dead |= _is_pole(arg)
+        dead |= nonpositive_int_mask(arg)
         safe = np.where(dead, 1.0, arg)
         out -= _gammaln(safe)
-        sign *= _sign_gamma(safe)
+        sign *= gamma_sign_array(safe)
     vals = sign * np.exp(out) * (lam + ell) * (mu + m)
     vals[dead] = 0.0
     return vals
@@ -182,11 +179,12 @@ def series_eval_grid(
 def series_eval(
     params: ExpansionParams, s: float, t: float, L: int, M: int, force: bool = False
 ) -> SeriesEvalResult:
-    """Partial expansion sum at one point, with a rigorous sup-norm tail bound.
+    """Partial expansion sum at one point, with a sup-norm tail estimate.
 
-    The bound sums |coefficient| times the endpoint values of both
-    polynomials over the discarded index set, so it dominates the true
-    truncation error everywhere on the square.
+    The estimate is tail_bound: the discarded |coefficient| times the
+    endpoint values of both polynomials, summed exactly inside a window and
+    extrapolated heuristically beyond it, so it is not a proven bound on the
+    truncation error.
     """
     value = float(series_eval_grid(params, [s], [t], L, M, force=force)[0, 0])
     bound = tail_bound(params, L, M) if params.series_hypothesis_ok else math.inf
@@ -207,14 +205,15 @@ def _term_sup_grid(params: ExpansionParams, L: int, M: int) -> np.ndarray:
 
 
 def tail_bound(params: ExpansionParams, L: int, M: int, window: int = 32) -> float:
-    """Upper bound on the sup norm of the discarded expansion tail.
+    """Estimate of the sup norm of the discarded expansion tail.
 
     Sums |coefficient| C(1) C(1) exactly over the discarded part of a
     square window of side max(L, M) + window; everything outside the window
-    lies on anti-diagonals ell + m > W and is bounded by an
-    integral-comparison extrapolation of the anti-diagonal band sums, whose
-    decay is the n^(lam - N)-type majorant direction.  The extrapolated
-    part carries a safety factor of two.
+    lies on anti-diagonals ell + m > W and is estimated by an
+    integral-comparison extrapolation of the last two anti-diagonal band
+    sums, whose decay is the n^(lam - N)-type majorant direction.  The
+    extrapolated part carries a safety factor of two; the extrapolation is
+    a heuristic, so the result is an estimate, not a proven bound.
     """
     W = max(L, M) + window
     T = _term_sup_grid(params, W, W)
@@ -239,7 +238,8 @@ def tail_bound(params: ExpansionParams, L: int, M: int, window: int = 32) -> flo
 
 
 def truncation_order(params: ExpansionParams, tol: float) -> tuple:
-    """Smallest square order on the search ladder whose tail bound is < tol."""
+    """Smallest square order on the search ladder whose tail estimate
+    (tail_bound, not a proven bound) is below tol."""
     if tol <= 0.0:
         raise DomainError("tol must be positive")
     params.require_hypothesis()
@@ -405,10 +405,10 @@ def _cosine_matrix(rho: float, parity: int, K: int) -> np.ndarray:
     for ds in (1.0, -1.0):
         for es in (1.0, -1.0):
             arg = 1.0 + 0.5 * (rho + ds * ell + es * m)
-            dead |= _is_pole(arg)
+            dead |= nonpositive_int_mask(arg)
             safe = np.where(dead, 1.0, arg)
             logsum += _gammaln(safe)
-            sign *= _sign_gamma(safe)
+            sign *= gamma_sign_array(safe)
     vals = sign * np.exp(-logsum)
     vals[dead | ~mask] = 0.0
     out[:] = vals
@@ -530,10 +530,3 @@ def coefficient_bound(lam: float, n: int, n_deriv: int, deriv_norm: float) -> fl
         * math.sqrt(gegenbauer_norm_sq(lam + n_deriv, n - n_deriv))
     )
     return deriv_norm / denom
-
-
-def sup_decay_majorant(lam: float, n: int, n_deriv: int) -> float:
-    """The n^(lam - N) shape controlling |a_n| ||C_n||_inf for n >= N."""
-    if n < max(n_deriv, 1):
-        raise DomainError("majorant applies for n >= max(N, 1)")
-    return float(n) ** (lam - n_deriv)

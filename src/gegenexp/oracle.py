@@ -90,6 +90,11 @@ class QuadResult:
     evaluations: int
 
 
+def _two_level(v0: float, v1: float, evals: int) -> QuadResult:
+    """The finer value v1, its error estimated from the coarser v0."""
+    return QuadResult(v1, max(abs(v1 - v0), 4e-16 * abs(v1)), evals)
+
+
 def _poly(factor, arr):
     if factor is None:
         return np.ones_like(arr)
@@ -224,7 +229,6 @@ def _eval_3d(spec: QuadratureSpec, level: int):
         kernel_exponent=spec.kernel_exponent,
         weight_exponents=spec.weight_exponents,
         polynomial_factors=spec.polynomial_factors,
-        tol=spec.tol,
     )
     # The inner 2D stage takes the 2D path's ladder rung at this level.
     inner_size = _ladder(level)
@@ -257,7 +261,7 @@ def refine_until(spec: QuadratureSpec, target: float, max_level: int = 5) -> Qua
         value, e = _eval_level(spec, level)
         evals += e
         if prev is not None and abs(value - prev) < target:
-            return QuadResult(value, max(abs(value - prev), 4e-16 * abs(value)), evals)
+            return _two_level(prev, value, evals)
         prev = value
     raise OracleConvergenceError(
         f"no convergence to {target} within {max_level} refinements",
@@ -300,7 +304,7 @@ def integrate_hermite_2d(nu: float, x: float, ell: int, m: int, level: int = 1) 
 
     v0, e0 = run(level)
     v1, e1 = run(level + 1)
-    return QuadResult(v1, max(abs(v1 - v0), 4e-16 * abs(v1)), e0 + e1)
+    return _two_level(v0, v1, e0 + e1)
 
 
 def convolution_profile(exp_s: float, exp_t: float, u: float, level: int = 1) -> float:
@@ -360,4 +364,4 @@ def regularized_inverse_square(exp_s: float, exp_t: float) -> QuadResult:
 
     v0, e0 = run(0, 12)
     v1, e1 = run(1, 15)
-    return QuadResult(v1, max(abs(v1 - v0), 4e-16 * abs(v1)), e0 + e1)
+    return _two_level(v0, v1, e0 + e1)

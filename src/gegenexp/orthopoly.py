@@ -199,7 +199,3 @@ def gauss_hermite_rule(order: int) -> QuadratureRule:
     """Gaussian rule for int f(x) exp(-x^2) dx over the real line."""
     nodes, weights = np.polynomial.hermite.hermgauss(order)
     return QuadratureRule(nodes, weights, None, order)
-
-
-def gauss_legendre_rule(order: int) -> QuadratureRule:
-    return gauss_jacobi_rule(0.0, 0.0, order)

@@ -1,10 +1,11 @@
 """Scalar special-function kernels.
 
-Log-gamma with explicit sign tracking, a reciprocal gamma that is exactly
-zero at the poles, rising factorials, the beta function, and a real-argument
-Gauss hypergeometric function with termination detection, a z -> 1-z
-connection formula (including the logarithmic case for integer c-a-b) and
-exact Gauss summation at z = 1.
+Log-gamma with explicit sign tracking (the pole test and the gamma sign also
+come as array versions for the vectorized closed forms), a reciprocal gamma
+that is exactly zero at the poles, rising factorials, the beta function,
+and a real-argument Gauss hypergeometric function with termination
+detection, a z -> 1-z connection formula (including the logarithmic case
+for integer c-a-b) and exact Gauss summation at z = 1.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
 from scipy.special import psi as _digamma
 
 #: Reals this close to an integer are treated as that integer.  Parameter
@@ -53,6 +55,13 @@ def nonpositive_int(x: float) -> int | None:
     return None
 
 
+def nonpositive_int_mask(x: np.ndarray) -> np.ndarray:
+    """Array version of nonpositive_int: True where x is within INTEGER_TOL
+    of a nonpositive integer."""
+    r = np.round(x)
+    return (x <= 0.5) & (r <= 0.0) & (np.abs(x - r) <= INTEGER_TOL)
+
+
 def log_gamma(x: float) -> float:
     """Natural log of |Gamma(x)|; the sign is given by gamma_sign(x).
 
@@ -69,6 +78,11 @@ def gamma_sign(x: float) -> float:
         return 1.0
     # Gamma alternates sign on the intervals (-k-1, -k).
     return -1.0 if math.floor(-x) % 2 == 0 else 1.0
+
+
+def gamma_sign_array(x: np.ndarray) -> np.ndarray:
+    """Array version of gamma_sign."""
+    return np.where(x > 0.0, 1.0, np.where(np.floor(-x) % 2 == 0, -1.0, 1.0))
 
 
 def gamma(x: float) -> float:
@@ -124,16 +138,6 @@ class HypStatus(Enum):
     TERMINATED = "terminated"
     GAUSS_SUMMED = "gauss-summed"
     POLE_CANCELLED_ZERO = "pole-cancelled-zero"
-
-
-@dataclass(frozen=True)
-class HypParams:
-    """Arguments of a real 2F1 evaluation; valid for -1 < z <= 1."""
-
-    a: float
-    b: float
-    c: float
-    z: float
 
 
 @dataclass(frozen=True)
@@ -335,10 +339,6 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> HypResult:
         return HypResult((1.0 - z) ** (-a) * value, HypStatus.SERIES_CONVERGED, terms)
     value, terms = _series(a, b, c, z)
     return HypResult(value, HypStatus.SERIES_CONVERGED, terms)
-
-
-def hyp2f1_params(p: HypParams) -> HypResult:
-    return hyp2f1(p.a, p.b, p.c, p.z)
 
 
 def hyp2f1_half(a: float, c: float) -> float:

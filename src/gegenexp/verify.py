@@ -4,7 +4,7 @@ Each suite draws reproducible random parameter points, evaluates one of the
 closed forms, recomputes the same quantity with the quadrature oracle, and
 records the comparison.  A case passes when |closed - oracle| is at most
 tol * (1 + |closed|); a suite passes when it ran at least one case and
-every case passed.
+every case passed.  SUITE_TABLE holds one row per suite.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -24,45 +25,19 @@ from .specfun import ConvergenceError, DomainError
 
 DEFAULT_SEED = 20240401
 
-#: Per-suite pass thresholds: 1e-7 for the 2D identities, 1e-5 for the
-#: singular regularized kernel and the 3D averaged projection.
-SUITE_TOLERANCES = {
-    "main": 1e-7,
-    "stz": 1e-7,
-    "projection": 1e-7,
-    "selberg": 1e-7,
-    "warnaar": 1e-6,
-    "tv": 1e-7,
-    "df": 1e-5,
-    "mehta": 1e-8,
-    "hermite": 1e-6,
-    "cosine": 1e-5,
-    "cc": 1e-5,
-}
-
-SUITES = tuple(SUITE_TOLERANCES) + ("all",)
-
-DEFAULT_CASES = {
-    "main": 25,
-    "stz": 5,
-    "projection": 10,
-    "selberg": 3,
-    "warnaar": 2,
-    "tv": 3,
-    "df": 2,
-    "mehta": 2,
-    "hermite": 3,
-    "cosine": 2,
-    "cc": 2,
-}
-
 
 @dataclass(frozen=True)
-class Case:
+class SuiteRow:
+    """One suite: case i has parameters draw(rng, i); closed(params) is the
+    closed form and oracle(params, tol) the quadrature value, where tol is
+    the suite's pass threshold.  cases is the default case count."""
+
     identity: str
-    params: dict
-    closed: object
-    oracle: object
+    tol: float
+    cases: int
+    draw: Callable
+    closed: Callable
+    oracle: Callable
 
 
 @dataclass
@@ -109,272 +84,52 @@ class VerifyReport:
         }
 
 
-def _u_scaled_spec(lam, mu, nu, ell, m, x, kind, tol):
-    """Oracle value of the sheared integral against u_ell u_m."""
-    scale = u_prefactor(lam, ell) * u_prefactor(mu, m)
+def _refine_2d(tol, kernel, exponent, weights, x=1.0, **fields) -> float:
+    """Oracle value of one 2-D kernel integral at shear x."""
     spec = orc.QuadratureSpec(
         dimension=2,
-        kernel=kind,
-        kernel_exponent=2.0 * nu,
+        kernel=kernel,
+        kernel_exponent=exponent,
         x_shear=x,
-        weight_exponents=(lam - 0.5, mu - 0.5),
-        polynomial_factors=(("gegenbauer", lam, ell), ("gegenbauer", mu, m)),
-        prefactor=scale,
-        tol=tol,
+        weight_exponents=weights,
+        **fields,
     )
-
-    def run():
-        return orc.refine_until(spec, tol).value
-
-    return run
+    return orc.refine_until(spec, tol).value
 
 
-X_SET = (0.0, 0.3, -0.3, 0.9, -0.9, 1.0)
+def _gegenbauer_pair(lam, ell, mu, m) -> tuple:
+    return (("gegenbauer", lam, ell), ("gegenbauer", mu, m))
 
 
-def _cases_main(rng, n, tol):
-    out = []
-    for _ in range(n):
-        lam = float(rng.uniform(0.2, 3.0))
-        mu = float(rng.uniform(0.2, 3.0))
-        nu = float(rng.uniform(0.5, 4.0))
-        ell = int(rng.integers(0, 6))
-        m = int(rng.integers(0, 6))
-        x = float(X_SET[int(rng.integers(0, len(X_SET)))])
-        p = {"lambda": lam, "mu": mu, "nu": nu, "ell": ell, "m": m, "x": x}
-        out.append(
-            Case(
-                "sheared-plus-integral",
-                p,
-                lambda lam=lam, mu=mu, nu=nu, ell=ell, m=m, x=x: ex.plus_part_integral(
-                    lam, mu, nu, ell, m, x
-                ),
-                _u_scaled_spec(lam, mu, nu, ell, m, x, "plus", tol * 1e-2),
-            )
-        )
-    return out
-
-
-def _cases_stz(rng, n, tol):
-    out = []
-    for _ in range(n):
-        a = float(rng.uniform(0.3, 2.5))
-        b = float(rng.uniform(0.3, 2.5))
-        c = float(rng.uniform(0.6, 2.0))
-        x = float(rng.uniform(-1.0, 1.0))
-        spec = orc.QuadratureSpec(
-            dimension=2,
-            kernel="plus",
-            kernel_exponent=2.0 * c - 1.0,
-            x_shear=x,
-            weight_exponents=(a - 1.0, b - 1.0),
-            tol=tol * 1e-2,
-        )
-        out.append(
-            Case(
-                "plus-base-integral",
-                {"a": a, "b": b, "c": c, "x": x},
-                lambda a=a, b=b, c=c, x=x: ex.plus_base_integral(a, b, c, x),
-                lambda spec=spec: orc.refine_until(spec, tol * 1e-2).value,
-            )
-        )
-    return out
-
-
-def _cases_projection(rng, n, tol):
-    out = []
-    for i in range(n):
-        lam = float(rng.uniform(0.3, 2.5))
-        mu = float(rng.uniform(0.3, 2.5))
-        nu = float(rng.uniform(0.4, 3.0))
-        eps = int(rng.integers(0, 2))
-        ell = int(rng.integers(0, 5))
-        m = int(rng.integers(0, 5))
-        # every third case violates parity to exercise the vanishing branch
-        want_odd = i % 3 == 2
-        if ((ell + m + eps) % 2 == 1) != want_odd:
-            m += 1
-        params = ex.ExpansionParams(lam, mu, nu, eps)
-        kind = "abs" if eps == 0 else "abssgn"
-        spec = orc.QuadratureSpec(
-            dimension=2,
-            kernel=kind,
-            kernel_exponent=2.0 * nu,
-            x_shear=1.0,
-            weight_exponents=(lam - 0.5, mu - 0.5),
-            polynomial_factors=(("gegenbauer", lam, ell), ("gegenbauer", mu, m)),
-            tol=tol * 1e-2,
-        )
-        out.append(
-            Case(
-                "kernel-projection",
-                {"lambda": lam, "mu": mu, "nu": nu, "eps": eps, "ell": ell, "m": m},
-                lambda params=params, ell=ell, m=m: ex.projection_integral(params, ell, m),
-                lambda spec=spec: orc.refine_until(spec, tol * 1e-2).value,
-            )
-        )
-    return out
-
-
-def _cases_selberg(rng, n, tol):
-    out = []
-    for _ in range(n):
-        lam = float(rng.uniform(0.2, 2.5))
-        nu = float(rng.uniform(0.3, 2.5))
-        spec = orc.QuadratureSpec(
-            dimension=2,
-            kernel="abs",
-            kernel_exponent=2.0 * nu,
-            x_shear=1.0,
-            weight_exponents=(lam - 0.5, lam - 0.5),
-            tol=tol * 1e-2,
-        )
-        out.append(
-            Case(
-                "selberg-two-variable",
-                {"lambda": lam, "nu": nu},
-                lambda lam=lam, nu=nu: ex.identity_rhs("selberg2", {"lam": lam, "nu": nu}),
-                lambda spec=spec: orc.refine_until(spec, tol * 1e-2).value,
-            )
-        )
-    return out
+def sheared_oracle(kind, lam, mu, nu, ell, m, x, tol) -> float:
+    """Oracle value of expansion.sheared_integral (the sheared kernel
+    integral against u_ell u_m), refined until two levels agree to tol."""
+    return _refine_2d(
+        tol,
+        kind,
+        2.0 * nu,
+        (lam - 0.5, mu - 0.5),
+        x,
+        polynomial_factors=_gegenbauer_pair(lam, ell, mu, m),
+        prefactor=u_prefactor(lam, ell) * u_prefactor(mu, m),
+    )
 
 
 def warnaar_left_side(lam: float, mu: float, tol: float) -> float:
     """Two weighted triangle integrals on the unit square, mapped onto
     [-1,1]^2 (constant 2^(-lam-mu)) and combined with cos(pi lam)/cos(pi mu)."""
-    common = dict(
-        dimension=2,
-        kernel="abs",
-        kernel_exponent=-(lam + mu),
-        x_shear=1.0,
-        weight_exponents=(mu - 0.5, lam - 0.5),
-        tol=tol,
+    lower, upper = (
+        _refine_2d(tol, "abs", -(lam + mu), (mu - 0.5, lam - 0.5), triangle=tri)
+        for tri in ("s<t", "t<s")
     )
-    lower = orc.refine_until(orc.QuadratureSpec(triangle="s<t", **common), tol)
-    upper = orc.refine_until(orc.QuadratureSpec(triangle="t<s", **common), tol)
     ratio = math.cos(math.pi * lam) / math.cos(math.pi * mu)
-    return 2.0 ** (-lam - mu) * (lower.value + ratio * upper.value)
-
-
-def _cases_warnaar(rng, n, tol):
-    fixed = [(0.2, 0.3), (0.15, 0.35)]
-    out = []
-    for i in range(n):
-        if i < len(fixed):
-            lam, mu = fixed[i]
-        else:
-            lam = float(rng.uniform(0.05, 0.45))
-            mu = float(rng.uniform(0.05, 0.45))
-        out.append(
-            Case(
-                "warnaar-triangle-pair",
-                {"lambda": lam, "mu": mu},
-                lambda lam=lam, mu=mu: ex.identity_rhs("warnaar", {"lam": lam, "mu": mu}),
-                lambda lam=lam, mu=mu: warnaar_left_side(lam, mu, tol * 1e-2),
-            )
-        )
-    return out
-
-
-def _cases_tv(rng, n, tol):
-    fixed = [(0.7, 0.4), (1.2, 0.9)]
-    out = []
-    for i in range(n):
-        if i < len(fixed):
-            lam, nu = fixed[i]
-        else:
-            lam = float(rng.uniform(0.2, 2.5))
-            nu = float(rng.uniform(0.3, 2.0))
-        spec = orc.QuadratureSpec(
-            dimension=2,
-            kernel="minus",
-            kernel_exponent=2.0 * nu,
-            x_shear=1.0,
-            weight_exponents=(lam - 0.5, 0.0),
-            tol=tol * 1e-2,
-        )
-        out.append(
-            Case(
-                "one-sided-single-weight",
-                {"lambda": lam, "nu": nu},
-                lambda lam=lam, nu=nu: ex.identity_rhs(
-                    "tarasov_varchenko", {"lam": lam, "nu": nu}
-                ),
-                lambda spec=spec: orc.refine_until(spec, tol * 1e-2).value,
-            )
-        )
-    return out
-
-
-def _cases_df(rng, n, tol):
-    fixed = [(1.3, 1.4), (2.0, 0.8)]
-    out = []
-    for i in range(n):
-        if i < len(fixed):
-            lam, mu = fixed[i]
-        else:
-            lam = float(rng.uniform(0.9, 2.0))
-            mu = float(rng.uniform(0.9, 2.0))
-        out.append(
-            Case(
-                "inverse-square-finite-part",
-                {"lambda": lam, "mu": mu},
-                lambda lam=lam, mu=mu: ex.identity_rhs(
-                    "dotsenko_fateev", {"lam": lam, "mu": mu}
-                ),
-                lambda lam=lam, mu=mu: orc.regularized_inverse_square(
-                    lam - 0.5, mu - 0.5
-                ).value,
-            )
-        )
-    return out
+    return 2.0 ** (-lam - mu) * (lower + ratio * upper)
 
 
 def mehta_left_side(nu: float) -> float:
     """Gauss-weighted pair kernel mass, rescaled onto the unit-variance form."""
     raw = orc.integrate_hermite_2d(nu, 1.0, 0, 0).value
     return 2.0 ** (nu + 1.0) / (2.0 * math.pi) * raw
-
-
-def _cases_mehta(rng, n, tol):
-    out = []
-    for i in range(n):
-        nu = 1.0 if i == 0 else float(rng.uniform(0.3, 2.5))
-        out.append(
-            Case(
-                "gaussian-pair-kernel",
-                {"nu": nu},
-                lambda nu=nu: ex.identity_rhs("mehta2", {"nu": nu}),
-                lambda nu=nu: mehta_left_side(nu),
-            )
-        )
-    return out
-
-
-def _cases_hermite(rng, n, tol):
-    fixed = [(0.5, 0, 0, 1.0), (2.0, 1, 1, 0.7), (1.5, 2, 0, 0.3)]
-    out = []
-    for i in range(n):
-        if i < len(fixed):
-            nu, ell, m, x = fixed[i]
-        else:
-            nu = float(rng.uniform(0.4, 2.5))
-            ell = int(rng.integers(0, 4))
-            m = int(rng.integers(0, 4))
-            m += (ell + m) % 2
-            x = float(rng.uniform(-1.0, 1.0))
-        out.append(
-            Case(
-                "gaussian-kernel-moments",
-                {"nu": nu, "ell": ell, "m": m, "x": x},
-                lambda nu=nu, ell=ell, m=m, x=x: ex.hermite_kernel_integral(nu, ell, m, x),
-                lambda nu=nu, ell=ell, m=m, x=x: orc.integrate_hermite_2d(
-                    nu, x, ell, m
-                ).value,
-            )
-        )
-    return out
 
 
 def cosine_sup_error(rho: float, parity: int, K: int, grid: int = 9) -> float:
@@ -391,86 +146,190 @@ def cosine_sup_error(rho: float, parity: int, K: int, grid: int = 9) -> float:
     return worst
 
 
-def _cases_cosine(rng, n, tol):
-    out = []
-    for i in range(n):
-        if i == 0:
-            rho, parity = 7.0, 1
-        else:
-            rho = float(rng.uniform(5.0, 9.0))
-            parity = int(rng.integers(0, 2))
-        # closed = 0 target; oracle = sup error of expansion vs direct kernel
-        out.append(
-            Case(
-                "cosine-kernel-expansion",
-                {"rho": rho, "parity": parity, "K": 40},
-                lambda: 0.0,
-                lambda rho=rho, parity=parity: cosine_sup_error(rho, parity, 40),
-            )
-        )
-    return out
+def _cc_oracle(p: dict, tol: float) -> float:
+    lam, mu, m = p["lambda"], p["mu"], p["m"]
+    spec = orc.QuadratureSpec(
+        dimension=3,
+        kernel="abs",
+        kernel_exponent=2.0 * p["nu"],
+        weight_exponents=(lam - 0.5, mu - 0.5),
+        polynomial_factors=_gegenbauer_pair(lam, p["ell"], mu, m),
+        extra_axis=(mu + m / 2.0, p["b"]),
+    )
+    return orc.refine_until(spec, tol * 1e-1, max_level=3).value
 
 
-def _cases_cc(rng, n, tol):
-    fixed = [(1.0, 1.0, 1.0, 0.0, 0, 0), (1.0, 1.0, 1.0, 0.0, 2, 0)]
-    out = []
-    for i in range(n):
-        if i < len(fixed):
-            lam, mu, nu, b, ell, m = fixed[i]
-        else:
-            lam = float(rng.uniform(0.5, 1.8))
-            mu = float(rng.uniform(0.5, 1.8))
-            nu = float(rng.uniform(0.6, 2.2))
-            b = float(rng.uniform(0.0, 1.5))
-            ell = int(rng.integers(0, 3))
-            m = int(rng.integers(0, 3))
-            m += (ell + m) % 2
-        spec = orc.QuadratureSpec(
-            dimension=3,
-            kernel="abs",
-            kernel_exponent=2.0 * nu,
-            weight_exponents=(lam - 0.5, mu - 0.5),
-            polynomial_factors=(("gegenbauer", lam, ell), ("gegenbauer", mu, m)),
-            extra_axis=(mu + m / 2.0, b),
-            tol=tol * 1e-1,
-        )
-        out.append(
-            Case(
-                "shear-averaged-projection",
-                {"lambda": lam, "mu": mu, "nu": nu, "b": b, "ell": ell, "m": m},
-                lambda lam=lam, mu=mu, nu=nu, b=b, ell=ell, m=m: ex.shear_averaged_projection(
-                    lam, mu, nu, b, ell, m
-                ),
-                lambda spec=spec: orc.refine_until(spec, tol * 1e-1, max_level=3).value,
-            )
-        )
-    return out
+def _draw(rng, ranges: dict) -> dict:
+    """One draw per key, in key order: uniform on a (lo, hi) interval, or a
+    uniform integer from a range."""
+    return {
+        key: int(rng.integers(r.start, r.stop))
+        if isinstance(r, range)
+        else float(rng.uniform(*r))
+        for key, r in ranges.items()
+    }
 
 
-_BUILDERS = {
-    "main": _cases_main,
-    "stz": _cases_stz,
-    "projection": _cases_projection,
-    "selberg": _cases_selberg,
-    "warnaar": _cases_warnaar,
-    "tv": _cases_tv,
-    "df": _cases_df,
-    "mehta": _cases_mehta,
-    "hermite": _cases_hermite,
-    "cosine": _cases_cosine,
-    "cc": _cases_cc,
+def _fixed_then(keys: tuple, fixed: list, draw: Callable) -> Callable:
+    """Case i takes the values fixed[i] while they last, then draw(rng)."""
+
+    def pick(rng, i):
+        return dict(zip(keys, fixed[i])) if i < len(fixed) else draw(rng)
+
+    return pick
+
+
+def _even(p: dict) -> dict:
+    """Raise m by one where ell + m is odd."""
+    p["m"] += (p["ell"] + p["m"]) % 2
+    return p
+
+
+def _rhs(name: str) -> Callable:
+    """Closed form of a named identity_rhs, with "lambda" passed as "lam"."""
+    return lambda p: ex.identity_rhs(
+        name, {("lam" if k == "lambda" else k): v for k, v in p.items()}
+    )
+
+
+X_SET = (0.0, 0.3, -0.3, 0.9, -0.9, 1.0)
+
+
+def _draw_main(rng, i):
+    p = _draw(rng, {"lambda": (0.2, 3.0), "mu": (0.2, 3.0), "nu": (0.5, 4.0),
+                    "ell": range(6), "m": range(6)})
+    p["x"] = float(X_SET[int(rng.integers(0, len(X_SET)))])
+    return p
+
+
+def _draw_projection(rng, i):
+    p = _draw(rng, {"lambda": (0.3, 2.5), "mu": (0.3, 2.5), "nu": (0.4, 3.0),
+                    "eps": range(2), "ell": range(5), "m": range(5)})
+    # every third case violates parity to exercise the vanishing branch
+    if ((p["ell"] + p["m"] + p["eps"]) % 2 == 1) != (i % 3 == 2):
+        p["m"] += 1
+    return p
+
+
+SUITE_TABLE = {
+    "main": SuiteRow(
+        "sheared-plus-integral", 1e-7, 25, _draw_main,
+        lambda p: ex.plus_part_integral(
+            p["lambda"], p["mu"], p["nu"], p["ell"], p["m"], p["x"]
+        ),
+        lambda p, tol: sheared_oracle(
+            "plus", p["lambda"], p["mu"], p["nu"], p["ell"], p["m"], p["x"],
+            tol * 1e-2,
+        ),
+    ),
+    "stz": SuiteRow(
+        "plus-base-integral", 1e-7, 5,
+        lambda rng, i: _draw(rng, {"a": (0.3, 2.5), "b": (0.3, 2.5),
+                                   "c": (0.6, 2.0), "x": (-1.0, 1.0)}),
+        lambda p: ex.plus_base_integral(p["a"], p["b"], p["c"], p["x"]),
+        lambda p, tol: _refine_2d(
+            tol * 1e-2, "plus", 2.0 * p["c"] - 1.0, (p["a"] - 1.0, p["b"] - 1.0),
+            p["x"],
+        ),
+    ),
+    "projection": SuiteRow(
+        "kernel-projection", 1e-7, 10, _draw_projection,
+        lambda p: ex.projection_integral(
+            ex.ExpansionParams(p["lambda"], p["mu"], p["nu"], p["eps"]),
+            p["ell"], p["m"],
+        ),
+        lambda p, tol: _refine_2d(
+            tol * 1e-2, "abssgn" if p["eps"] else "abs", 2.0 * p["nu"],
+            (p["lambda"] - 0.5, p["mu"] - 0.5),
+            polynomial_factors=_gegenbauer_pair(p["lambda"], p["ell"], p["mu"], p["m"]),
+        ),
+    ),
+    "selberg": SuiteRow(
+        "selberg-two-variable", 1e-7, 3,
+        lambda rng, i: _draw(rng, {"lambda": (0.2, 2.5), "nu": (0.3, 2.5)}),
+        _rhs("selberg2"),
+        lambda p, tol: _refine_2d(
+            tol * 1e-2, "abs", 2.0 * p["nu"], (p["lambda"] - 0.5,) * 2
+        ),
+    ),
+    "warnaar": SuiteRow(
+        "warnaar-triangle-pair", 1e-6, 2,
+        _fixed_then(("lambda", "mu"), [(0.2, 0.3), (0.15, 0.35)],
+                    lambda rng: _draw(rng, {"lambda": (0.05, 0.45),
+                                            "mu": (0.05, 0.45)})),
+        _rhs("warnaar"),
+        lambda p, tol: warnaar_left_side(p["lambda"], p["mu"], tol * 1e-2),
+    ),
+    "tv": SuiteRow(
+        "one-sided-single-weight", 1e-7, 3,
+        _fixed_then(("lambda", "nu"), [(0.7, 0.4), (1.2, 0.9)],
+                    lambda rng: _draw(rng, {"lambda": (0.2, 2.5), "nu": (0.3, 2.0)})),
+        _rhs("tarasov_varchenko"),
+        lambda p, tol: _refine_2d(
+            tol * 1e-2, "minus", 2.0 * p["nu"], (p["lambda"] - 0.5, 0.0)
+        ),
+    ),
+    "df": SuiteRow(
+        "inverse-square-finite-part", 1e-5, 2,
+        _fixed_then(("lambda", "mu"), [(1.3, 1.4), (2.0, 0.8)],
+                    lambda rng: _draw(rng, {"lambda": (0.9, 2.0), "mu": (0.9, 2.0)})),
+        _rhs("dotsenko_fateev"),
+        lambda p, tol: orc.regularized_inverse_square(
+            p["lambda"] - 0.5, p["mu"] - 0.5
+        ).value,
+    ),
+    "mehta": SuiteRow(
+        "gaussian-pair-kernel", 1e-8, 2,
+        _fixed_then(("nu",), [(1.0,)], lambda rng: _draw(rng, {"nu": (0.3, 2.5)})),
+        _rhs("mehta2"),
+        lambda p, tol: mehta_left_side(p["nu"]),
+    ),
+    "hermite": SuiteRow(
+        "gaussian-kernel-moments", 1e-6, 3,
+        _fixed_then(("nu", "ell", "m", "x"),
+                    [(0.5, 0, 0, 1.0), (2.0, 1, 1, 0.7), (1.5, 2, 0, 0.3)],
+                    lambda rng: _even(_draw(rng, {"nu": (0.4, 2.5), "ell": range(4),
+                                                  "m": range(4), "x": (-1.0, 1.0)}))),
+        lambda p: ex.hermite_kernel_integral(p["nu"], p["ell"], p["m"], p["x"]),
+        lambda p, tol: orc.integrate_hermite_2d(
+            p["nu"], p["x"], p["ell"], p["m"]
+        ).value,
+    ),
+    # closed = 0 target; oracle = sup error of expansion vs direct kernel
+    "cosine": SuiteRow(
+        "cosine-kernel-expansion", 1e-5, 2,
+        _fixed_then(("rho", "parity", "K"), [(7.0, 1, 40)],
+                    lambda rng: {**_draw(rng, {"rho": (5.0, 9.0), "parity": range(2)}),
+                                 "K": 40}),
+        lambda p: 0.0,
+        lambda p, tol: cosine_sup_error(p["rho"], p["parity"], p["K"]),
+    ),
+    "cc": SuiteRow(
+        "shear-averaged-projection", 1e-5, 2,
+        _fixed_then(("lambda", "mu", "nu", "b", "ell", "m"),
+                    [(1.0, 1.0, 1.0, 0.0, 0, 0), (1.0, 1.0, 1.0, 0.0, 2, 0)],
+                    lambda rng: _even(_draw(rng, {
+                        "lambda": (0.5, 1.8), "mu": (0.5, 1.8), "nu": (0.6, 2.2),
+                        "b": (0.0, 1.5), "ell": range(3), "m": range(3)}))),
+        lambda p: ex.shear_averaged_projection(
+            p["lambda"], p["mu"], p["nu"], p["b"], p["ell"], p["m"]
+        ),
+        _cc_oracle,
+    ),
 }
 
+SUITES = tuple(SUITE_TABLE) + ("all",)
 
-def _run_case(case: Case, tol: float) -> CaseResult:
+
+def _run_case(row: SuiteRow, params: dict, tol: float) -> CaseResult:
     """Evaluate one case; an error inside it fails the case, not the suite."""
     start = time.perf_counter()
     cf = oc = abs_err = rel_err = float("nan")
     passed = False
     note = None
     try:
-        cf = float(case.closed())
-        oc = float(case.oracle())
+        cf = float(row.closed(params))
+        oc = float(row.oracle(params, tol))
     except orc.OracleConvergenceError as exc:
         note = f"oracle did not converge: {exc}"
     except (DomainError, ConvergenceError) as exc:
@@ -480,8 +339,8 @@ def _run_case(case: Case, tol: float) -> CaseResult:
         rel_err = abs_err / (1.0 + abs(cf))
         passed = abs_err <= tol * (1.0 + abs(cf))
     return CaseResult(
-        case.identity,
-        case.params,
+        row.identity,
+        params,
         cf,
         oc,
         abs_err,
@@ -512,14 +371,17 @@ def run_suite(
     """Run one suite (or 'all'); case order and values are seed-deterministic."""
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
-    names = list(_BUILDERS) if suite == "all" else [suite]
+    if tol is not None and not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
+    if cases is not None and cases < 0:
+        raise DomainError(f"cases must be nonnegative, got {cases!r}")
+    rows = list(SUITE_TABLE.values()) if suite == "all" else [SUITE_TABLE[suite]]
     rng = np.random.default_rng(seed)
     jobs = []
-    for name in names:
-        suite_tol = tol if tol is not None else SUITE_TOLERANCES[name]
-        n = cases if cases is not None else DEFAULT_CASES[name]
-        for case in _BUILDERS[name](rng, n, suite_tol):
-            jobs.append((case, suite_tol))
+    for row in rows:
+        suite_tol = row.tol if tol is None else tol
+        n = row.cases if cases is None else cases
+        jobs += [(row, row.draw(rng, i), suite_tol) for i in range(n)]
     workers = max_workers()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -194,6 +194,16 @@ class TestVerify:
         assert report["overall_pass"] is False
         assert report["cases"] == []
 
+    @pytest.mark.parametrize(
+        "flags", [["--tol", "0"], ["--tol", "-1"], ["--cases", "-1"]]
+    )
+    def test_usage_error_exits_2(self, flags, capsys):
+        code = main(["verify", "--suite", "mehta", "--no-timing", *flags])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "must be" in err
+
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_bad_thread_count_exits_2(self, value, monkeypatch, capsys):
         monkeypatch.setenv("GEGEN_THREADS", value)
@@ -217,12 +227,9 @@ class TestExitCodes:
         from gegenexp.oracle import OracleConvergenceError
 
         def boom(*args, **kwargs):
-            def run():
-                raise OracleConvergenceError("stalled", value=0.0, est_error=1.0)
+            raise OracleConvergenceError("stalled", value=0.0, est_error=1.0)
 
-            return run
-
-        monkeypatch.setattr(vf, "_u_scaled_spec", boom)
+        monkeypatch.setattr(vf, "sheared_oracle", boom)
         code = main(
             ["bx", "--lambda", "1", "--mu", "1", "--nu", "1.2",
              "--ell", "1", "--m", "2", "--x", "0.6", "--oracle"]

@@ -10,6 +10,7 @@ import pytest
 from gegenexp.orthopoly import gauss_jacobi_rule
 from gegenexp.specfun import (
     ConvergenceError,
+    INTEGER_TOL,
     DomainError,
     HypStatus,
     PoleError,
@@ -18,9 +19,12 @@ from gegenexp.specfun import (
     gamma,
     gamma_ratio,
     gamma_sign,
+    gamma_sign_array,
     hyp2f1,
     hyp2f1_half,
     log_gamma,
+    nonpositive_int,
+    nonpositive_int_mask,
     pochhammer,
     rgamma,
 )
@@ -44,6 +48,20 @@ class TestGammaFamily:
         assert gamma_sign(-0.5) == -1.0
         assert gamma_sign(-1.5) == 1.0
         assert gamma_sign(-2.5) == -1.0
+
+    def test_array_pole_rule_matches_scalar(self):
+        pts = [0.5] + [
+            n + sgn * k * INTEGER_TOL
+            for n in (0.0, -1.0, -7.0)
+            for k in (0.5, 2.0)
+            for sgn in (1.0, -1.0)
+        ]
+        mask = nonpositive_int_mask(np.array(pts))
+        signs = gamma_sign_array(np.array(pts))
+        for x, pole, sign in zip(pts, mask, signs):
+            assert bool(pole) == (nonpositive_int(x) is not None), x
+            assert float(sign) == gamma_sign(x), x
+        assert mask.tolist() == [False] + [True, True, False, False] * 3
 
     def test_rgamma_total(self):
         assert rgamma(0.0) == 0.0

@@ -15,7 +15,7 @@ def test_two_d_suites_pass_at_default_tolerances(seed):
     for suite in TWO_D_SUITES:
         report = vf.run_suite(suite, seed=seed)
         assert report.overall_pass, (suite, [c.rel_err for c in report.cases])
-        assert len(report.cases) == vf.DEFAULT_CASES[suite]
+        assert len(report.cases) == vf.SUITE_TABLE[suite].cases
 
 
 def test_zero_cases_do_not_pass():
@@ -24,34 +24,49 @@ def test_zero_cases_do_not_pass():
     assert report.overall_pass is False
 
 
-class TestCaseErrors:
-    def _builder(self, error, calls):
-        def closed():
-            calls.append("closed")
+def _recording_row(calls, error=None):
+    """A two-case row whose closed form records each call; with an error
+    given, case 0's closed form raises it and case 1's returns 2.0."""
+
+    def closed(p):
+        calls.append(p["i"])
+        if error is not None and p["i"] == 0:
             raise error
+        return 2.0
 
-        def builder(rng, n, tol):
-            return [
-                vf.Case("raises", {}, closed, lambda: 1.0),
-                vf.Case("constant", {}, lambda: 2.0, lambda: 2.0),
-            ]
+    return vf.SuiteRow("recorded", 1e-8, 2, lambda rng, i: {"i": i}, closed,
+                       lambda p, tol: 2.0)
 
-        return builder
 
+class TestCaseErrors:
     @pytest.mark.parametrize(
         "error", [DomainError("bad point"), ConvergenceError("2F1 stalled")]
     )
     def test_closed_form_error_fails_only_its_case(self, error, monkeypatch):
         calls = []
-        monkeypatch.setitem(vf._BUILDERS, "mehta", self._builder(error, calls))
+        monkeypatch.setitem(vf.SUITE_TABLE, "mehta", _recording_row(calls, error))
         report = vf.run_suite("mehta")
         bad, good = report.cases
-        assert calls == ["closed"]
+        assert calls == [0, 1]
         assert not bad.passed
         assert math.isnan(bad.closed_form) and math.isnan(bad.abs_err)
         assert type(error).__name__ in bad.note and str(error) in bad.note
         assert good.passed and good.note is None
         assert report.overall_pass is False
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_nonpositive_tol_runs_no_case(self, tol, monkeypatch):
+        calls = []
+        monkeypatch.setitem(vf.SUITE_TABLE, "mehta", _recording_row(calls))
+        with pytest.raises(DomainError, match="tol must be positive"):
+            vf.run_suite("mehta", tol=tol)
+        assert calls == []
+
+    def test_negative_cases(self):
+        with pytest.raises(DomainError, match="cases must be nonnegative"):
+            vf.run_suite("stz", cases=-1)
 
 
 class TestMaxWorkers:
