@@ -19,13 +19,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln as _gammaln
 
-from .orthopoly import (
-    gauss_gegenbauer_rule,
-    gegenbauer_all,
-    gegenbauer_endpoint,
-    gegenbauer_norm_sq,
-    u_prefactor,
-)
+from .orthopoly import gauss_gegenbauer_rule, gegenbauer_all, gegenbauer_norm_sq
 from .specfun import (
     DomainError,
     gamma_ratio,
@@ -216,7 +210,20 @@ def tail_bound(params: ExpansionParams, L: int, M: int, window: int = 32) -> flo
     a heuristic, so the result is an estimate, not a proven bound.
     """
     W = max(L, M) + window
-    T = _term_sup_grid(params, W, W)
+    return _tail_from_grid(_term_sup_grid(params, W, W), params, L, M, window)
+
+
+def _tail_from_grid(
+    T: np.ndarray, params: ExpansionParams, L: int, M: int, window: int
+) -> float:
+    """tail_bound read from the leading (W+1) x (W+1) block of a term grid
+    T = _term_sup_grid(params, N, N) with N >= W = max(L, M) + window.
+
+    Grid entries do not depend on the grid's size, so the result is
+    bit-identical to tail_bound for every N >= W.
+    """
+    W = max(L, M) + window
+    T = T[: W + 1, : W + 1]
     ell = np.arange(W + 1)
     discard = (ell[:, None] > L) | (ell[None, :] > M)
     finite = float(T[discard].sum())
@@ -239,19 +246,33 @@ def tail_bound(params: ExpansionParams, L: int, M: int, window: int = 32) -> flo
 
 def truncation_order(params: ExpansionParams, tol: float) -> tuple:
     """Smallest square order on the search ladder whose tail estimate
-    (tail_bound, not a proven bound) is below tol."""
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    (tail_bound, not a proven bound) is below tol.
+
+    The rungs are scanned in order, since the estimate need not be monotone
+    in the order.  They share one term grid, built once per growth step:
+    when a rung's window outgrows it, the grid at least doubles, up to
+    MAX_ORDER + 32 per side.  The returned order is the one a scan with
+    tail_bound would give.
+    """
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
     params.require_hypothesis()
     candidates = [(0, 1)] if params.eps == 1 else [(0, 0)]
     n = 1
     while n <= MAX_ORDER:
         candidates.append((n, n))
         n += 1 if n < 64 else (4 if n < 256 else (16 if n < 1024 else 64))
+    window = 32
+    T, size = None, 0
     for L, M in candidates:
-        if tail_bound(params, L, M) < tol:
+        W = max(L, M) + window
+        if W > size:
+            size = min(max(W, 2 * size), MAX_ORDER + window)
+            T = None  # release the old grid before building the larger one
+            T = _term_sup_grid(params, size, size)
+        if _tail_from_grid(T, params, L, M, window) < tol:
             return (L, M)
-    raise DomainError(f"tail bound cannot reach {tol} by order {MAX_ORDER}")
+    raise DomainError(f"tail estimate cannot reach {tol} by order {MAX_ORDER}")
 
 
 def plus_part_integral(

@@ -19,7 +19,6 @@ levels is for endpoint factors the rules do not fold, such as
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 

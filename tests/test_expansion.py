@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import gegenexp.expansion as ex
 from gegenexp.expansion import (
     ExpansionParams,
     HypothesisError,
@@ -152,6 +153,79 @@ class TestTruncation:
         loose = truncation_order(p, 1e-4)
         tight = truncation_order(p, 1e-8)
         assert loose[0] <= tight[0] and loose[1] <= tight[1]
+
+
+def _ladder(eps, max_order):
+    """The search ladder of truncation_order, written out independently."""
+    rungs = [(0, 1)] if eps == 1 else [(0, 0)]
+    n = 1
+    while n <= max_order:
+        rungs.append((n, n))
+        n += 1 if n < 64 else (4 if n < 256 else (16 if n < 1024 else 64))
+    return rungs
+
+
+def _sweep_params():
+    rng = np.random.default_rng(20240401)
+    for i in range(20):
+        lam, mu = rng.uniform(0.3, 2.5, 2)
+        margin = rng.uniform(1.5, 3.0)
+        nu = (lam + mu + 4.0 + margin) / 2.0
+        yield ExpansionParams(lam, mu, nu, i % 2), (1e-4, 1e-5, 1e-6)[i % 3]
+
+
+@pytest.fixture
+def grid_sizes(monkeypatch):
+    """Record the side of every term grid truncation_order builds."""
+    sizes = []
+    build = ex._term_sup_grid
+
+    def spy(params, L, M):
+        sizes.append(max(L, M))
+        return build(params, L, M)
+
+    monkeypatch.setattr(ex, "_term_sup_grid", spy)
+    return sizes
+
+
+class TestTruncationGrid:
+    def test_matches_tail_bound_scan(self):
+        for p, tol in _sweep_params():
+            scan = next(
+                (L, M)
+                for L, M in _ladder(p.eps, ex.MAX_ORDER)
+                if tail_bound(p, L, M) < tol
+            )
+            assert scan[0] <= 160  # keeps the brute-force scan fast
+            assert truncation_order(p, tol) == scan
+
+    def test_grid_read_is_bitwise_tail_bound(self):
+        size = 200
+        for eps in (0, 1):
+            p = ExpansionParams(0.8, 1.7, 4.6, eps)
+            T = ex._term_sup_grid(p, size, size)
+            rungs = [(L, M) for L, M in _ladder(eps, size) if max(L, M) + 32 <= size]
+            rungs += [(10, 40), (57, 3)]
+            for L, M in rungs:
+                assert ex._tail_from_grid(T, p, L, M, 32) == tail_bound(p, L, M)
+            assert ex._tail_from_grid(T, p, 60, 60, 8) == tail_bound(p, 60, 60, 8)
+
+    def test_one_grid_per_growth_step(self, grid_sizes):
+        assert truncation_order(ExpansionParams(1, 1, 3.5, 0), 1e-8) == (416, 416)
+        assert len(grid_sizes) <= 2 + math.log2(grid_sizes[-1] / 32)
+        assert grid_sizes == sorted(set(grid_sizes))
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_bad_tolerance_builds_no_grid(self, grid_sizes, tol):
+        with pytest.raises(DomainError, match=f"got {tol!r}"):
+            truncation_order(ExpansionParams(1, 1, 3.5, 0), tol)
+        assert grid_sizes == []
+
+    def test_unreachable_tolerance_caps_grid(self, grid_sizes, monkeypatch):
+        monkeypatch.setattr(ex, "MAX_ORDER", 100)
+        with pytest.raises(DomainError, match="tail estimate cannot reach"):
+            truncation_order(ExpansionParams(1, 1, 3.5, 0), 1e-300)
+        assert max(grid_sizes) == 100 + 32
 
 
 class TestShearedIntegral:
