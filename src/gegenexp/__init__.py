@@ -32,7 +32,6 @@ from .oracle import (
     OracleConvergenceError,
     QuadResult,
     QuadratureSpec,
-    integrate,
     integrate_hermite_2d,
     refine_until,
     regularized_inverse_square,

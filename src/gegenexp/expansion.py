@@ -51,7 +51,7 @@ class ExpansionParams:
     eps: int = 0
 
     def __post_init__(self):
-        if self.lam <= 0.0 or self.mu <= 0.0 or self.nu <= 0.0:
+        if not (self.lam > 0.0 and self.mu > 0.0 and self.nu > 0.0):
             raise DomainError("requires lam, mu, nu > 0")
         if self.eps not in (0, 1):
             raise DomainError("eps must be 0 or 1")
@@ -91,7 +91,7 @@ def expansion_coeff(lam: float, mu: float, nu: float, ell: int, m: int) -> float
     nu+1+(lam+mu)/2 +- (lam+ell)/2 +- (mu+m)/2.  A pole in any denominator
     gamma gives an exact zero, which is what truncates polynomial kernels.
     """
-    if lam <= 0.0 or mu <= 0.0 or nu <= 0.0:
+    if not (lam > 0.0 and mu > 0.0 and nu > 0.0):
         raise DomainError("requires lam, mu, nu > 0")
     if ell < 0 or m < 0:
         raise DomainError("indices must be nonnegative")
@@ -285,7 +285,7 @@ def plus_part_integral(
     -lam-nu+(m-ell)/2; mu+m+1; x^2) over 2^(2nu+1)
     Gamma(nu-(ell+m)/2+1) Gamma(mu+m+1) Gamma(lam+nu+(ell-m)/2+1).
     """
-    if lam <= -0.5 or mu <= -0.5 or nu <= 0.0:
+    if not (lam > -0.5 and mu > -0.5 and nu > 0.0):
         raise DomainError("requires lam, mu > -1/2 and nu > 0")
     if not -1.0 <= x <= 1.0:
         raise DomainError("requires -1 <= x <= 1")
@@ -348,7 +348,7 @@ def plus_base_integral(a: float, b: float, c: float, x: float) -> float:
     sqrt(pi) Gamma(a) Gamma(b) Gamma(c) / (2 Gamma(a+c) Gamma(b+1/2)) times
     2F1(-c+1/2, -a-c+1; b+1/2; x^2).
     """
-    if a <= 0.0 or b <= 0.0 or c <= 0.5:
+    if not (a > 0.0 and b > 0.0 and c > 0.5):
         raise DomainError("requires a, b > 0 and c > 1/2")
     if not -1.0 <= x <= 1.0:
         raise DomainError("requires -1 <= x <= 1")

@@ -134,9 +134,6 @@ class QuadratureRule:
             view.setflags(write=False)
             object.__setattr__(self, name, view)
 
-    def integrate(self, f) -> float:
-        return float(self.weights @ f(self.nodes))
-
 
 def _jacobi_coefficients(alpha: float, beta: float, n: int):
     """Recurrence coefficients of monic polynomials orthogonal under

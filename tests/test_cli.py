@@ -79,6 +79,16 @@ class TestCoeffs:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--lambda", "--mu", "--nu"])
+    def test_nan_parameter_exits_2(self, flag, tmp_path, capsys):
+        argv = ["coeffs", "--lambda", "1", "--mu", "1", "--nu", "1",
+                "--eps", "0", "--lmax", "2", "--mmax", "2",
+                "--out", str(tmp_path / "x.csv")]
+        argv[argv.index(flag) + 1] = "nan"
+        assert main(argv) == 2
+        assert "requires lam, mu, nu > 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestEval:
     def test_hypothesis_violation_exits_3(self, tmp_path):
@@ -158,6 +168,15 @@ class TestBx:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("oracle ")
         assert float(lines[2].split()[1]) <= 1e-7
+
+    @pytest.mark.parametrize("flag", ["--lambda", "--mu", "--nu"])
+    def test_nan_parameter_exits_2(self, flag, capsys):
+        argv = ["bx", "--lambda", "0.7", "--mu", "1.3", "--nu", "0.9",
+                "--ell", "0", "--m", "0", "--x", "0"]
+        argv[argv.index(flag) + 1] = "nan"
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "requires lam, mu > -1/2 and nu > 0" in out.err
 
 
 class TestVerify:

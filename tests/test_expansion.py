@@ -87,7 +87,6 @@ class TestCoefficients:
                         ("gegenbauer", 2.0, ell),
                         ("gegenbauer", 3.0, m),
                     ),
-                    tol=1e-11,
                 )
                 proj = refine_until(spec, 1e-11).value / (
                     gegenbauer_norm_sq(2.0, ell) * gegenbauer_norm_sq(3.0, m)
@@ -251,7 +250,6 @@ class TestShearedIntegral:
                 weight_exponents=(lam - 0.5, mu - 0.5),
                 polynomial_factors=(("gegenbauer", lam, ell), ("gegenbauer", mu, m)),
                 prefactor=u_prefactor(lam, ell) * u_prefactor(mu, m),
-                tol=1e-10,
             )
             oracle = refine_until(spec, 1e-10).value
             assert plus_part_integral(lam, mu, nu, ell, m, x) == pytest.approx(
@@ -292,7 +290,6 @@ class TestShearedIntegral:
             kernel_exponent=2 * c - 1,
             x_shear=x,
             weight_exponents=(a - 1, b - 1),
-            tol=1e-10,
         )
         assert plus_base_integral(a, b, c, x) == pytest.approx(
             refine_until(spec, 1e-10).value, abs=1e-8

@@ -12,7 +12,6 @@ from gegenexp.oracle import (
     OracleConvergenceError,
     QuadratureSpec,
     convolution_profile,
-    integrate,
     integrate_hermite_2d,
     refine_until,
     regularized_inverse_square,
@@ -31,6 +30,12 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             QuadratureSpec(weight_exponents=(-1.2, 0.0))
 
+    def test_nan_exponents(self):
+        with pytest.raises(DomainError):
+            QuadratureSpec(kernel="abs", kernel_exponent=math.nan)
+        with pytest.raises(DomainError):
+            QuadratureSpec(weight_exponents=(0.0, math.nan))
+
     def test_dimension_three_needs_extra_axis(self):
         with pytest.raises(DomainError):
             QuadratureSpec(dimension=3)
@@ -38,16 +43,17 @@ class TestSpecValidation:
 
 class TestBasics:
     def test_arcsine_mass(self):
-        r = integrate(QuadratureSpec(dimension=1, weight_exponents=(-0.5, -0.5)))
+        r = refine_until(QuadratureSpec(dimension=1, weight_exponents=(-0.5, -0.5)), 1e-8)
         assert r.value == pytest.approx(math.pi, abs=1e-12)
 
     def test_square_area(self):
-        r = integrate(QuadratureSpec(dimension=2))
+        r = refine_until(QuadratureSpec(dimension=2), 1e-8)
         assert r.value == pytest.approx(4.0, abs=1e-11)
 
     def test_plus_part_of_linear_kernel(self):
-        r = integrate(
-            QuadratureSpec(dimension=2, kernel="plus", kernel_exponent=1.0, x_shear=0.0)
+        r = refine_until(
+            QuadratureSpec(dimension=2, kernel="plus", kernel_exponent=1.0, x_shear=0.0),
+            1e-8,
         )
         assert r.value == pytest.approx(1.0, abs=1e-12)
 
@@ -56,7 +62,7 @@ class TestBasics:
         spec = QuadratureSpec(
             dimension=2, polynomial_factors=(("monomial", 2), None)
         )
-        assert integrate(spec).value == pytest.approx(4.0 / 3.0, rel=1e-12)
+        assert refine_until(spec, 1e-8).value == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_weighted_mass_matches_closed_form(self):
         for lam, mu, nu in [(0.5, 0.5, 1.0), (1.3, 0.7, 0.6), (0.3, 2.1, 1.7)]:
@@ -66,7 +72,6 @@ class TestBasics:
                 kernel_exponent=2 * nu,
                 x_shear=1.0,
                 weight_exponents=(lam - 0.5, mu - 0.5),
-                tol=1e-10,
             )
             r = refine_until(spec, 1e-10)
             assert r.value == pytest.approx(
@@ -84,7 +89,6 @@ class TestSplitLogic:
             x_shear=x,
             weight_exponents=(lam - 0.5, mu - 0.5),
             polynomial_factors=(("gegenbauer", lam, ell), ("gegenbauer", mu, m)),
-            tol=1e-10,
         )
 
     def test_plus_plus_minus_is_abs(self):
@@ -98,9 +102,9 @@ class TestSplitLogic:
                 int(rng.integers(0, 4)),
                 int(rng.integers(0, 4)),
             )
-            plus = integrate(self._spec("plus", seedling)).value
-            minus = integrate(self._spec("minus", seedling)).value
-            absval = integrate(self._spec("abs", seedling)).value
+            plus = refine_until(self._spec("plus", seedling), 1e-10).value
+            minus = refine_until(self._spec("minus", seedling), 1e-10).value
+            absval = refine_until(self._spec("abs", seedling), 1e-10).value
             assert plus + minus == pytest.approx(absval, abs=1e-10)
 
     def test_shear_reflection_symmetry(self):
@@ -108,8 +112,8 @@ class TestSplitLogic:
         for m in (2, 3):
             seed_pos = (0.8, 1.1, 0.9, 0.37, 1, m)
             seed_neg = (0.8, 1.1, 0.9, -0.37, 1, m)
-            a = integrate(self._spec("plus", seed_pos)).value
-            b = integrate(self._spec("plus", seed_neg)).value
+            a = refine_until(self._spec("plus", seed_pos), 1e-10).value
+            b = refine_until(self._spec("plus", seed_neg), 1e-10).value
             assert a == pytest.approx((-1.0) ** m * b, rel=1e-10, abs=1e-12)
 
 
@@ -134,6 +138,22 @@ class TestRefinement:
     def test_bad_target(self):
         with pytest.raises(DomainError):
             refine_until(QuadratureSpec(), 0.0)
+
+    @pytest.mark.parametrize("target,max_level", [(math.nan, 5), (1e-8, 0), (1e-8, -1)])
+    def test_usage_error_evaluates_nothing(self, target, max_level, monkeypatch):
+        calls = []
+        monkeypatch.setattr(orc, "_eval_2d", lambda *args: calls.append(args))
+        with pytest.raises(DomainError):
+            refine_until(QuadratureSpec(), target, max_level)
+        assert calls == []
+
+    def test_driver_stops_at_first_agreeing_rung(self):
+        # rung k returns 2^-k: consecutive rungs differ by 2^-k
+        r = orc._refine(lambda k: (2.0**-k, 10), 0.3, 5)
+        assert (r.value, r.est_error, r.evaluations, r.level) == (0.25, 0.25, 30, 2)
+        with pytest.raises(OracleConvergenceError) as info:
+            orc._refine(lambda k: (2.0**-k, 10), 0.01, 3)
+        assert (info.value.value, info.value.est_error) == (0.125, 0.125)
 
     def test_estimate_honesty(self):
         # true error (vs closed form) at most 10x the reported estimate in
@@ -192,20 +212,21 @@ class TestRefinement:
 
 class TestHermite2D:
     def test_separable_case(self):
-        r = integrate_hermite_2d(1.0, 0.0, 0, 0)
+        r = integrate_hermite_2d(1.0, 0.0, 0, 0, 1e-12)
         assert r.value == pytest.approx(math.pi / 2.0, rel=1e-12)
 
     def test_odd_symmetry_vanishes(self):
-        r = integrate_hermite_2d(0.8, 0.0, 1, 0)
+        r = integrate_hermite_2d(0.8, 0.0, 1, 0, 1e-12)
         assert abs(r.value) < 1e-10
 
     def test_diagonal_case(self):
-        r = integrate_hermite_2d(0.5, 1.0, 0, 0)
+        r = integrate_hermite_2d(0.5, 1.0, 0, 0, 1e-11)
         assert r.value == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-10)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            integrate_hermite_2d(0.0, 0.5, 0, 0)
+        for nu, x in [(0.0, 0.5), (math.nan, 0.5), (1.0, math.nan)]:
+            with pytest.raises(DomainError):
+                integrate_hermite_2d(nu, x, 0, 0, 1e-8)
 
 
 class TestTriangles:
@@ -217,10 +238,9 @@ class TestTriangles:
             kernel_exponent=2 * nu,
             x_shear=1.0,
             weight_exponents=(lam - 0.5, mu - 0.5),
-            tol=1e-10,
         )
-        lower = integrate(QuadratureSpec(triangle="s<t", **common)).value
-        upper = integrate(QuadratureSpec(triangle="t<s", **common)).value
+        lower = refine_until(QuadratureSpec(triangle="s<t", **common), 1e-10).value
+        upper = refine_until(QuadratureSpec(triangle="t<s", **common), 1e-10).value
         assert lower + upper == pytest.approx(
             weighted_power_mass(lam, mu, nu), rel=1e-10
         )
@@ -234,20 +254,24 @@ def test_unit_rule_is_read_only():
 
 class TestRegularizedKernel:
     def test_profile_even_and_compact(self):
-        assert convolution_profile(0.8, 0.9, 0.31) == pytest.approx(
-            convolution_profile(0.8, 0.9, -0.31), rel=1e-13
+        g, evals = convolution_profile(
+            0.8, 0.9, np.array([0.31, -0.31, 2.3, -2.0]), orc._ladder(2)
         )
-        assert convolution_profile(0.8, 0.9, 2.3) == 0.0
+        assert g[0] == g[1] and g[0] > 0.0
+        assert g[2] == 0.0 and g[3] == 0.0
+        # _ladder(2) = (order 14, 16 grading levels); exponents (exp_t, exp_s)
+        assert evals == 4 * orc._unit_rule(0.9, 0.8, 16, 14)[0].size
 
     def test_matches_continuation_closed_form(self):
         for lam, mu in [(1.3, 1.4), (2.0, 0.8)]:
-            r = regularized_inverse_square(lam - 0.5, mu - 0.5)
+            r = regularized_inverse_square(lam - 0.5, mu - 0.5, 1e-6)
             ref = identity_rhs("dotsenko_fateev", {"lam": lam, "mu": mu})
             assert r.value == pytest.approx(ref, rel=1e-5)
 
     def test_domain_guard(self):
-        with pytest.raises(DomainError):
-            regularized_inverse_square(0.2, -0.3)
+        for exp_s, exp_t in [(0.2, -0.3), (math.nan, 0.5)]:
+            with pytest.raises(DomainError):
+                regularized_inverse_square(exp_s, exp_t, 1e-6)
 
 
 class TestThreeDimensional:
@@ -258,7 +282,6 @@ class TestThreeDimensional:
             kernel_exponent=2.0,
             weight_exponents=(0.5, 0.5),
             extra_axis=(1.0, 0.0),
-            tol=1e-7,
         )
         r = refine_until(spec, 1e-7, max_level=2)
         # 5 pi^2 / 96, reduced by hand from the gamma product
@@ -274,6 +297,37 @@ def test_tensor_moments_match_beta():
             weight_exponents=(lam - 0.5, mu - 0.5),
             polynomial_factors=(("monomial", i), ("monomial", j)),
         )
-        got = integrate(spec).value
+        got = refine_until(spec, 1e-8).value
         exact = beta((i + 1) / 2.0, lam + 0.5) * beta((j + 1) / 2.0, mu + 0.5)
         assert got == pytest.approx(exact, rel=1e-12)
+
+
+#: One case per oracle backend: target -> QuadResult.
+BACKENDS = {
+    "refine_until": lambda target: refine_until(
+        QuadratureSpec(
+            dimension=2,
+            kernel="abs",
+            kernel_exponent=0.2,
+            x_shear=1.0,
+            weight_exponents=(-0.3, -0.4),
+        ),
+        target,
+    ),
+    "hermite": lambda target: integrate_hermite_2d(0.8, 0.6, 1, 1, target),
+    "finite_part": lambda target: regularized_inverse_square(0.8, 0.9, target),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+class TestOneStoppingRule:
+    def test_unreachable_target_raises_with_estimate(self, backend):
+        with pytest.raises(OracleConvergenceError) as info:
+            BACKENDS[backend](1e-30)
+        assert math.isfinite(info.value.value)
+        assert math.isfinite(info.value.est_error) and info.value.est_error > 0.0
+
+    def test_reachable_target_is_met(self, backend):
+        r = BACKENDS[backend](1e-6)
+        assert r.est_error <= 1e-6
+        assert 1 <= r.level <= 5 and r.evaluations > 0

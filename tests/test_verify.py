@@ -7,12 +7,14 @@ import pytest
 from gegenexp import verify as vf
 from gegenexp.specfun import ConvergenceError, DomainError
 
-TWO_D_SUITES = ("main", "stz", "projection", "selberg", "warnaar", "tv")
+ORACLE_SUITES = (
+    "main", "stz", "projection", "selberg", "warnaar", "tv", "df", "mehta", "hermite",
+)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_two_d_suites_pass_at_default_tolerances(seed):
-    for suite in TWO_D_SUITES:
+    for suite in ORACLE_SUITES:
         report = vf.run_suite(suite, seed=seed)
         assert report.overall_pass, (suite, [c.rel_err for c in report.cases])
         assert len(report.cases) == vf.SUITE_TABLE[suite].cases
