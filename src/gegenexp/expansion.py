@@ -17,17 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln as _gammaln
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .orthopoly import gauss_gegenbauer_rule, gegenbauer_all, gegenbauer_norm_sq
-from .specfun import (
-    DomainError,
-    gamma_ratio,
-    gamma_sign_array,
-    hyp2f1,
-    nonpositive_int_mask,
-    pochhammer,
-)
+from .specfun import DomainError, _lgamma_1d, gamma_ratio, hyp2f1, pochhammer
 
 LN2 = math.log(2.0)
 LNPI = math.log(math.pi)
@@ -51,8 +44,9 @@ class ExpansionParams:
     eps: int = 0
 
     def __post_init__(self):
-        if not (self.lam > 0.0 and self.mu > 0.0 and self.nu > 0.0):
-            raise DomainError("requires lam, mu, nu > 0")
+        if not (0.0 < self.lam < math.inf and 0.0 < self.mu < math.inf
+                and 0.0 < self.nu < math.inf):
+            raise DomainError("requires lam, mu, nu > 0 and finite")
         if self.eps not in (0, 1):
             raise DomainError("eps must be 0 or 1")
 
@@ -91,8 +85,8 @@ def expansion_coeff(lam: float, mu: float, nu: float, ell: int, m: int) -> float
     nu+1+(lam+mu)/2 +- (lam+ell)/2 +- (mu+m)/2.  A pole in any denominator
     gamma gives an exact zero, which is what truncates polynomial kernels.
     """
-    if not (lam > 0.0 and mu > 0.0 and nu > 0.0):
-        raise DomainError("requires lam, mu, nu > 0")
+    if not (0.0 < lam < math.inf and 0.0 < mu < math.inf and 0.0 < nu < math.inf):
+        raise DomainError("requires lam, mu, nu > 0 and finite")
     if ell < 0 or m < 0:
         raise DomainError("indices must be nonnegative")
     base = nu + 1.0 + (lam + mu) / 2.0
@@ -109,35 +103,66 @@ def expansion_coeff(lam: float, mu: float, nu: float, ell: int, m: int) -> float
     )
 
 
+def _hankel(v: np.ndarray, n: int) -> np.ndarray:
+    """Read-only view H[i, j] = v[i + j], shape (len(v) - n + 1, n)."""
+    return sliding_window_view(v, n)
+
+
+def _toeplitz(v: np.ndarray, n: int) -> np.ndarray:
+    """Read-only view T[i, j] = v[i - j + n - 1], shape (len(v) - n + 1, n)."""
+    return sliding_window_view(v[::-1], n)[::-1]
+
+
+def _reciprocal_gammas(*lattices):
+    """log|1 / prod Gamma(c + j/2)| and its sign over (c, j) pairs of a
+    scalar and a 1-D integer vector, all j of equal length; the log is -inf
+    where any argument is a pole."""
+    log, sign, dead = 0.0, 1.0, False
+    for c, j in lattices:
+        lg, sg, pole = _lgamma_1d(c, j)
+        log, sign, dead = log - lg, sign * sg, dead | pole
+    return np.where(dead, -np.inf, log), sign
+
+
+def _diagonal_factors(params: ExpansionParams, L: int, M: int):
+    """The four denominator gammas of b_{l,m} on 1-D index vectors.
+
+    nu+1+lam+mu+(l+m)/2 and nu+1-(l+m)/2 depend on s = l+m alone, and
+    nu+1+lam+(l-m)/2 and nu+1+mu-(l-m)/2 on d = l-m alone.  Returns
+    (log_s, sign_s) over s = 0..L+M, with the numerator constant folded
+    into log_s, and (log_d, sign_d) over d = -M..L; a pole gives -inf.
+    """
+    lam, mu, nu = params.lam, params.mu, params.nu
+    s = np.arange(L + M + 1)
+    d = np.arange(-M, L + 1)
+    log_s, sign_s = _reciprocal_gammas((nu + 1.0 + lam + mu, s), (nu + 1.0, -s))
+    log_d, sign_d = _reciprocal_gammas((nu + 1.0 + lam, d), (nu + 1.0 + mu, -d))
+    log_s += (
+        math.lgamma(lam + mu + 2.0 * nu + 1.0)
+        + math.lgamma(lam)
+        + math.lgamma(mu)
+        + math.lgamma(2.0 * nu + 1.0)
+        - 2.0 * nu * LN2
+    )
+    return log_s, sign_s, log_d, sign_d
+
+
 def coeff_grid(params: ExpansionParams, L: int, M: int) -> np.ndarray:
     """Dense (L+1) x (M+1) coefficient grid without the parity mask.
 
-    Vectorized counterpart of expansion_coeff; identical pole snapping.
+    Vectorized counterpart of expansion_coeff with the same pole zeros.  The
+    gammas are taken on the l+m and l-m vectors (O(L+M) values) and
+    gathered onto the grid as Hankel and Toeplitz views; one exp follows.
     """
-    lam, mu, nu = params.lam, params.mu, params.nu
-    ell = np.arange(L + 1)[:, None]
-    m = np.arange(M + 1)[None, :]
-    base = nu + 1.0 + (lam + mu) / 2.0
-    p = (lam + ell) / 2.0
-    q = (mu + m) / 2.0
-    lognum = (
-        _gammaln(lam + mu + 2.0 * nu + 1.0)
-        + _gammaln(lam)
-        + _gammaln(mu)
-        + _gammaln(2.0 * nu + 1.0)
-        - 2.0 * nu * LN2
-    )
-    out = np.full((L + 1, M + 1), lognum)
-    sign = np.where(m % 2 == 0, 1.0, -1.0) * np.ones((L + 1, M + 1))
-    dead = np.zeros((L + 1, M + 1), dtype=bool)
-    for arg in (base + p + q, base + p - q, base - p + q, base - p - q):
-        arg = np.broadcast_to(arg, out.shape)
-        dead |= nonpositive_int_mask(arg)
-        safe = np.where(dead, 1.0, arg)
-        out -= _gammaln(safe)
-        sign *= gamma_sign_array(safe)
-    vals = sign * np.exp(out) * (lam + ell) * (mu + m)
-    vals[dead] = 0.0
+    log_s, sign_s, log_d, sign_d = _diagonal_factors(params, L, M)
+    vals = _hankel(log_s, M + 1) + _toeplitz(log_d, M + 1)
+    np.exp(vals, out=vals)
+    vals *= _hankel(sign_s, M + 1)
+    vals *= _toeplitz(sign_d, M + 1)
+    m = np.arange(M + 1)
+    vals *= (params.lam + np.arange(L + 1))[:, None]
+    vals *= np.where(m % 2, -1.0, 1.0) * (params.mu + m)
+    vals += 0.0  # a pole's zero is +0.0, whatever sign it was given
     return vals
 
 
@@ -186,16 +211,24 @@ def series_eval(
 
 
 def _term_sup_grid(params: ExpansionParams, L: int, M: int) -> np.ndarray:
-    """|b_{l,m}| C_l(1) C_m(1) with the parity mask applied."""
+    """|b_{l,m}| C_l(1) C_m(1) with the parity mask applied.
+
+    Built like coeff_grid, with the mask folded into the l+m vector and the
+    endpoint values C_n(1) = Gamma(n + 2 lam) / (n! Gamma(2 lam)) taken on
+    the 1-D index vectors.
+    """
     lam, mu = params.lam, params.mu
-    vals = np.abs(coeff_grid(params, L, M))
+    log_s, _, log_d, _ = _diagonal_factors(params, L, M)
+    log_s[np.arange(L + M + 1) % 2 != params.eps] = -np.inf
+    vals = _hankel(log_s, M + 1) + _toeplitz(log_d, M + 1)
+    np.exp(vals, out=vals)
     ell = np.arange(L + 1)
     m = np.arange(M + 1)
-    ce = np.exp(_gammaln(ell + 2.0 * lam) - _gammaln(ell + 1.0) - _gammaln(2.0 * lam))
-    cm = np.exp(_gammaln(m + 2.0 * mu) - _gammaln(m + 1.0) - _gammaln(2.0 * mu))
-    vals = vals * ce[:, None] * cm[None, :]
-    mask = (ell[:, None] + m[None, :]) % 2 == params.eps
-    return np.where(mask, vals, 0.0)
+    ce = _lgamma_1d(2.0 * lam, 2 * ell)[0] - _lgamma_1d(1.0, 2 * ell)[0]
+    cm = _lgamma_1d(2.0 * mu, 2 * m)[0] - _lgamma_1d(1.0, 2 * m)[0]
+    vals *= ((lam + ell) * np.exp(ce - math.lgamma(2.0 * lam)))[:, None]
+    vals *= (mu + m) * np.exp(cm - math.lgamma(2.0 * mu))
+    return vals
 
 
 def tail_bound(params: ExpansionParams, L: int, M: int, window: int = 32) -> float:
@@ -285,8 +318,8 @@ def plus_part_integral(
     -lam-nu+(m-ell)/2; mu+m+1; x^2) over 2^(2nu+1)
     Gamma(nu-(ell+m)/2+1) Gamma(mu+m+1) Gamma(lam+nu+(ell-m)/2+1).
     """
-    if not (lam > -0.5 and mu > -0.5 and nu > 0.0):
-        raise DomainError("requires lam, mu > -1/2 and nu > 0")
+    if not (-0.5 < lam < math.inf and -0.5 < mu < math.inf and 0.0 < nu < math.inf):
+        raise DomainError("requires lam, mu > -1/2 and nu > 0, all finite")
     if not -1.0 <= x <= 1.0:
         raise DomainError("requires -1 <= x <= 1")
     if ell < 0 or m < 0:
@@ -348,8 +381,8 @@ def plus_base_integral(a: float, b: float, c: float, x: float) -> float:
     sqrt(pi) Gamma(a) Gamma(b) Gamma(c) / (2 Gamma(a+c) Gamma(b+1/2)) times
     2F1(-c+1/2, -a-c+1; b+1/2; x^2).
     """
-    if not (a > 0.0 and b > 0.0 and c > 0.5):
-        raise DomainError("requires a, b > 0 and c > 1/2")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf and 0.5 < c < math.inf):
+        raise DomainError("requires a, b > 0 and c > 1/2, all finite")
     if not -1.0 <= x <= 1.0:
         raise DomainError("requires -1 <= x <= 1")
     coef = gamma_ratio(
@@ -414,26 +447,21 @@ def shear_averaged_projection(
 @lru_cache(maxsize=32)
 def _cosine_matrix(rho: float, parity: int, K: int) -> np.ndarray:
     """Reciprocal gamma products over the lattice [-K, K]^2 with the
-    parity mask applied."""
-    idx = np.arange(-K, K + 1)
-    ell = idx[:, None]
-    m = idx[None, :]
-    out = np.zeros((2 * K + 1, 2 * K + 1))
-    mask = (ell - m - parity) % 2 == 0
-    logsum = np.zeros_like(out)
-    sign = np.ones_like(out)
-    dead = np.zeros_like(out, dtype=bool)
-    for ds in (1.0, -1.0):
-        for es in (1.0, -1.0):
-            arg = 1.0 + 0.5 * (rho + ds * ell + es * m)
-            dead |= nonpositive_int_mask(arg)
-            safe = np.where(dead, 1.0, arg)
-            logsum += _gammaln(safe)
-            sign *= gamma_sign_array(safe)
-    vals = sign * np.exp(-logsum)
-    vals[dead | ~mask] = 0.0
-    out[:] = vals
-    return out
+    parity mask applied.
+
+    The four arguments 1 + (rho +- (l+m))/2 and 1 + (rho +- (l-m))/2 share
+    one 1-D vector over k = -2K..2K, taken once and gathered onto the
+    lattice by l+m (Hankel) and l-m (Toeplitz, parity-masked) views.
+    """
+    k = np.arange(-2 * K, 2 * K + 1)
+    log_k, sign_k = _reciprocal_gammas((1.0 + 0.5 * rho, k), (1.0 + 0.5 * rho, -k))
+    log_d = np.where((k - parity) % 2 == 0, log_k, -np.inf)
+    n = 2 * K + 1
+    vals = _hankel(log_k, n) + _toeplitz(log_d, n)
+    np.exp(vals, out=vals)
+    vals *= _hankel(sign_k, n)
+    vals *= _toeplitz(sign_k, n)
+    return vals
 
 
 def cosine_expansion(rho: float, parity: int, phi: float, psi: float, K: int) -> float:

@@ -65,13 +65,16 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.kernel not in KERNELS:
             raise DomainError(f"unknown kernel {self.kernel!r}")
-        if self.kernel != "none" and not self.kernel_exponent > -1.0:
+        if self.kernel != "none" and not -1.0 < self.kernel_exponent < np.inf:
             raise DomainError(
-                f"kernel exponent must exceed -1, got {self.kernel_exponent!r}"
+                f"kernel exponent must be finite and exceed -1, "
+                f"got {self.kernel_exponent!r}"
             )
         for w in self.weight_exponents:
-            if not w > -1.0:
-                raise DomainError(f"endpoint exponent must exceed -1, got {w!r}")
+            if not -1.0 < w < np.inf:
+                raise DomainError(
+                    f"endpoint exponent must be finite and exceed -1, got {w!r}"
+                )
         if self.dimension not in (1, 2, 3):
             raise DomainError("dimension must be 1, 2 or 3")
         if self.dimension == 1 and (self.kernel != "none" or self.triangle):

@@ -1,11 +1,14 @@
 """Scalar special-function kernels.
 
 Log-gamma with explicit sign tracking (the pole test and the gamma sign also
-come as array versions for the vectorized closed forms), a reciprocal gamma
-that is exactly zero at the poles, rising factorials, the beta function,
-and a real-argument Gauss hypergeometric function with termination
-detection, a z -> 1-z connection formula (including the logarithmic case
-for integer c-a-b) and exact Gauss summation at z = 1.
+come as array versions, and _lgamma_1d gives log|Gamma|, sign and pole mask
+on a short 1-D lattice c + j/2, which is all the gamma work the closed-form
+grids need), a reciprocal gamma that is exactly zero at the poles, rising
+factorials, the beta function, an in-house digamma (reflection, recurrence
+and the asymptotic series), and a real-argument Gauss hypergeometric
+function with termination detection, a z -> 1-z connection formula
+(including the logarithmic case for integer c-a-b) and exact Gauss
+summation at z = 1.  Everything runs on math and numpy alone.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import psi as _digamma
 
 #: Reals this close to an integer are treated as that integer.  Parameter
 #: arithmetic in the closed forms produces exact integers for half-integer
@@ -83,6 +85,71 @@ def gamma_sign(x: float) -> float:
 def gamma_sign_array(x: np.ndarray) -> np.ndarray:
     """Array version of gamma_sign."""
     return np.where(x > 0.0, 1.0, np.where(np.floor(-x) % 2 == 0, -1.0, 1.0))
+
+
+def _lgamma_1d(c: float, j: np.ndarray):
+    """log|Gamma(x)|, the sign of Gamma(x) and the pole mask at the points
+    x = c + j/2 of a 1-D integer vector j.
+
+    Below x = 1/2 the reflection Gamma(x) Gamma(1-x) = pi / sin(pi x)
+    (DLMF 5.5.3) is used, with sin(pi x) taken from c's exact offset from
+    the nearest integer (even j) or half-integer (odd j) rather than from
+    the rounded x: near a pole that rounding would cost |psi(x)| ulp(x) of
+    relative accuracy.  Pole entries get log|Gamma| = 0 and sign 1; callers
+    use the mask.  Meant for the short index vectors of the coefficient
+    grids (a few thousand entries): math.lgamma runs per entry.
+    """
+    j = np.asarray(j)
+    x = c + 0.5 * j
+    pole = nonpositive_int_mask(x)
+    safe = np.where(pole, 1.0, x)
+    low = safe < 0.5
+    logabs = np.fromiter(
+        map(math.lgamma, np.where(low, 1.0 - safe, safe).tolist()), float, count=x.size
+    )
+    offset = np.where(j[low] % 2 == 0, c - round(c), c - (math.floor(c) + 0.5))
+    sin_pi_x = np.abs(np.sin(math.pi * offset))
+    logabs[low] = math.log(math.pi) - np.log(sin_pi_x) - logabs[low]
+    return logabs, gamma_sign_array(safe), pole
+
+
+#: Coefficients B_2k / (2k) of the digamma asymptotic series, k = 1..7.
+_DIGAMMA_ASYMPTOTIC = (
+    1.0 / 12.0,
+    -1.0 / 120.0,
+    1.0 / 252.0,
+    -1.0 / 240.0,
+    1.0 / 132.0,
+    -691.0 / 32760.0,
+    1.0 / 12.0,
+)
+
+
+def _digamma(x: float) -> float:
+    """psi(x) = Gamma'(x) / Gamma(x) for real x, raising PoleError at the
+    nonpositive integers.
+
+    Negative x is reflected, psi(x) = psi(1-x) - pi cot(pi x) (DLMF 5.5.4);
+    then psi(x) = psi(x+1) - 1/x (DLMF 5.5.2) lifts x to 10 or more, where
+    psi(x) ~ ln x - 1/(2x) - sum B_2k / (2k x^2k) (DLMF 5.11.2) is summed
+    to k = 7.
+    """
+    if nonpositive_int(x) is not None:
+        raise PoleError(f"digamma at pole x={x!r}")
+    acc = 0.0
+    if x < 0.0:
+        # cot has period 1; reducing to |r| <= 1/2 keeps pi r accurate.
+        r = x - round(x)
+        acc = -math.pi / math.tan(math.pi * r)
+        x = 1.0 - x
+    while x < 10.0:
+        acc -= 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    series = 0.0
+    for c in reversed(_DIGAMMA_ASYMPTOTIC):
+        series = (series + c) * inv2
+    return acc + math.log(x) - 0.5 / x - series
 
 
 def gamma(x: float) -> float:
@@ -237,16 +304,15 @@ def _log_case(a: float, b: float, m: int, w: float):
     coeff = 1.0
     for j in range(1, m + 1):
         coeff /= j
+    # The four psi values at n = 0, then psi(x+1) = psi(x) + 1/x (DLMF 5.5.2).
+    psi_1 = _digamma(1.0)
+    psi_m = _digamma(m + 1.0)
+    psi_a = _digamma(a + m)
+    psi_b = _digamma(b + m)
     n = 0
     small = 0
     while n < MAX_TERMS:
-        bracket = (
-            logw
-            - _digamma(n + 1.0)
-            - _digamma(n + m + 1.0)
-            + _digamma(a + n + m)
-            + _digamma(b + n + m)
-        )
+        bracket = logw - psi_1 - psi_m + psi_a + psi_b
         term = coeff * bracket
         total += term
         if abs(term) <= SERIES_RTOL * max(abs(total), 1e-300):
@@ -256,6 +322,10 @@ def _log_case(a: float, b: float, m: int, w: float):
         else:
             small = 0
         coeff *= (a + m + n) * (b + m + n) / ((n + 1.0) * (n + m + 1.0)) * w
+        psi_1 += 1.0 / (n + 1.0)
+        psi_m += 1.0 / (n + m + 1.0)
+        psi_a += 1.0 / (a + m + n)
+        psi_b += 1.0 / (b + m + n)
         n += 1
     else:
         raise ConvergenceError("logarithmic 2F1 branch did not converge")

@@ -1,6 +1,10 @@
 """Command-line contract: outputs, exit codes, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +91,18 @@ class TestCoeffs:
         argv[argv.index(flag) + 1] = "nan"
         assert main(argv) == 2
         assert "requires lam, mu, nu > 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--lambda", "--mu", "--nu"])
+    def test_infinite_parameter_exits_2(self, flag, value, tmp_path, capsys):
+        argv = ["coeffs", "--lambda=1", "--mu=1", "--nu=1",
+                "--eps", "0", "--lmax", "2", "--mmax", "2",
+                "--out", str(tmp_path / "x.csv")]
+        index = next(i for i, arg in enumerate(argv) if arg.startswith(f"{flag}="))
+        argv[index] = f"{flag}={value}"
+        assert main(argv) == 2
+        assert "requires lam, mu, nu > 0 and finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
 
@@ -177,6 +193,17 @@ class TestBx:
         assert main(argv) == 2
         out = capsys.readouterr()
         assert out.out == "" and "requires lam, mu > -1/2 and nu > 0" in out.err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--lambda", "--mu", "--nu"])
+    def test_infinite_parameter_exits_2(self, flag, value, capsys):
+        argv = ["bx", "--lambda=0.7", "--mu=1.3", "--nu=0.9",
+                "--ell", "0", "--m", "0", "--x", "0.5"]
+        index = next(i for i, arg in enumerate(argv) if arg.startswith(f"{flag}="))
+        argv[index] = f"{flag}={value}"
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "nu > 0, all finite" in out.err
 
 
 class TestVerify:
@@ -286,3 +313,19 @@ class TestCsvRoundTrip:
         for line in out.read_text(encoding="utf-8").splitlines()[1:]:
             ell, m, b = line.split(",")
             assert float(b) == table.values[int(ell), int(m)]
+
+
+def test_cli_import_loads_no_scipy():
+    """The package runs on numpy alone: importing the CLI must not pull in
+    scipy (whose import used to be most of a cold start)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import gegenexp.cli, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -70,6 +71,51 @@ class TestCoefficients:
             expansion_coeff(-1.0, 1.0, 1.0, 0, 0)
         with pytest.raises(DomainError):
             ExpansionParams(1.0, 1.0, 1.0, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters(self, bad):
+        for lam, mu, nu in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(DomainError, match="requires lam, mu, nu > 0"):
+                expansion_coeff(lam, mu, nu, 0, 0)
+            with pytest.raises(DomainError, match="requires lam, mu, nu > 0"):
+                ExpansionParams(lam, mu, nu, 0)
+            with pytest.raises(DomainError, match="all finite"):
+                plus_part_integral(lam, mu, nu, 0, 0, 0.5)
+            with pytest.raises(DomainError, match="all finite"):
+                plus_base_integral(lam, mu, nu + 0.5, 0.5)
+
+    @mp.workdps(40)
+    def test_grid_against_mpmath_at_large_indices(self):
+        # six seeded parameter sets and one with lam 2e-4 from a half-integer,
+        # whose gamma arguments pass near poles; 150 entries each with l,
+        # m <= 1200; integer and half-integer nu put exact zeros on the grid
+        rng = np.random.default_rng(1200)
+        n, worst, zeros = 1200, 0.0, 0
+        for k in range(7):
+            lam, mu = rng.uniform(0.1, 8.0, 2)
+            draws = (rng.uniform(0.2, 30.0), float(rng.integers(1, 5)), rng.integers(1, 12) / 2)
+            nu = draws[k % 3]
+            if k == 6:
+                lam, mu, nu = 3.4998, 7.83, 4.5
+            grid = coeff_grid(ExpansionParams(lam, mu, nu, 0), n, n)
+            lam_, mu_, nu_ = mp.mpf(lam), mp.mpf(mu), mp.mpf(nu)
+            num = (
+                mp.gamma(lam_ + mu_ + 2 * nu_ + 1) * mp.gamma(lam_) * mp.gamma(mu_)
+                * mp.gamma(2 * nu_ + 1) / mp.power(2, 2 * nu_)
+            )
+            for ell, m in rng.integers(0, n + 1, size=(150, 2)).tolist():
+                s, d = mp.mpf(ell + m) / 2, mp.mpf(ell - m) / 2
+                ref = (-1) ** m * (lam_ + ell) * (mu_ + m) * num * (
+                    mp.rgamma(nu_ + 1 + lam_ + mu_ + s) * mp.rgamma(nu_ + 1 - s)
+                    * mp.rgamma(nu_ + 1 + lam_ + d) * mp.rgamma(nu_ + 1 + mu_ - d)
+                )
+                if ref == 0:
+                    zeros += 1
+                    assert grid[ell, m] == 0.0
+                else:
+                    worst = max(worst, float(abs((grid[ell, m] - ref) / ref)))
+        assert zeros > 0
+        assert worst <= 1e-11, worst
 
     def test_table_matches_oracle_projections(self):
         # dense table against quadrature of the projection integrals

@@ -36,6 +36,13 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             QuadratureSpec(weight_exponents=(0.0, math.nan))
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_exponents(self, value):
+        with pytest.raises(DomainError, match="finite"):
+            QuadratureSpec(kernel="abs", kernel_exponent=value)
+        with pytest.raises(DomainError, match="finite"):
+            QuadratureSpec(weight_exponents=(value, 0.0))
+
     def test_dimension_three_needs_extra_axis(self):
         with pytest.raises(DomainError):
             QuadratureSpec(dimension=3)

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from gegenexp.orthopoly import gauss_jacobi_rule
+import gegenexp.specfun as sf
 from gegenexp.specfun import (
     ConvergenceError,
     INTEGER_TOL,
     DomainError,
     HypStatus,
     PoleError,
+    _digamma,
+    _lgamma_1d,
     _series,
     beta,
     gamma,
@@ -90,6 +93,45 @@ class TestGammaFamily:
     def test_gamma_ratio_numerator_pole_raises(self):
         with pytest.raises(PoleError):
             gamma_ratio((-1.0,), (2.0,))
+
+
+class TestLgamma1d:
+    def test_matches_mpmath_on_a_half_lattice(self):
+        # c + j/2 over both signs, including points 1e-4 and 1e-9 from poles
+        for c in (0.3, 2.0 + 1e-4, 4.5 - 1e-9, 1.0 + 0.5 * math.sqrt(2.0)):
+            j = np.arange(-400, 401)
+            logabs, sign, pole = _lgamma_1d(c, j)
+            for k in range(j.size):
+                x = mp.mpf(c) + mp.mpf(int(j[k])) / 2
+                assert not pole[k]
+                ref = mp.gamma(x)
+                assert sign[k] == (1.0 if ref > 0 else -1.0)
+                assert abs(logabs[k] - float(mp.log(abs(ref)))) <= 2e-13 * max(
+                    1.0, abs(logabs[k])
+                )
+
+    def test_poles(self):
+        j = np.arange(-8, 3)
+        logabs, sign, pole = _lgamma_1d(1.0, j)
+        # x = 1 + j/2 is a nonpositive integer for j = -2, -4, -6, -8
+        assert pole.tolist() == [k <= -2 and k % 2 == 0 for k in j.tolist()]
+        assert np.all(logabs[pole] == 0.0) and np.all(sign[pole] == 1.0)
+
+
+class TestDigamma:
+    def test_against_mpmath(self):
+        rng = np.random.default_rng(41)
+        xs = np.concatenate([rng.uniform(-60.0, 60.0, 600), rng.uniform(0.0, 3.0, 300)])
+        xs = xs[(np.abs(xs - np.round(xs)) > 1e-3) & (xs > -60.0)]
+        xs = np.concatenate([xs, [3.0, 1e-8, 1.4616321449683622]])
+        for x in xs:
+            ref = float(mp.digamma(mp.mpf(float(x))))
+            assert abs(_digamma(float(x)) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, -7.0, -7.0 + 1e-12])
+    def test_pole_raises(self, x):
+        with pytest.raises(PoleError):
+            _digamma(x)
 
 
 class TestPochhammer:
@@ -220,6 +262,22 @@ class TestHyp2f1:
         ref = float(mp.hyp2f1(a, b, c, z))
         got = hyp2f1(a, b, c, z).value
         assert got == pytest.approx(ref, rel=5e-13)
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "a,b", [(-0.3, 1.7), (0.4, -0.6), (-2.7, -0.45), (-4.3, 2.2), (1.3, -5.7)]
+    )
+    def test_log_branch_against_high_precision(self, a, b, m, monkeypatch):
+        # integer c - a - b = m with z > Z_SWITCH takes the logarithmic branch
+        calls = []
+        log_case = sf._log_case
+        monkeypatch.setattr(
+            sf, "_log_case", lambda *args: calls.append(args) or log_case(*args)
+        )
+        for z in (0.76, 0.85, 0.93, 0.99):
+            ref = float(mp.hyp2f1(a, b, mp.mpf(a) + mp.mpf(b) + m, z))
+            assert hyp2f1(a, b, a + b + m, z).value == pytest.approx(ref, rel=1e-13)
+        assert len(calls) == 4
 
     def test_quadratic_transformation(self):
         rng = np.random.default_rng(29)
