@@ -8,6 +8,13 @@ exactly into composite Jacobi rules on graded dyadic panels; the outer axis
 uses the same graded composite rules.  Nothing here evaluates a closed form,
 so agreement with the expansion module is a genuine cross-check.
 
+The 2D kernel takes a vector of shears and sums one row per (shear, t-node):
+an inner piece of length h is (smooth @ uw) times the row factor
+h^(1+p+ws), so the 3D backend is one 2D call on all its outer shear nodes.
+Rows are summed in blocks of at most _CHUNK entries: no block temporary
+passes 128 KB, glibc malloc's default mmap and trim thresholds, so blocks
+reuse heap pages instead of faulting fresh ones in on every call.
+
 Every backend is a rung function, rung k sized from _ladder(k) (panel order
 8 + 3k, 6 + 5k dyadic grading levels), and _refine applies one stopping rule
 to all: stop at the first rung that agrees with the one before to the target.
@@ -48,8 +55,9 @@ class QuadratureSpec:
     where K is selected by `kernel` with exponent `kernel_exponent` and
     (ws, wt) = weight_exponents.  With extra_axis = (alpha, beta), a third
     variable y weighted by y^alpha (1-y)^beta on [0, 1] replaces the shear
-    x by sqrt(y) (dimension 3).  A triangle restriction keeps only {s < t}
-    or {t < s}, splitting at s = t.
+    x by sqrt(y) (dimension 3).  In dimension 2 a triangle restriction keeps
+    only {s < t} or {t < s}, splitting at s = t; with a kernel, that is the
+    kernel line only at x_shear = 1, which is then required.
     """
 
     dimension: int = 2
@@ -79,10 +87,14 @@ class QuadratureSpec:
             raise DomainError("dimension must be 1, 2 or 3")
         if self.dimension == 1 and (self.kernel != "none" or self.triangle):
             raise DomainError("dimension 1 supports neither kernels nor triangles")
-        if self.dimension == 3 and self.extra_axis is None:
-            raise DomainError("dimension 3 requires extra_axis")
+        if (self.dimension == 3) != (self.extra_axis is not None):
+            raise DomainError("extra_axis is required by dimension 3, used by no other")
+        if self.dimension == 3 and self.triangle:
+            raise DomainError("dimension 3 supports no triangle")
         if self.triangle not in (None, "s<t", "t<s"):
             raise DomainError(f"unknown triangle restriction {self.triangle!r}")
+        if self.triangle and self.kernel != "none" and self.x_shear != 1.0:
+            raise DomainError("a triangle splits at s = t, the kernel line only at x_shear = 1")
 
 
 @dataclass(frozen=True)
@@ -184,54 +196,59 @@ def _refine(rung, target: float, max_level: int) -> QuadResult:
     )
 
 
-def _eval_2d(spec: QuadratureSpec, x: float, size: tuple):
-    """The 1D/2D kernel integral with (panel order, grading levels) = size."""
+_CHUNK = 1 << 14  # float64 entries per row block: 128 KB; see the module docstring
+
+
+def _chunked_rows(n: int, width: int, block):
+    """Fill n row values from block(rows slice), each block spanning at most
+    _CHUNK entries of an (n, width) array."""
+    out = np.empty(n)
+    step = max(1, _CHUNK // width)
+    for i in range(0, n, step):
+        out[i : i + step] = block(slice(i, i + step))
+    return out
+
+
+def _eval_2d(spec: QuadratureSpec, xs, size: tuple):
+    """(value at each shear in xs, evaluations) of the 1D/2D kernel integral
+    without its prefactor, with (panel order, grading levels) = size."""
     order, levels = size
+    xs = np.asarray(xs, dtype=float)
     ws, wt = spec.weight_exponents
     ps, pt = spec.polynomial_factors
-    p = spec.kernel_exponent
 
     if spec.dimension == 1:
         u, w = _interval_rule(-1.0, 1.0, ws, ws, levels, order)
-        return spec.prefactor * float(w @ _poly(ps, u)), u.size
+        return np.full(xs.size, float(w @ _poly(ps, u))), xs.size * u.size
 
     tn, tw = _interval_rule(-1.0, 1.0, wt, wt, levels, order)
     tw = tw * _poly(pt, tn)
-    evals = tn.size
+    evals = xs.size * tn.size
 
     if spec.kernel == "none" and spec.triangle is None:
         sn, sw = _interval_rule(-1.0, 1.0, ws, ws, levels, order)
-        return spec.prefactor * float(tw.sum() * (sw @ _poly(ps, sn))), evals + sn.size
+        value = float(tw.sum() * (sw @ _poly(ps, sn)))
+        return np.full(xs.size, value), evals + xs.size * sn.size
 
-    split_exp = p if spec.kernel != "none" else 0.0
+    split_exp = spec.kernel_exponent if spec.kernel != "none" else 0.0
     u, uw = _unit_rule(split_exp, ws, levels, order)
+    # One row per (shear, t-node); a triangle splits at s = t.
+    s0 = np.outer(np.ones(xs.size) if spec.triangle else xs, tn).ravel()
+    rows = np.zeros(s0.size)
+    # The plus half lies above the split (t < s), the minus half below it.
+    for sign, other, side in ((1.0, "minus", "t<s"), (-1.0, "plus", "s<t")):
+        if spec.kernel == other or spec.triangle not in (None, side):
+            continue
+        h = 1.0 - sign * s0  # s = s0 + sign h u sweeps from the split to sign 1
 
-    if spec.triangle is None:
-        s0 = x * tn
-        want_plus = spec.kernel in ("plus", "abs", "abssgn")
-        want_minus = spec.kernel in ("minus", "abs", "abssgn")
-    else:
-        s0 = tn  # restriction splits at s = t
-        want_plus = spec.triangle == "t<s"
-        want_minus = spec.triangle == "s<t"
+        def block(r):
+            s = s0[r, None] + (sign * h[r, None]) * u
+            return ((1.0 + sign * s) ** ws * _poly(ps, s)) @ uw
 
-    total = 0.0
-    if want_plus:
-        h = (1.0 - s0)[:, None]
-        s = s0[:, None] + h * u[None, :]
-        fac = h ** (1.0 + split_exp + ws) * uw[None, :]
-        smooth = (1.0 + s) ** ws * _poly(ps, s)
-        total += float(tw @ (fac * smooth).sum(axis=1))
-        evals += s.size
-    if want_minus:
-        h = (1.0 + s0)[:, None]
-        s = s0[:, None] - h * u[None, :]
-        fac = h ** (1.0 + split_exp + ws) * uw[None, :]
-        smooth = (1.0 - s) ** ws * _poly(ps, s)
-        sgn = -1.0 if spec.kernel == "abssgn" else 1.0
-        total += sgn * float(tw @ (fac * smooth).sum(axis=1))
-        evals += s.size
-    return spec.prefactor * total, evals
+        part = _chunked_rows(s0.size, u.size, block) * h ** (1.0 + split_exp + ws)
+        rows += -part if sign < 0.0 and spec.kernel == "abssgn" else part
+        evals += s0.size * u.size
+    return rows.reshape(xs.size, tn.size) @ tw, evals
 
 
 def _eval_3d(spec: QuadratureSpec, level: int):
@@ -240,27 +257,12 @@ def _eval_3d(spec: QuadratureSpec, level: int):
     Substituting y = x^2 turns the weight y^alpha (1-y)^beta dy into
     2 x^(2 alpha + 1) (1-x)^beta (1+x)^beta dx on [0, 1]; the 2D value as a
     function of the shear x is smooth there, so a short composite rule in x
-    suffices.
+    suffices.  The inner 2D stage takes the 2D path's ladder rung.
     """
     alpha, beta_ = spec.extra_axis
-    order_out = 16 + 8 * level
-    xn, xw = _interval_rule(0.0, 1.0, 2.0 * alpha + 1.0, beta_, 3, order_out)
-    inner2d = QuadratureSpec(
-        dimension=2,
-        kernel=spec.kernel,
-        kernel_exponent=spec.kernel_exponent,
-        weight_exponents=spec.weight_exponents,
-        polynomial_factors=spec.polynomial_factors,
-    )
-    # The inner 2D stage takes the 2D path's ladder rung at this level.
-    inner_size = _ladder(level)
-    total = 0.0
-    evals = 0
-    for x, w in zip(xn, xw):
-        v, e = _eval_2d(inner2d, float(x), inner_size)
-        total += w * (1.0 + x) ** beta_ * v
-        evals += e
-    return spec.prefactor * 2.0 * total, evals
+    xn, xw = _interval_rule(0.0, 1.0, 2.0 * alpha + 1.0, beta_, 3, 16 + 8 * level)
+    values, evals = _eval_2d(spec, xn, _ladder(level))
+    return spec.prefactor * 2.0 * float((xw * (1.0 + xn) ** beta_) @ values), evals
 
 
 def refine_until(
@@ -272,7 +274,8 @@ def refine_until(
     def rung(level: int):
         if spec.dimension == 3:
             return _eval_3d(spec, level)
-        return _eval_2d(spec, spec.x_shear, _ladder(level))
+        values, evals = _eval_2d(spec, [spec.x_shear], _ladder(level))
+        return spec.prefactor * float(values[0]), evals
 
     return _refine(rung, target, max_level)
 
@@ -295,21 +298,19 @@ def integrate_hermite_2d(nu: float, x: float, ell: int, m: int, target: float) -
         u, uw = _unit_rule(2.0 * nu, 0.0, levels, order)
         s0 = x * gh.nodes
         reach = np.abs(s0) + 9.0
-        total = 0.0
-        evals = 0
         outer = gh.weights * hermite(m, gh.nodes)
+        total = 0.0
         for sgn in (+1.0, -1.0):
-            s = s0[:, None] + sgn * reach[:, None] * u[None, :]
-            fac = reach[:, None] ** (1.0 + 2.0 * nu) * uw[None, :]
-            smooth = np.exp(-s * s) * hermite(ell, s)
-            total += float(outer @ (fac * smooth).sum(axis=1))
-            evals += s.size
-        return total, evals
+
+            def block(r):
+                s = s0[r, None] + (sgn * reach[r, None]) * u
+                return (np.exp(-s * s) * hermite(ell, s)) @ uw
+
+            part = _chunked_rows(s0.size, u.size, block) * reach ** (1.0 + 2.0 * nu)
+            total += float(outer @ part)
+        return total, 2 * s0.size * u.size
 
     return _refine(rung, target, _MAX_LEVEL)
-
-
-_CHUNK = 1 << 16
 
 
 def convolution_profile(exp_s: float, exp_t: float, u, size: tuple):
@@ -317,17 +318,16 @@ def convolution_profile(exp_s: float, exp_t: float, u, size: tuple):
     (1-(s-u)^2)^exp_t ds over the overlap, with (panel order, grading levels)
     = size.  G is even, so it is evaluated at |u|: the overlap [|u|-1, 1]
     folds one algebraic endpoint of each factor into the rule, and the other
-    two lie outside it.  The broadcast runs in chunks of _CHUNK entries."""
+    two lie outside it."""
     order, levels = size
     v, wv = _unit_rule(exp_t, exp_s, levels, order)
     a = np.minimum(np.abs(np.asarray(u, dtype=float)), 2.0)
-    out = np.empty(a.size)
-    rows = max(1, _CHUNK // v.size)
-    for i in range(0, a.size, rows):
-        ai = a[i : i + rows, None]
-        h = 2.0 - ai  # overlap length; s = ai - 1 + h v
-        smooth = (ai + h * v) ** exp_s * (2.0 - h * v) ** exp_t
-        out[i : i + rows] = (smooth @ wv) * h[:, 0] ** (1.0 + exp_s + exp_t)
+
+    def block(r):
+        hv = (2.0 - a[r, None]) * v  # overlap length 2 - a; s = a - 1 + h v
+        return ((a[r, None] + hv) ** exp_s * (2.0 - hv) ** exp_t) @ wv
+
+    out = _chunked_rows(a.size, v.size, block) * (2.0 - a) ** (1.0 + exp_s + exp_t)
     return out, a.size * v.size
 
 

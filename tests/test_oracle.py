@@ -9,6 +9,7 @@ from gegenexp import oracle as orc
 from gegenexp import verify as vf
 from gegenexp.expansion import identity_rhs, plus_base_integral, weighted_power_mass
 from gegenexp.oracle import (
+    KERNELS,
     OracleConvergenceError,
     QuadratureSpec,
     convolution_profile,
@@ -46,6 +47,31 @@ class TestSpecValidation:
     def test_dimension_three_needs_extra_axis(self):
         with pytest.raises(DomainError):
             QuadratureSpec(dimension=3)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_extra_axis_only_in_dimension_three(self, dimension):
+        with pytest.raises(DomainError, match="extra_axis"):
+            QuadratureSpec(dimension=dimension, extra_axis=(1.0, 0.0))
+
+    def test_no_triangle_in_dimension_three(self):
+        with pytest.raises(DomainError, match="dimension 3"):
+            QuadratureSpec(
+                dimension=3, kernel="abs", kernel_exponent=2.0, x_shear=1.0,
+                extra_axis=(1.0, 0.0), triangle="s<t",
+            )
+
+    @pytest.mark.parametrize("triangle", ["s<t", "t<s"])
+    def test_kernel_triangle_needs_unit_shear(self, triangle):
+        # s = t is the kernel line only at x = 1; at x = 0.3 the two halves
+        # would sum to the x = 1 value, not the sheared one
+        with pytest.raises(DomainError, match="x_shear = 1"):
+            QuadratureSpec(kernel="abs", kernel_exponent=2.0, x_shear=0.3, triangle=triangle)
+        # with no kernel there is no line to miss, and the shear plays no part
+        free = [
+            refine_until(QuadratureSpec(x_shear=x, triangle=triangle), 1e-12).value
+            for x in (0.3, 1.0)
+        ]
+        assert free[0] == free[1] == pytest.approx(2.0)
 
 
 class TestBasics:
@@ -237,6 +263,17 @@ class TestHermite2D:
 
 
 class TestTriangles:
+    def test_one_sided_kernel_vanishes_off_its_side(self):
+        # (s - t)_+ is zero where s < t, and (s - t)_- where t < s
+        for kernel, triangle in (("plus", "s<t"), ("minus", "t<s")):
+            spec = QuadratureSpec(
+                kernel=kernel, kernel_exponent=1.5, x_shear=1.0, triangle=triangle
+            )
+            assert refine_until(spec, 1e-10).value == 0.0
+        plus = QuadratureSpec(kernel="plus", kernel_exponent=1.5, x_shear=1.0)
+        upper = QuadratureSpec(kernel="plus", kernel_exponent=1.5, x_shear=1.0, triangle="t<s")
+        assert refine_until(upper, 1e-10).value == refine_until(plus, 1e-10).value
+
     def test_halves_sum_to_full(self):
         lam, mu, nu = 0.9, 1.3, 0.7
         common = dict(
@@ -282,17 +319,102 @@ class TestRegularizedKernel:
 
 
 class TestThreeDimensional:
+    SPEC = QuadratureSpec(
+        dimension=3,
+        kernel="abs",
+        kernel_exponent=2.0,
+        weight_exponents=(0.5, 0.5),
+        extra_axis=(1.0, 0.0),
+    )
+
     def test_known_value(self):
+        r = refine_until(self.SPEC, 1e-7, max_level=2)
+        # 5 pi^2 / 96, reduced by hand from the gamma product
+        assert r.value == pytest.approx(5.0 * math.pi**2 / 96.0, rel=1e-7)
+
+    def test_evaluation_counts(self):
+        # 128 then 192 outer shears, each 112 + 2 * 112^2 and 264 + 2 * 264^2
+        assert orc._eval_3d(self.SPEC, 0)[1] == 3_225_600
+        assert orc._eval_3d(self.SPEC, 1)[1] == 26_813_952
+
+
+def _vector_specs():
+    # factor parities chosen so that no integral vanishes by symmetry
+    def spec(kernel, n_s=3, n_t=1, **fields):
+        geg = (("gegenbauer", 1.1, n_s), ("gegenbauer", 1.3, n_t))
+        return QuadratureSpec(
+            kernel=kernel, kernel_exponent=1.4, weight_exponents=(0.3, -0.2),
+            polynomial_factors=geg, **fields,
+        )
+
+    specs = {kernel: spec(kernel) for kernel in KERNELS}
+    specs["abssgn"] = spec("abssgn", n_t=2)
+    specs["none"] = spec("none", n_s=2, n_t=2)
+    for tri in ("s<t", "t<s"):
+        specs[tri] = spec("abs", x_shear=1.0, triangle=tri)
+    specs["dimension 1"] = QuadratureSpec(dimension=1, weight_exponents=(0.3, 0.0))
+    return specs
+
+
+class TestShearVector:
+    SHEARS = np.array([-1.0, -0.6, 0.0, 0.35, 0.9, 1.0])
+
+    @pytest.mark.parametrize("name", sorted(_vector_specs()))
+    def test_each_shear_matches_its_scalar_call(self, name):
+        spec = _vector_specs()[name]
+        size = orc._ladder(1)
+        values, evals = orc._eval_2d(spec, self.SHEARS, size)
+        scale = np.abs(values).max()
+        for x, v in zip(self.SHEARS, values):
+            one, one_evals = orc._eval_2d(spec, [x], size)
+            assert abs(v - one[0]) <= 1e-14 * scale
+        assert evals == self.SHEARS.size * one_evals
+        if spec.triangle or spec.dimension == 1:
+            # the shear plays no part
+            np.testing.assert_allclose(values, values[0], rtol=1e-14, atol=0.0)
+
+
+class TestChunking:
+    """A _CHUNK of 2^8 entries changes only the blocking, not the values."""
+
+    def _small_chunk(self, monkeypatch, compute):
+        default = compute()
+        monkeypatch.setattr(orc, "_CHUNK", 1 << 8)
+        return default, compute()
+
+    def test_eval_2d(self, monkeypatch):
+        spec = _vector_specs()["abssgn"]
+        shears = np.linspace(-1.0, 1.0, 7)
+        a, b = self._small_chunk(monkeypatch, lambda: orc._eval_2d(spec, shears, orc._ladder(2)))
+        np.testing.assert_allclose(b[0], a[0], rtol=1e-13, atol=1e-13 * np.abs(a[0]).max())
+        assert a[1] == b[1]
+
+    def test_eval_3d(self, monkeypatch):
         spec = QuadratureSpec(
             dimension=3,
             kernel="abs",
-            kernel_exponent=2.0,
-            weight_exponents=(0.5, 0.5),
-            extra_axis=(1.0, 0.0),
+            kernel_exponent=1.7,
+            weight_exponents=(0.4, 0.9),
+            polynomial_factors=(("gegenbauer", 0.9, 2), ("gegenbauer", 1.4, 2)),
+            extra_axis=(1.2, 0.5),
         )
-        r = refine_until(spec, 1e-7, max_level=2)
-        # 5 pi^2 / 96, reduced by hand from the gamma product
-        assert r.value == pytest.approx(5.0 * math.pi**2 / 96.0, rel=1e-7)
+        a, b = self._small_chunk(monkeypatch, lambda: orc._eval_3d(spec, 1))
+        assert b[0] == pytest.approx(a[0], rel=1e-13, abs=0.0) and a[1] == b[1]
+
+    def test_convolution_profile(self, monkeypatch):
+        u = np.linspace(-2.1, 2.1, 101)
+        a, b = self._small_chunk(
+            monkeypatch, lambda: convolution_profile(0.8, 0.9, u, orc._ladder(2))
+        )
+        np.testing.assert_allclose(b[0], a[0], rtol=1e-13, atol=1e-13 * np.abs(a[0]).max())
+        assert a[1] == b[1]
+
+    def test_hermite(self, monkeypatch):
+        a, b = self._small_chunk(
+            monkeypatch, lambda: integrate_hermite_2d(0.8, 0.6, 3, 1, 1e-9)
+        )
+        assert b.value == pytest.approx(a.value, rel=1e-13, abs=0.0)
+        assert (a.evaluations, a.level) == (b.evaluations, b.level)
 
 
 def test_tensor_moments_match_beta():
