@@ -79,12 +79,9 @@ def _cmd_coeffs(args) -> int:
 
 def _parse_order(text: str) -> tuple:
     parts = text.split(",")
-    if len(parts) == 1:
-        n = int(parts[0])
-        return n, n
-    if len(parts) == 2:
-        return int(parts[0]), int(parts[1])
-    raise DomainError(f"bad --order {text!r}; expected L or L,M")
+    if len(parts) not in (1, 2) or not all(p.strip().isdecimal() for p in parts):
+        raise DomainError(f"bad --order {text!r}; expected L or L,M of nonnegative integers")
+    return int(parts[0]), int(parts[-1])
 
 
 def _cmd_eval(args) -> int:

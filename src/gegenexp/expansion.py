@@ -27,6 +27,8 @@ LNPI = math.log(math.pi)
 
 #: Search cap for truncation orders.
 MAX_ORDER = 2000
+#: Tail estimates sum terms exactly up to order max(L, M) + _WINDOW.
+_WINDOW = 32
 
 
 class HypothesisError(DomainError):
@@ -168,6 +170,8 @@ def coeff_grid(params: ExpansionParams, L: int, M: int) -> np.ndarray:
 
 def coeff_table(params: ExpansionParams, L: int, M: int) -> CoeffTable:
     """Coefficient table with entries of the wrong parity zeroed."""
+    if L < 0 or M < 0:
+        raise DomainError(f"orders must be nonnegative, got L={L!r}, M={M!r}")
     vals = coeff_grid(params, L, M)
     ell = np.arange(L + 1)[:, None]
     m = np.arange(M + 1)[None, :]
@@ -231,31 +235,29 @@ def _term_sup_grid(params: ExpansionParams, L: int, M: int) -> np.ndarray:
     return vals
 
 
-def tail_bound(params: ExpansionParams, L: int, M: int, window: int = 32) -> float:
+def tail_bound(params: ExpansionParams, L: int, M: int) -> float:
     """Estimate of the sup norm of the discarded expansion tail.
 
     Sums |coefficient| C(1) C(1) exactly over the discarded part of a
-    square window of side max(L, M) + window; everything outside the window
+    square window of side max(L, M) + _WINDOW; everything outside the window
     lies on anti-diagonals ell + m > W and is estimated by an
     integral-comparison extrapolation of the last two anti-diagonal band
     sums, whose decay is the n^(lam - N)-type majorant direction.  The
     extrapolated part carries a safety factor of two; the extrapolation is
     a heuristic, so the result is an estimate, not a proven bound.
     """
-    W = max(L, M) + window
-    return _tail_from_grid(_term_sup_grid(params, W, W), params, L, M, window)
+    W = max(L, M) + _WINDOW
+    return _tail_from_grid(_term_sup_grid(params, W, W), params, L, M)
 
 
-def _tail_from_grid(
-    T: np.ndarray, params: ExpansionParams, L: int, M: int, window: int
-) -> float:
+def _tail_from_grid(T: np.ndarray, params: ExpansionParams, L: int, M: int) -> float:
     """tail_bound read from the leading (W+1) x (W+1) block of a term grid
-    T = _term_sup_grid(params, N, N) with N >= W = max(L, M) + window.
+    T = _term_sup_grid(params, N, N) with N >= W = max(L, M) + _WINDOW.
 
     Grid entries do not depend on the grid's size, so the result is
     bit-identical to tail_bound for every N >= W.
     """
-    W = max(L, M) + window
+    W = max(L, M) + _WINDOW
     T = T[: W + 1, : W + 1]
     ell = np.arange(W + 1)
     discard = (ell[:, None] > L) | (ell[None, :] > M)
@@ -284,7 +286,7 @@ def truncation_order(params: ExpansionParams, tol: float) -> tuple:
     The rungs are scanned in order, since the estimate need not be monotone
     in the order.  They share one term grid, built once per growth step:
     when a rung's window outgrows it, the grid at least doubles, up to
-    MAX_ORDER + 32 per side.  The returned order is the one a scan with
+    MAX_ORDER + _WINDOW per side.  The returned order is the one a scan with
     tail_bound would give.
     """
     if not tol > 0.0:
@@ -295,15 +297,14 @@ def truncation_order(params: ExpansionParams, tol: float) -> tuple:
     while n <= MAX_ORDER:
         candidates.append((n, n))
         n += 1 if n < 64 else (4 if n < 256 else (16 if n < 1024 else 64))
-    window = 32
     T, size = None, 0
     for L, M in candidates:
-        W = max(L, M) + window
+        W = max(L, M) + _WINDOW
         if W > size:
-            size = min(max(W, 2 * size), MAX_ORDER + window)
+            size = min(max(W, 2 * size), MAX_ORDER + _WINDOW)
             T = None  # release the old grid before building the larger one
             T = _term_sup_grid(params, size, size)
-        if _tail_from_grid(T, params, L, M, window) < tol:
+        if _tail_from_grid(T, params, L, M) < tol:
             return (L, M)
     raise DomainError(f"tail estimate cannot reach {tol} by order {MAX_ORDER}")
 

@@ -49,18 +49,18 @@ class OracleConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Description of a weighted kernel integral over [-1,1]^dimension.
+    """Description of a weighted kernel integral over [-1,1]^2.
 
     The integrand is K(s - x t) * (1-s^2)^ws * (1-t^2)^wt * P(s) * Q(t)
     where K is selected by `kernel` with exponent `kernel_exponent` and
-    (ws, wt) = weight_exponents.  With extra_axis = (alpha, beta), a third
-    variable y weighted by y^alpha (1-y)^beta on [0, 1] replaces the shear
-    x by sqrt(y) (dimension 3).  In dimension 2 a triangle restriction keeps
-    only {s < t} or {t < s}, splitting at s = t; with a kernel, that is the
-    kernel line only at x_shear = 1, which is then required.
+    (ws, wt) = weight_exponents.  Setting extra_axis = (alpha, beta) makes
+    the integral 3D: a third variable y weighted by y^alpha (1-y)^beta on
+    [0, 1] sets the shear to sqrt(y), so x_shear must stay 0 and no triangle
+    is allowed.  Otherwise a triangle restriction keeps only {s < t} or
+    {t < s}, splitting at s = t; with a kernel, that is the kernel line
+    only at x_shear = 1, which is then required.
     """
 
-    dimension: int = 2
     kernel: str = "none"
     kernel_exponent: float = 0.0
     x_shear: float = 0.0
@@ -83,14 +83,8 @@ class QuadratureSpec:
                 raise DomainError(
                     f"endpoint exponent must be finite and exceed -1, got {w!r}"
                 )
-        if self.dimension not in (1, 2, 3):
-            raise DomainError("dimension must be 1, 2 or 3")
-        if self.dimension == 1 and (self.kernel != "none" or self.triangle):
-            raise DomainError("dimension 1 supports neither kernels nor triangles")
-        if (self.dimension == 3) != (self.extra_axis is not None):
-            raise DomainError("extra_axis is required by dimension 3, used by no other")
-        if self.dimension == 3 and self.triangle:
-            raise DomainError("dimension 3 supports no triangle")
+        if self.extra_axis is not None and (self.triangle or self.x_shear != 0.0):
+            raise DomainError("extra_axis sets the shear: it takes no x_shear or triangle")
         if self.triangle not in (None, "s<t", "t<s"):
             raise DomainError(f"unknown triangle restriction {self.triangle!r}")
         if self.triangle and self.kernel != "none" and self.x_shear != 1.0:
@@ -115,9 +109,6 @@ def _poly(factor, arr):
     if kind == "gegenbauer":
         _, lam, n = factor
         return gegenbauer(lam, n, arr)
-    if kind == "hermite":
-        _, n = factor
-        return hermite(n, arr)
     if kind == "monomial":
         _, n = factor
         return np.asarray(arr, dtype=float) ** n
@@ -210,16 +201,12 @@ def _chunked_rows(n: int, width: int, block):
 
 
 def _eval_2d(spec: QuadratureSpec, xs, size: tuple):
-    """(value at each shear in xs, evaluations) of the 1D/2D kernel integral
+    """(value at each shear in xs, evaluations) of the 2D kernel integral
     without its prefactor, with (panel order, grading levels) = size."""
     order, levels = size
     xs = np.asarray(xs, dtype=float)
     ws, wt = spec.weight_exponents
     ps, pt = spec.polynomial_factors
-
-    if spec.dimension == 1:
-        u, w = _interval_rule(-1.0, 1.0, ws, ws, levels, order)
-        return np.full(xs.size, float(w @ _poly(ps, u))), xs.size * u.size
 
     tn, tw = _interval_rule(-1.0, 1.0, wt, wt, levels, order)
     tw = tw * _poly(pt, tn)
@@ -272,7 +259,7 @@ def refine_until(
     target; see _refine."""
 
     def rung(level: int):
-        if spec.dimension == 3:
+        if spec.extra_axis is not None:
             return _eval_3d(spec, level)
         values, evals = _eval_2d(spec, [spec.x_shear], _ladder(level))
         return spec.prefactor * float(values[0]), evals

@@ -124,8 +124,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    lam: float | None
-    order: int
 
     def __post_init__(self):
         # Rules are cached and shared, so callers get read-only views.
@@ -170,11 +168,11 @@ def gauss_jacobi_rule(alpha: float, beta: float, order: int) -> QuadratureRule:
         raise DomainError("order must be >= 1")
     a, b, mu0 = _jacobi_coefficients(alpha, beta, order)
     if order == 1:
-        return QuadratureRule(np.array([a[0]]), np.array([mu0]), None, 1)
+        return QuadratureRule(np.array([a[0]]), np.array([mu0]))
     jac = np.diag(a) + np.diag(np.sqrt(b[1:]), 1) + np.diag(np.sqrt(b[1:]), -1)
     nodes, vecs = np.linalg.eigh(jac)
     weights = mu0 * vecs[0, :] ** 2
-    return QuadratureRule(nodes, weights, None, order)
+    return QuadratureRule(nodes, weights)
 
 
 @lru_cache(maxsize=256)
@@ -188,11 +186,11 @@ def gauss_gegenbauer_rule(lam: float, order: int) -> QuadratureRule:
     base = gauss_jacobi_rule(lam - 0.5, lam - 0.5, order)
     nodes = 0.5 * (base.nodes - base.nodes[::-1])
     weights = 0.5 * (base.weights + base.weights[::-1])
-    return QuadratureRule(nodes, weights, lam, order)
+    return QuadratureRule(nodes, weights)
 
 
 @lru_cache(maxsize=64)
 def gauss_hermite_rule(order: int) -> QuadratureRule:
     """Gaussian rule for int f(x) exp(-x^2) dx over the real line."""
     nodes, weights = np.polynomial.hermite.hermgauss(order)
-    return QuadratureRule(nodes, weights, None, order)
+    return QuadratureRule(nodes, weights)

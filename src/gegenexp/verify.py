@@ -4,16 +4,16 @@ Each suite draws reproducible random parameter points, evaluates one of the
 closed forms, recomputes the same quantity with the quadrature oracle, and
 records the comparison.  A case passes when |closed - oracle| is at most
 tol * (1 + |closed|); a suite passes when it ran at least one case and
-every case passed.  SUITE_TABLE holds one row per suite.
+every case passed.  SUITE_TABLE holds one row per suite.  run_suite draws
+every case from one seeded generator and runs each as it is drawn, one
+after another, so a report depends only on its arguments.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +87,6 @@ class VerifyReport:
 def _refine_2d(tol, kernel, exponent, weights, x=1.0, **fields) -> float:
     """Oracle value of one 2-D kernel integral at shear x."""
     spec = orc.QuadratureSpec(
-        dimension=2,
         kernel=kernel,
         kernel_exponent=exponent,
         x_shear=x,
@@ -150,7 +149,6 @@ def cosine_sup_error(rho: float, parity: int, K: int, grid: int = 9) -> float:
 def _cc_oracle(p: dict, tol: float) -> float:
     lam, mu, m = p["lambda"], p["mu"], p["m"]
     spec = orc.QuadratureSpec(
-        dimension=3,
         kernel="abs",
         kernel_exponent=2.0 * p["nu"],
         weight_exponents=(lam - 0.5, mu - 0.5),
@@ -353,16 +351,6 @@ def _run_case(row: SuiteRow, params: dict, tol: float) -> CaseResult:
     )
 
 
-def max_workers() -> int:
-    """Suite thread count from GEGEN_THREADS (default 1)."""
-    env = os.environ.get("GEGEN_THREADS", "").strip()
-    if not env:
-        return 1
-    if not env.isdigit() or int(env) < 1:
-        raise DomainError(f"GEGEN_THREADS must be a positive integer, got {env!r}")
-    return int(env)
-
-
 def run_suite(
     suite: str,
     tol: float | None = None,
@@ -377,19 +365,15 @@ def run_suite(
         raise DomainError(f"tol must be positive, got {tol!r}")
     if cases is not None and cases < 0:
         raise DomainError(f"cases must be nonnegative, got {cases!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed!r}")
     rows = list(SUITE_TABLE.values()) if suite == "all" else [SUITE_TABLE[suite]]
     rng = np.random.default_rng(seed)
-    jobs = []
+    results = []
     for row in rows:
         suite_tol = row.tol if tol is None else tol
         n = row.cases if cases is None else cases
-        jobs += [(row, row.draw(rng, i), suite_tol) for i in range(n)]
-    workers = max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda job: _run_case(*job), jobs))
-    else:
-        results = [_run_case(*job) for job in jobs]
+        results += [_run_case(row, row.draw(rng, i), suite_tol) for i in range(n)]
     if not timings:
         for r in results:
             r.seconds = 0.0

@@ -145,7 +145,6 @@ def test_criterion_7_triple_integral():
     for lam, mu, nu, b, ell, m in [(1, 1, 1, 0, 0, 0), (1, 1, 1, 0, 2, 0)]:
         cf = shear_averaged_projection(lam, mu, nu, b, ell, m)
         spec = QuadratureSpec(
-            dimension=3,
             kernel="abs",
             kernel_exponent=2.0 * nu,
             weight_exponents=(lam - 0.5, mu - 0.5),
@@ -193,7 +192,6 @@ def test_criterion_8_internal_identities():
         c = float(rng.uniform(0.6, 1.9))
         x = float(rng.uniform(-1.0, 1.0))
         spec = QuadratureSpec(
-            dimension=2,
             kernel="plus",
             kernel_exponent=2 * c - 1,
             x_shear=x,

@@ -105,6 +105,17 @@ class TestCoeffs:
         assert "requires lam, mu, nu > 0 and finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--lmax", "--mmax"])
+    def test_negative_order_exits_2(self, flag, tmp_path, capsys):
+        argv = ["coeffs", "--lambda", "1", "--mu", "1", "--nu", "1",
+                "--eps", "0", "--lmax", "2", "--mmax", "2",
+                "--out", str(tmp_path / "x.csv")]
+        argv[argv.index(flag) + 1] = "-1"
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: orders must be nonnegative") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestEval:
     def test_hypothesis_violation_exits_3(self, tmp_path):
@@ -156,6 +167,19 @@ class TestEval:
             float(line.split(",")[4]) for line in out.read_text().splitlines()[1:]
         )
         assert worst <= 1e-6
+
+    @pytest.mark.parametrize("order", ["abc", "-2", "2,-3", "1,2,3"])
+    def test_bad_order_exits_2(self, order, tmp_path, capsys):
+        code = main(
+            [
+                "eval", "--lambda", "1", "--mu", "1", "--nu", "3.5",
+                "--order", order, "--grid", "3", "--out", str(tmp_path / "e.csv"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --order") and err.count("\n") == 1
+        assert not (tmp_path / "e.csv").exists()
 
 
 class TestBx:
@@ -241,7 +265,7 @@ class TestVerify:
         assert report["cases"] == []
 
     @pytest.mark.parametrize(
-        "flags", [["--tol", "0"], ["--tol", "-1"], ["--cases", "-1"]]
+        "flags", [["--tol", "0"], ["--tol", "-1"], ["--cases", "-1"], ["--seed", "-1"]]
     )
     def test_usage_error_exits_2(self, flags, capsys):
         code = main(["verify", "--suite", "mehta", "--no-timing", *flags])
@@ -249,22 +273,6 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "must be" in err
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_thread_count_exits_2(self, value, monkeypatch, capsys):
-        monkeypatch.setenv("GEGEN_THREADS", value)
-        code = main(["verify", "--suite", "mehta", "--cases", "1"])
-        assert code == 2
-        assert "GEGEN_THREADS" in capsys.readouterr().err
-
-    def test_thread_cap_does_not_change_report(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        main(["verify", "--suite", "stz", "--cases", "3", "--no-timing",
-              "--out", str(a)])
-        monkeypatch.setenv("GEGEN_THREADS", "4")
-        main(["verify", "--suite", "stz", "--cases", "3", "--no-timing",
-              "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
 
 
 class TestExitCodes:
@@ -317,13 +325,15 @@ class TestCsvRoundTrip:
 
 def test_cli_import_loads_no_scipy():
     """The package runs on numpy alone: importing the CLI must not pull in
-    scipy (whose import used to be most of a cold start)."""
+    scipy (whose import used to be most of a cold start), nor
+    concurrent.futures, since the suites run serially."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     code = (
         "import gegenexp.cli, sys; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

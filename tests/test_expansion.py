@@ -124,7 +124,6 @@ class TestCoefficients:
         for ell in range(0, 9, 2):
             for m in range(0, 9, 2):
                 spec = QuadratureSpec(
-                    dimension=2,
                     kernel="abs",
                     kernel_exponent=12.0,
                     x_shear=1.0,
@@ -249,11 +248,10 @@ class TestTruncationGrid:
         for eps in (0, 1):
             p = ExpansionParams(0.8, 1.7, 4.6, eps)
             T = ex._term_sup_grid(p, size, size)
-            rungs = [(L, M) for L, M in _ladder(eps, size) if max(L, M) + 32 <= size]
+            rungs = [(L, M) for L, M in _ladder(eps, size) if max(L, M) + ex._WINDOW <= size]
             rungs += [(10, 40), (57, 3)]
             for L, M in rungs:
-                assert ex._tail_from_grid(T, p, L, M, 32) == tail_bound(p, L, M)
-            assert ex._tail_from_grid(T, p, 60, 60, 8) == tail_bound(p, 60, 60, 8)
+                assert ex._tail_from_grid(T, p, L, M) == tail_bound(p, L, M)
 
     def test_one_grid_per_growth_step(self, grid_sizes):
         assert truncation_order(ExpansionParams(1, 1, 3.5, 0), 1e-8) == (416, 416)
@@ -270,7 +268,7 @@ class TestTruncationGrid:
         monkeypatch.setattr(ex, "MAX_ORDER", 100)
         with pytest.raises(DomainError, match="tail estimate cannot reach"):
             truncation_order(ExpansionParams(1, 1, 3.5, 0), 1e-300)
-        assert max(grid_sizes) == 100 + 32
+        assert max(grid_sizes) == 100 + ex._WINDOW
 
 
 class TestShearedIntegral:
@@ -289,7 +287,6 @@ class TestShearedIntegral:
             (1.4, 0.8, 2.9, 2, 2, 1.0),
         ]:
             spec = QuadratureSpec(
-                dimension=2,
                 kernel="plus",
                 kernel_exponent=2 * nu,
                 x_shear=x,
@@ -331,7 +328,6 @@ class TestShearedIntegral:
     def test_base_integral_oracle(self):
         a, b, c, x = 1.4, 0.9, 1.1, 0.5
         spec = QuadratureSpec(
-            dimension=2,
             kernel="plus",
             kernel_exponent=2 * c - 1,
             x_shear=x,
@@ -364,7 +360,6 @@ class TestProjection:
                 m += 1
             assert projection_integral(ExpansionParams(lam, mu, nu, eps), ell, m) == 0.0
             spec = QuadratureSpec(
-                dimension=2,
                 kernel="abs" if eps == 0 else "abssgn",
                 kernel_exponent=2 * nu,
                 x_shear=1.0,

@@ -44,20 +44,16 @@ class TestSpecValidation:
         with pytest.raises(DomainError, match="finite"):
             QuadratureSpec(weight_exponents=(value, 0.0))
 
-    def test_dimension_three_needs_extra_axis(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(dimension=3)
-
-    @pytest.mark.parametrize("dimension", [1, 2])
-    def test_extra_axis_only_in_dimension_three(self, dimension):
+    @pytest.mark.parametrize("x", [0.4, 1.0])
+    def test_extra_axis_takes_no_shear(self, x):
+        # the extra axis sets the shear, so a set x_shear would be ignored
         with pytest.raises(DomainError, match="extra_axis"):
-            QuadratureSpec(dimension=dimension, extra_axis=(1.0, 0.0))
+            QuadratureSpec(extra_axis=(1.0, 0.0), x_shear=x)
 
-    def test_no_triangle_in_dimension_three(self):
-        with pytest.raises(DomainError, match="dimension 3"):
+    def test_no_triangle_with_extra_axis(self):
+        with pytest.raises(DomainError, match="extra_axis"):
             QuadratureSpec(
-                dimension=3, kernel="abs", kernel_exponent=2.0, x_shear=1.0,
-                extra_axis=(1.0, 0.0), triangle="s<t",
+                kernel="abs", kernel_exponent=2.0, extra_axis=(1.0, 0.0), triangle="s<t"
             )
 
     @pytest.mark.parametrize("triangle", ["s<t", "t<s"])
@@ -76,31 +72,29 @@ class TestSpecValidation:
 
 class TestBasics:
     def test_arcsine_mass(self):
-        r = refine_until(QuadratureSpec(dimension=1, weight_exponents=(-0.5, -0.5)), 1e-8)
-        assert r.value == pytest.approx(math.pi, abs=1e-12)
+        order, levels = orc._ladder(0)
+        _, w = orc._interval_rule(-1.0, 1.0, -0.5, -0.5, levels, order)
+        assert w.sum() == pytest.approx(math.pi, abs=1e-12)
 
     def test_square_area(self):
-        r = refine_until(QuadratureSpec(dimension=2), 1e-8)
+        r = refine_until(QuadratureSpec(), 1e-8)
         assert r.value == pytest.approx(4.0, abs=1e-11)
 
     def test_plus_part_of_linear_kernel(self):
         r = refine_until(
-            QuadratureSpec(dimension=2, kernel="plus", kernel_exponent=1.0, x_shear=0.0),
+            QuadratureSpec(kernel="plus", kernel_exponent=1.0, x_shear=0.0),
             1e-8,
         )
         assert r.value == pytest.approx(1.0, abs=1e-12)
 
     def test_monomial_factors(self):
         # int s^2 dt ds over the square = (2/3) * 2
-        spec = QuadratureSpec(
-            dimension=2, polynomial_factors=(("monomial", 2), None)
-        )
+        spec = QuadratureSpec(polynomial_factors=(("monomial", 2), None))
         assert refine_until(spec, 1e-8).value == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_weighted_mass_matches_closed_form(self):
         for lam, mu, nu in [(0.5, 0.5, 1.0), (1.3, 0.7, 0.6), (0.3, 2.1, 1.7)]:
             spec = QuadratureSpec(
-                dimension=2,
                 kernel="abs",
                 kernel_exponent=2 * nu,
                 x_shear=1.0,
@@ -116,7 +110,6 @@ class TestSplitLogic:
     def _spec(self, kind, seedling):
         lam, mu, nu, x, ell, m = seedling
         return QuadratureSpec(
-            dimension=2,
             kernel=kind,
             kernel_exponent=2 * nu,
             x_shear=x,
@@ -152,13 +145,12 @@ class TestSplitLogic:
 
 class TestRefinement:
     def test_smooth_converges_immediately(self):
-        spec = QuadratureSpec(dimension=2, polynomial_factors=(("monomial", 4), None))
+        spec = QuadratureSpec(polynomial_factors=(("monomial", 4), None))
         r = refine_until(spec, 1e-12, max_level=1)
         assert r.est_error <= 1e-12
 
     def test_exhaustion_carries_best_value(self):
         spec = QuadratureSpec(
-            dimension=2,
             kernel="abs",
             kernel_exponent=0.2,
             x_shear=1.0,
@@ -199,7 +191,6 @@ class TestRefinement:
             mu = float(rng.uniform(0.3, 2.2))
             nu = float(rng.uniform(0.2, 2.5))
             spec = QuadratureSpec(
-                dimension=2,
                 kernel="abs",
                 kernel_exponent=2 * nu,
                 x_shear=1.0,
@@ -218,7 +209,6 @@ class TestRefinement:
         # factor left on the outer axis is the ladder's hardest case
         for a, b, c in [(0.7, 1.3, 1.1), (2.1, 0.4, 0.8), (0.35, 0.5, 0.65)]:
             spec = QuadratureSpec(
-                dimension=2,
                 kernel="plus",
                 kernel_exponent=2.0 * c - 1.0,
                 x_shear=x,
@@ -277,7 +267,6 @@ class TestTriangles:
     def test_halves_sum_to_full(self):
         lam, mu, nu = 0.9, 1.3, 0.7
         common = dict(
-            dimension=2,
             kernel="abs",
             kernel_exponent=2 * nu,
             x_shear=1.0,
@@ -320,7 +309,6 @@ class TestRegularizedKernel:
 
 class TestThreeDimensional:
     SPEC = QuadratureSpec(
-        dimension=3,
         kernel="abs",
         kernel_exponent=2.0,
         weight_exponents=(0.5, 0.5),
@@ -352,7 +340,6 @@ def _vector_specs():
     specs["none"] = spec("none", n_s=2, n_t=2)
     for tri in ("s<t", "t<s"):
         specs[tri] = spec("abs", x_shear=1.0, triangle=tri)
-    specs["dimension 1"] = QuadratureSpec(dimension=1, weight_exponents=(0.3, 0.0))
     return specs
 
 
@@ -369,7 +356,7 @@ class TestShearVector:
             one, one_evals = orc._eval_2d(spec, [x], size)
             assert abs(v - one[0]) <= 1e-14 * scale
         assert evals == self.SHEARS.size * one_evals
-        if spec.triangle or spec.dimension == 1:
+        if spec.triangle:
             # the shear plays no part
             np.testing.assert_allclose(values, values[0], rtol=1e-14, atol=0.0)
 
@@ -391,7 +378,6 @@ class TestChunking:
 
     def test_eval_3d(self, monkeypatch):
         spec = QuadratureSpec(
-            dimension=3,
             kernel="abs",
             kernel_exponent=1.7,
             weight_exponents=(0.4, 0.9),
@@ -422,7 +408,6 @@ def test_tensor_moments_match_beta():
     lam, mu = 1.2, 0.7
     for i, j in [(0, 0), (2, 4), (6, 2)]:
         spec = QuadratureSpec(
-            dimension=2,
             weight_exponents=(lam - 0.5, mu - 0.5),
             polynomial_factors=(("monomial", i), ("monomial", j)),
         )
@@ -435,7 +420,6 @@ def test_tensor_moments_match_beta():
 BACKENDS = {
     "refine_until": lambda target: refine_until(
         QuadratureSpec(
-            dimension=2,
             kernel="abs",
             kernel_exponent=0.2,
             x_shear=1.0,

@@ -1,7 +1,7 @@
 """Scalar special-function kernels: values, identities, and branch logic."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -330,6 +330,16 @@ class TestHyp2f1Half:
 def test_thread_safety():
     args = [(0.3 + 0.01 * k, 0.7, 1.9, 0.9) for k in range(64)]
     expected = [hyp2f1(*a).value for a in args]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        got = list(pool.map(lambda a: hyp2f1(*a).value, args))
+    got = [None] * len(args)
+
+    def work(start):
+        for k in range(start, len(args), 8):
+            got[k] = hyp2f1(*args[k]).value
+
+    threads = [threading.Thread(target=work, args=(start,)) for start in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60.0)
+    assert not any(t.is_alive() for t in threads)
     assert got == expected

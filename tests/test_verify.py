@@ -1,4 +1,4 @@
-"""Verify suites: pass rules, per-case failures, thread settings."""
+"""Verify suites: pass rules, per-case failures, usage errors."""
 
 import math
 
@@ -70,18 +70,10 @@ class TestUsageErrors:
         with pytest.raises(DomainError, match="cases must be nonnegative"):
             vf.run_suite("stz", cases=-1)
 
+    def test_negative_seed_runs_no_case(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(vf.SUITE_TABLE, "mehta", _recording_row(calls))
+        with pytest.raises(DomainError, match="seed must be nonnegative"):
+            vf.run_suite("mehta", seed=-1)
+        assert calls == []
 
-class TestMaxWorkers:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("GEGEN_THREADS", raising=False)
-        assert vf.max_workers() == 1
-
-    def test_integer(self, monkeypatch):
-        monkeypatch.setenv("GEGEN_THREADS", " 3 ")
-        assert vf.max_workers() == 3
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_rejects_bad_values(self, value, monkeypatch):
-        monkeypatch.setenv("GEGEN_THREADS", value)
-        with pytest.raises(DomainError, match="GEGEN_THREADS"):
-            vf.max_workers()
