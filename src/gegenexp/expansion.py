@@ -522,10 +522,8 @@ def identity_rhs(name: str, params: dict) -> float:
     """Right side of a named classical identity.
 
     Names: selberg2(lam, nu), warnaar(lam, mu), tarasov_varchenko(lam, nu),
-    dotsenko_fateev(lam, mu), mehta2(nu), lm0(lam, mu, nu).
+    dotsenko_fateev(lam, mu), mehta2(nu).
     """
-    if name == "lm0":
-        return weighted_power_mass(params["lam"], params["mu"], params["nu"])
     if name == "selberg2":
         lam, nu = params["lam"], params["nu"]
         return gamma_ratio(

@@ -52,13 +52,11 @@ class QuadratureSpec:
     """Description of a weighted kernel integral over [-1,1]^2.
 
     The integrand is K(s - x t) * (1-s^2)^ws * (1-t^2)^wt * P(s) * Q(t)
-    where K is selected by `kernel` with exponent `kernel_exponent` and
-    (ws, wt) = weight_exponents.  Setting extra_axis = (alpha, beta) makes
-    the integral 3D: a third variable y weighted by y^alpha (1-y)^beta on
-    [0, 1] sets the shear to sqrt(y), so x_shear must stay 0 and no triangle
-    is allowed.  Otherwise a triangle restriction keeps only {s < t} or
-    {t < s}, splitting at s = t; with a kernel, that is the kernel line
-    only at x_shear = 1, which is then required.
+    where K is selected by `kernel` with exponent `kernel_exponent`, x is
+    x_shear in [-1, 1] and (ws, wt) = weight_exponents; "plus" and "minus"
+    keep s > x t and s < x t.  Setting extra_axis = (alpha, beta) makes the
+    integral 3D: a third variable y weighted by y^alpha (1-y)^beta on [0, 1]
+    sets the shear to sqrt(y), so x_shear must stay 0.
     """
 
     kernel: str = "none"
@@ -67,7 +65,6 @@ class QuadratureSpec:
     weight_exponents: tuple = (0.0, 0.0)
     polynomial_factors: tuple = (None, None)
     extra_axis: tuple | None = None
-    triangle: str | None = None
     prefactor: float = 1.0
 
     def __post_init__(self):
@@ -83,12 +80,10 @@ class QuadratureSpec:
                 raise DomainError(
                     f"endpoint exponent must be finite and exceed -1, got {w!r}"
                 )
-        if self.extra_axis is not None and (self.triangle or self.x_shear != 0.0):
-            raise DomainError("extra_axis sets the shear: it takes no x_shear or triangle")
-        if self.triangle not in (None, "s<t", "t<s"):
-            raise DomainError(f"unknown triangle restriction {self.triangle!r}")
-        if self.triangle and self.kernel != "none" and self.x_shear != 1.0:
-            raise DomainError("a triangle splits at s = t, the kernel line only at x_shear = 1")
+        if not -1.0 <= self.x_shear <= 1.0:
+            raise DomainError(f"x_shear must lie in [-1, 1], got {self.x_shear!r}")
+        if self.extra_axis is not None and self.x_shear != 0.0:
+            raise DomainError("extra_axis sets the shear: it takes no x_shear")
 
 
 @dataclass(frozen=True)
@@ -212,19 +207,18 @@ def _eval_2d(spec: QuadratureSpec, xs, size: tuple):
     tw = tw * _poly(pt, tn)
     evals = xs.size * tn.size
 
-    if spec.kernel == "none" and spec.triangle is None:
+    if spec.kernel == "none":
         sn, sw = _interval_rule(-1.0, 1.0, ws, ws, levels, order)
         value = float(tw.sum() * (sw @ _poly(ps, sn)))
         return np.full(xs.size, value), evals + xs.size * sn.size
 
-    split_exp = spec.kernel_exponent if spec.kernel != "none" else 0.0
-    u, uw = _unit_rule(split_exp, ws, levels, order)
-    # One row per (shear, t-node); a triangle splits at s = t.
-    s0 = np.outer(np.ones(xs.size) if spec.triangle else xs, tn).ravel()
+    p = spec.kernel_exponent
+    u, uw = _unit_rule(p, ws, levels, order)
+    s0 = np.outer(xs, tn).ravel()  # one row per (shear, t-node)
     rows = np.zeros(s0.size)
-    # The plus half lies above the split (t < s), the minus half below it.
-    for sign, other, side in ((1.0, "minus", "t<s"), (-1.0, "plus", "s<t")):
-        if spec.kernel == other or spec.triangle not in (None, side):
+    # The plus half lies above the split, the minus half below it.
+    for sign, other in ((1.0, "minus"), (-1.0, "plus")):
+        if spec.kernel == other:
             continue
         h = 1.0 - sign * s0  # s = s0 + sign h u sweeps from the split to sign 1
 
@@ -232,7 +226,7 @@ def _eval_2d(spec: QuadratureSpec, xs, size: tuple):
             s = s0[r, None] + (sign * h[r, None]) * u
             return ((1.0 + sign * s) ** ws * _poly(ps, s)) @ uw
 
-        part = _chunked_rows(s0.size, u.size, block) * h ** (1.0 + split_exp + ws)
+        part = _chunked_rows(s0.size, u.size, block) * h ** (1.0 + p + ws)
         rows += -part if sign < 0.0 and spec.kernel == "abssgn" else part
         evals += s0.size * u.size
     return rows.reshape(xs.size, tn.size) @ tw, evals

@@ -153,15 +153,13 @@ def _digamma(x: float) -> float:
 
 
 def gamma(x: float) -> float:
-    """Gamma(x), raising PoleError at nonpositive integers."""
-    return gamma_sign(x) * math.exp(log_gamma(x))
+    """Gamma(x): PoleError at the poles, +-inf past the double range."""
+    return gamma_ratio((x,))
 
 
 def rgamma(x: float) -> float:
-    """1/Gamma(x) as a total function: exactly 0 at nonpositive integers."""
-    if nonpositive_int(x) is not None:
-        return 0.0
-    return gamma_sign(x) * math.exp(-math.lgamma(x))
+    """1/Gamma(x): exactly 0 at the poles, +-inf past the double range."""
+    return gamma_ratio((), (x,))
 
 
 def pochhammer(y: float, n: int) -> float:
@@ -195,7 +193,7 @@ def gamma_ratio(num=(), den=(), scale_log: float = 0.0, sign: float = 1.0) -> fl
     for x in num:
         total += log_gamma(x)
         s *= gamma_sign(x)
-    if total > 709.0:
+    if total > 709.782712893384:  # log of the largest double
         return s * math.inf
     return s * math.exp(total)
 
@@ -263,7 +261,7 @@ def _gauss_sum(a: float, b: float, c: float) -> HypResult:
     s = c - a - b
     if s <= INTEGER_TOL:
         raise DomainError(f"2F1 diverges at z=1 for c-a-b={s!r} <= 0")
-    if rgamma(c - a) == 0.0 or rgamma(c - b) == 0.0:
+    if nonpositive_int(c - a) is not None or nonpositive_int(c - b) is not None:
         return HypResult(0.0, HypStatus.POLE_CANCELLED_ZERO, 0)
     value = gamma_ratio((c, s), (c - a, c - b))
     return HypResult(value, HypStatus.GAUSS_SUMMED, 0)

@@ -116,10 +116,11 @@ def sheared_oracle(kind, lam, mu, nu, ell, m, x, tol) -> float:
 
 def warnaar_left_side(lam: float, mu: float, tol: float) -> float:
     """Two weighted triangle integrals on the unit square, mapped onto
-    [-1,1]^2 (constant 2^(-lam-mu)) and combined with cos(pi lam)/cos(pi mu)."""
+    [-1,1]^2 (constant 2^(-lam-mu)) as the minus (s < t) and plus (t < s)
+    kernels at shear 1, and combined with cos(pi lam)/cos(pi mu)."""
     lower, upper = (
-        _refine_2d(tol, "abs", -(lam + mu), (mu - 0.5, lam - 0.5), triangle=tri)
-        for tri in ("s<t", "t<s")
+        _refine_2d(tol, kernel, -(lam + mu), (mu - 0.5, lam - 0.5))
+        for kernel in ("minus", "plus")
     )
     ratio = math.cos(math.pi * lam) / math.cos(math.pi * mu)
     return 2.0 ** (-lam - mu) * (lower + ratio * upper)
@@ -132,10 +133,10 @@ def mehta_left_side(nu: float, target: float) -> float:
     return 2.0 ** (nu + 1.0) / (2.0 * math.pi) * raw
 
 
-def cosine_sup_error(rho: float, parity: int, K: int, grid: int = 9) -> float:
+def cosine_sup_error(rho: float, parity: int, K: int) -> float:
     """Sup difference between the truncated trigonometric expansion and the
-    kernel itself on a (grid x grid) angle lattice."""
-    angles = np.linspace(0.1, math.pi - 0.1, grid)
+    kernel itself on a 9 x 9 angle lattice."""
+    angles = np.linspace(0.1, math.pi - 0.1, 9)
     worst = 0.0
     for phi in angles:
         for psi in angles:

@@ -209,6 +209,16 @@ class TestBx:
         assert lines[1].startswith("oracle ")
         assert float(lines[2].split()[1]) <= 1e-7
 
+    def test_large_index_at_unit_shear(self, capsys):
+        # the Gauss sum's reciprocal gammas leave the double range here
+        code = main(
+            ["bx", "--lambda", "0.5", "--mu", "0.5", "--nu", "1.2",
+             "--ell", "350", "--m", "1", "--x", "-1"]
+        )
+        assert code == 0
+        val = float(capsys.readouterr().out.strip())
+        assert val == pytest.approx(2.45401338388946e-20, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("flag", ["--lambda", "--mu", "--nu"])
     def test_nan_parameter_exits_2(self, flag, capsys):
         argv = ["bx", "--lambda", "0.7", "--mu", "1.3", "--nu", "0.9",

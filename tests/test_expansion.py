@@ -299,6 +299,23 @@ class TestShearedIntegral:
                 oracle, abs=1e-8, rel=1e-8
             )
 
+    @mp.workdps(40)
+    def test_large_indices_at_unit_shear(self):
+        # the Gauss sum at x = 1 takes 1/Gamma of arguments near 200
+        lam, mu, nu, ell, m = 1.3, 0.7, 2.3, 200, 200
+        half_sum, half_diff = mp.mpf(ell + m) / 2, mp.mpf(ell - m) / 2
+        ref = (
+            mp.pi**2
+            * mp.gamma(2 * nu + 1)
+            * mp.rgamma(nu - half_sum + 1)
+            * mp.rgamma(mu + m + 1)
+            * mp.rgamma(lam + nu + half_diff + 1)
+            / mp.power(2, 2 * nu + 1)
+            * mp.hyp2f1(half_sum - nu, -lam - nu - half_diff, mu + m + 1, 1)
+        )
+        val = plus_part_integral(lam, mu, nu, ell, m, 1.0)
+        assert val == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
     def test_variant_parity_zeros(self):
         assert sheared_integral("abs", 1, 1, 1.2, 1, 2, 0.6) == 0.0
         assert sheared_integral("abssgn", 1, 1, 1.2, 2, 2, 0.6) == 0.0
@@ -375,7 +392,7 @@ class TestProjection:
             lam = float(rng.uniform(0.2, 3.0))
             mu = float(rng.uniform(0.2, 3.0))
             nu = float(rng.uniform(0.3, 3.0))
-            mass = identity_rhs("lm0", {"lam": lam, "mu": mu, "nu": nu})
+            mass = weighted_power_mass(lam, mu, nu)
             proj = projection_integral(ExpansionParams(lam, mu, nu, 0), 0, 0)
             b1 = (
                 2.0
@@ -481,17 +498,12 @@ class TestIdentities:
             lam = float(rng.uniform(0.2, 3.0))
             nu = float(rng.uniform(0.2, 3.0))
             a = identity_rhs("selberg2", {"lam": lam, "nu": nu})
-            b = identity_rhs("lm0", {"lam": lam, "mu": lam, "nu": nu})
+            b = weighted_power_mass(lam, lam, nu)
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_unknown_name(self):
         with pytest.raises(DomainError):
             identity_rhs("nope", {})
-
-    def test_mass_alias(self):
-        assert identity_rhs("lm0", {"lam": 1.0, "mu": 1.0, "nu": 1.0}) == pytest.approx(
-            weighted_power_mass(1.0, 1.0, 1.0), rel=1e-15
-        )
 
 
 class TestCoefficientDecay:

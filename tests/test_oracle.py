@@ -50,24 +50,11 @@ class TestSpecValidation:
         with pytest.raises(DomainError, match="extra_axis"):
             QuadratureSpec(extra_axis=(1.0, 0.0), x_shear=x)
 
-    def test_no_triangle_with_extra_axis(self):
-        with pytest.raises(DomainError, match="extra_axis"):
-            QuadratureSpec(
-                kernel="abs", kernel_exponent=2.0, extra_axis=(1.0, 0.0), triangle="s<t"
-            )
-
-    @pytest.mark.parametrize("triangle", ["s<t", "t<s"])
-    def test_kernel_triangle_needs_unit_shear(self, triangle):
-        # s = t is the kernel line only at x = 1; at x = 0.3 the two halves
-        # would sum to the x = 1 value, not the sheared one
-        with pytest.raises(DomainError, match="x_shear = 1"):
-            QuadratureSpec(kernel="abs", kernel_exponent=2.0, x_shear=0.3, triangle=triangle)
-        # with no kernel there is no line to miss, and the shear plays no part
-        free = [
-            refine_until(QuadratureSpec(x_shear=x, triangle=triangle), 1e-12).value
-            for x in (0.3, 1.0)
-        ]
-        assert free[0] == free[1] == pytest.approx(2.0)
+    @pytest.mark.parametrize("x", [1.5, -2.0, math.nan, math.inf])
+    def test_shear_outside_unit_interval(self, x):
+        # past |x| = 1 the split no longer lies inside [-1, 1]
+        with pytest.raises(DomainError, match="x_shear"):
+            QuadratureSpec(kernel="plus", kernel_exponent=1.0, x_shear=x)
 
 
 class TestBasics:
@@ -253,27 +240,16 @@ class TestHermite2D:
 
 
 class TestTriangles:
-    def test_one_sided_kernel_vanishes_off_its_side(self):
-        # (s - t)_+ is zero where s < t, and (s - t)_- where t < s
-        for kernel, triangle in (("plus", "s<t"), ("minus", "t<s")):
-            spec = QuadratureSpec(
-                kernel=kernel, kernel_exponent=1.5, x_shear=1.0, triangle=triangle
-            )
-            assert refine_until(spec, 1e-10).value == 0.0
-        plus = QuadratureSpec(kernel="plus", kernel_exponent=1.5, x_shear=1.0)
-        upper = QuadratureSpec(kernel="plus", kernel_exponent=1.5, x_shear=1.0, triangle="t<s")
-        assert refine_until(upper, 1e-10).value == refine_until(plus, 1e-10).value
-
     def test_halves_sum_to_full(self):
         lam, mu, nu = 0.9, 1.3, 0.7
+        # at x = 1 the minus kernel is the half s < t and plus the half t < s
         common = dict(
-            kernel="abs",
             kernel_exponent=2 * nu,
             x_shear=1.0,
             weight_exponents=(lam - 0.5, mu - 0.5),
         )
-        lower = refine_until(QuadratureSpec(triangle="s<t", **common), 1e-10).value
-        upper = refine_until(QuadratureSpec(triangle="t<s", **common), 1e-10).value
+        lower = refine_until(QuadratureSpec(kernel="minus", **common), 1e-10).value
+        upper = refine_until(QuadratureSpec(kernel="plus", **common), 1e-10).value
         assert lower + upper == pytest.approx(
             weighted_power_mass(lam, mu, nu), rel=1e-10
         )
@@ -338,8 +314,6 @@ def _vector_specs():
     specs = {kernel: spec(kernel) for kernel in KERNELS}
     specs["abssgn"] = spec("abssgn", n_t=2)
     specs["none"] = spec("none", n_s=2, n_t=2)
-    for tri in ("s<t", "t<s"):
-        specs[tri] = spec("abs", x_shear=1.0, triangle=tri)
     return specs
 
 
@@ -356,9 +330,6 @@ class TestShearVector:
             one, one_evals = orc._eval_2d(spec, [x], size)
             assert abs(v - one[0]) <= 1e-14 * scale
         assert evals == self.SHEARS.size * one_evals
-        if spec.triangle:
-            # the shear plays no part
-            np.testing.assert_allclose(values, values[0], rtol=1e-14, atol=0.0)
 
 
 class TestChunking:

@@ -87,6 +87,11 @@ class TestGammaFamily:
         assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-14)
         assert beta(2.0, 3.0) == pytest.approx(1.0 / 12.0, rel=1e-14)
 
+    def test_past_double_range_is_infinite(self):
+        # Gamma(200) ~ 4e372 and 1/Gamma(-180.5) ~ -1e330 overflow a double
+        assert gamma(200.0) == math.inf
+        assert rgamma(-180.5) == -math.inf
+
     def test_gamma_ratio_denominator_pole_is_zero(self):
         assert gamma_ratio((1.0,), (-2.0,)) == 0.0
 
@@ -217,6 +222,16 @@ class TestHyp2f1:
         r = hyp2f1(3.0, -1.5, 2.0, 1.0)
         assert r.value == 0.0
         assert r.status is HypStatus.POLE_CANCELLED_ZERO
+
+    @pytest.mark.parametrize(
+        "a, b, c", [(-150.5, 0.5, 50.0), (-180.25, 0.5, 3.0), (0.5, -200.5, 10.0)]
+    )
+    def test_gauss_sum_with_huge_gamma_ratios(self, a, b, c):
+        # 1/Gamma(c-a) or 1/Gamma(c-b) is far outside the double range, yet
+        # neither is a pole and the sum is of order one
+        r = hyp2f1(a, b, c, 1.0)
+        assert r.status is HypStatus.GAUSS_SUMMED
+        assert r.value == pytest.approx(float(mp.hyp2f1(a, b, c, 1)), rel=1e-12)
 
     def test_divergence_at_one(self):
         with pytest.raises(DomainError):
