@@ -11,9 +11,12 @@ so agreement with the expansion module is a genuine cross-check.
 The 2D kernel takes a vector of shears and sums one row per (shear, t-node):
 an inner piece of length h is (smooth @ uw) times the row factor
 h^(1+p+ws), so the 3D backend is one 2D call on all its outer shear nodes.
-Rows are summed in blocks of at most _CHUNK entries: no block temporary
-passes 128 KB, glibc malloc's default mmap and trim thresholds, so blocks
-reuse heap pages instead of faulting fresh ones in on every call.
+Rows are summed in blocks of at most _CHUNK entries.  A block holds about
+seven temporaries of that size at once, most of them from the polynomial
+recurrence: ~220 KB in all, under glibc malloc's default trim threshold
+plus top pad (128 KB + 128 KB), and each under the 128 KB mmap threshold.
+So consecutive blocks reuse the same heap pages instead of trimming them
+away and faulting them back in.
 
 Every backend is a rung function, rung k sized from _ladder(k) (panel order
 8 + 3k, 6 + 5k dyadic grading levels), and _refine applies one stopping rule
@@ -26,7 +29,7 @@ backend evaluates its convolution profile, which is even, at |u|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -89,7 +92,8 @@ class QuadratureSpec:
 @dataclass(frozen=True)
 class QuadResult:
     """The value of the rung where refinement stopped (level), its error
-    estimated from the rung before, and the evaluations of every rung."""
+    estimated from the rung before (the finite part adds a noise floor),
+    and the evaluations of every rung."""
 
     value: float
     est_error: float
@@ -182,7 +186,7 @@ def _refine(rung, target: float, max_level: int) -> QuadResult:
     )
 
 
-_CHUNK = 1 << 14  # float64 entries per row block: 128 KB; see the module docstring
+_CHUNK = 1 << 12  # float64 entries per row block temporary: 32 KB; see the module docstring
 
 
 def _chunked_rows(n: int, width: int, block):
@@ -238,10 +242,12 @@ def _eval_3d(spec: QuadratureSpec, level: int):
     Substituting y = x^2 turns the weight y^alpha (1-y)^beta dy into
     2 x^(2 alpha + 1) (1-x)^beta (1+x)^beta dx on [0, 1]; the 2D value as a
     function of the shear x is smooth there, so a short composite rule in x
-    suffices.  The inner 2D stage takes the 2D path's ladder rung.
+    suffices.  Both axes grow with the rung: at rung k the outer rule has
+    1 + k grading levels at panel order 8 (16 (k + 2) shears: 32, 48, 64,
+    ...), and the inner 2D stage takes the 2D path's rung _ladder(k).
     """
     alpha, beta_ = spec.extra_axis
-    xn, xw = _interval_rule(0.0, 1.0, 2.0 * alpha + 1.0, beta_, 3, 16 + 8 * level)
+    xn, xw = _interval_rule(0.0, 1.0, 2.0 * alpha + 1.0, beta_, 1 + level, 8)
     values, evals = _eval_2d(spec, xn, _ladder(level))
     return spec.prefactor * 2.0 * float((xw * (1.0 + xn) ** beta_) @ values), evals
 
@@ -325,11 +331,16 @@ def regularized_inverse_square(exp_s: float, exp_t: float, target: float) -> Qua
     Requires exp_s + exp_t > 0 so the subtracted remainder is integrable.
     The raw integral itself diverges for every parameter choice; this value
     is the one reached by meromorphic continuation in the kernel exponent.
-    Refined until two consecutive rungs agree to target.
+    Refined until two consecutive rungs agree to target.  Those rungs share
+    the rounding noise of G(u) - G(0), which u^-2 amplifies, so est_error is
+    the larger of their difference and the stopping rung's noise floor
+    4 * 2 eps sum w (|G(u)| + |G(0)|) / u^2 over the inner rule: eps per
+    value under the sum's front factor 2, with a safety factor 4.
     """
     sigma = exp_s + exp_t
     if not sigma > 0.0:
         raise DomainError(f"finite part needs exp_s + exp_t > 0, got {sigma!r}")
+    floors = []  # noise floor of each rung, by level
 
     def rung(level: int):
         size = _ladder(level + 2)
@@ -342,9 +353,13 @@ def regularized_inverse_square(exp_s: float, exp_t: float, target: float) -> Qua
             exp_s, exp_t, np.concatenate(([0.0], u_in, u_out)), size
         )
         g0, g_in, g_out = g[0], g[1 : 1 + u_in.size], g[1 + u_in.size :]
+        sq_in = u_in * u_in
         total = -2.0 * g0
-        total += 2.0 * float(w_in @ ((g_in - g0) / (u_in * u_in)))
+        total += 2.0 * float(w_in @ ((g_in - g0) / sq_in))
         total += 2.0 * float(w_out @ (g_out / (u_out * u_out)))
+        noise = float(w_in @ ((np.abs(g_in) + abs(g0)) / sq_in))
+        floors.append(4.0 * 2.0 * np.finfo(float).eps * noise)
         return total, evals
 
-    return _refine(rung, target, _MAX_LEVEL)
+    result = _refine(rung, target, _MAX_LEVEL)
+    return replace(result, est_error=max(result.est_error, floors[result.level]))

@@ -1,13 +1,20 @@
 """Quadrature oracle: exactness, split logic, refinement, and honesty."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gegenexp import oracle as orc
 from gegenexp import verify as vf
-from gegenexp.expansion import identity_rhs, plus_base_integral, weighted_power_mass
+from gegenexp.expansion import (
+    identity_rhs,
+    plus_base_integral,
+    shear_averaged_projection,
+    weighted_power_mass,
+)
 from gegenexp.oracle import (
     KERNELS,
     OracleConvergenceError,
@@ -282,6 +289,14 @@ class TestRegularizedKernel:
             with pytest.raises(DomainError):
                 regularized_inverse_square(exp_s, exp_t, 1e-6)
 
+    def test_estimate_covers_error_over_draw_range(self):
+        # consecutive rungs share the G(u) - G(0) rounding noise, so their
+        # difference alone understates the error; the noise floor covers it
+        for lam, mu in itertools.product(np.linspace(0.9, 2.0, 6), repeat=2):
+            r = regularized_inverse_square(lam - 0.5, mu - 0.5, 1e-6)
+            ref = identity_rhs("dotsenko_fateev", {"lam": lam, "mu": mu})
+            assert abs(r.value - ref) <= r.est_error
+
 
 class TestThreeDimensional:
     SPEC = QuadratureSpec(
@@ -297,23 +312,56 @@ class TestThreeDimensional:
         assert r.value == pytest.approx(5.0 * math.pi**2 / 96.0, rel=1e-7)
 
     def test_evaluation_counts(self):
-        # 128 then 192 outer shears, each 112 + 2 * 112^2 and 264 + 2 * 264^2
-        assert orc._eval_3d(self.SPEC, 0)[1] == 3_225_600
-        assert orc._eval_3d(self.SPEC, 1)[1] == 26_813_952
+        # 32 then 48 outer shears, each 112 + 2 * 112^2 and 264 + 2 * 264^2
+        assert orc._eval_3d(self.SPEC, 0)[1] == 806_400
+        assert orc._eval_3d(self.SPEC, 1)[1] == 6_703_488
+
+    @pytest.mark.parametrize(
+        "lam,mu,nu,b,ell,m",
+        itertools.product((0.5, 1.8), (0.5, 1.8), (0.6, 2.2), (-0.5, 0.0, 1.5), (0, 2), (0, 2)),
+    )
+    def test_closed_form_met_at_rung_one(self, lam, mu, nu, b, ell, m, monkeypatch):
+        # the corners of the cc suite's draw range, and b = -0.5 below it,
+        # where the extra axis's (1 - y)^b weight is singular
+        spec = QuadratureSpec(
+            kernel="abs",
+            kernel_exponent=2.0 * nu,
+            weight_exponents=(lam - 0.5, mu - 0.5),
+            polynomial_factors=(("gegenbauer", lam, ell), ("gegenbauer", mu, m)),
+            extra_axis=(mu + m / 2.0, b),
+        )
+        truth = shear_averaged_projection(lam, mu, nu, b, ell, m)
+        # both targets climb the same rungs: evaluate each rung once
+        rungs = {}
+        real = orc._eval_3d
+
+        def once(s, level):
+            if level not in rungs:
+                rungs[level] = real(s, level)
+            return rungs[level]
+
+        monkeypatch.setattr(orc, "_eval_3d", once)
+        for target in (1e-8, 1e-6):
+            r = refine_until(spec, target)
+            err = abs(r.value - truth)
+            assert r.level == 1
+            assert err <= target
+            assert err <= max(r.est_error, 1e-12)
+
+
+def _geg_spec(kernel, n_s=3, n_t=1, **fields):
+    geg = (("gegenbauer", 1.1, n_s), ("gegenbauer", 1.3, n_t))
+    return QuadratureSpec(
+        kernel=kernel, kernel_exponent=1.4, weight_exponents=(0.3, -0.2),
+        polynomial_factors=geg, **fields,
+    )
 
 
 def _vector_specs():
     # factor parities chosen so that no integral vanishes by symmetry
-    def spec(kernel, n_s=3, n_t=1, **fields):
-        geg = (("gegenbauer", 1.1, n_s), ("gegenbauer", 1.3, n_t))
-        return QuadratureSpec(
-            kernel=kernel, kernel_exponent=1.4, weight_exponents=(0.3, -0.2),
-            polynomial_factors=geg, **fields,
-        )
-
-    specs = {kernel: spec(kernel) for kernel in KERNELS}
-    specs["abssgn"] = spec("abssgn", n_t=2)
-    specs["none"] = spec("none", n_s=2, n_t=2)
+    specs = {kernel: _geg_spec(kernel) for kernel in KERNELS}
+    specs["abssgn"] = _geg_spec("abssgn", n_t=2)
+    specs["none"] = _geg_spec("none", n_s=2, n_t=2)
     return specs
 
 
@@ -372,6 +420,50 @@ class TestChunking:
         )
         assert b.value == pytest.approx(a.value, rel=1e-13, abs=0.0)
         assert (a.evaluations, a.level) == (b.evaluations, b.level)
+
+
+#: One call per chunked kernel, each with many row blocks.
+CHUNKED = {
+    "eval_2d": lambda: orc._eval_2d(
+        _geg_spec("abs", 5, 5), np.linspace(-1.0, 1.0, 7), orc._ladder(2)
+    ),
+    "eval_3d": lambda: orc._eval_3d(_geg_spec("abs", 5, 5, extra_axis=(1.2, 0.5)), 1),
+    "convolution_profile": lambda: convolution_profile(
+        0.8, 0.9, np.linspace(-2.0, 2.0, 3001), orc._ladder(3)
+    ),
+    "hermite": lambda: integrate_hermite_2d(0.8, 0.6, 3, 1, 1e-9),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(CHUNKED))
+def test_block_peak_stays_under_trim_threshold(kernel, monkeypatch):
+    # All temporaries of one row block together stay within 256 KB, glibc's
+    # default trim threshold plus top pad, so blocks reuse heap pages rather
+    # than trimming them and faulting them back in.  tracemalloc sees numpy's
+    # buffers on every platform, whatever the allocator.
+    peaks = []
+    real = orc._chunked_rows
+
+    def traced(n, width, block):
+        def measured(r):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = block(r)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return out
+
+        return real(n, width, measured)
+
+    monkeypatch.setattr(orc, "_chunked_rows", traced)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        CHUNKED[kernel]()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(peaks) > 1
+    assert max(peaks) <= 256 * 1024
 
 
 def test_tensor_moments_match_beta():
