@@ -12,20 +12,24 @@ from .expansion import (
     SeriesEvalResult,
     coeff_table,
     cosine_expansion,
+    dotsenko_fateev,
     expansion_coeff,
     hermite_kernel_integral,
-    identity_rhs,
     kernel_value,
+    mehta2,
     moment_of_plus_integral,
     plus_base_integral,
     plus_part_integral,
     projection_integral,
+    selberg2,
     series_eval,
     series_eval_grid,
     sheared_integral,
     shear_averaged_projection,
     tail_bound,
+    tarasov_varchenko,
     truncation_order,
+    warnaar,
     weighted_power_mass,
 )
 from .oracle import (

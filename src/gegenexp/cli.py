@@ -4,11 +4,12 @@ Subcommands: coeffs (coefficient tables), eval (expansion vs kernel on a
 grid), bx (one sheared integral, optionally cross-checked), verify
 (closed-form vs oracle suites).
 
-Exit codes: 0 success, 2 usage or domain error, 3 series-hypothesis
-violation, 4 oracle or 2F1 non-convergence outside the suites.  A failing
-verify suite, or one that ran no cases, exits 1.  All file output is UTF-8
-with LF line endings; floats are serialized with repr, Python's shortest
-round-trip representation.
+Exit codes: 0 success, 2 usage or domain error or an --out file that
+cannot be written, 3 series-hypothesis violation, 4 oracle or 2F1
+non-convergence outside the suites.  A failing verify suite, or one that
+ran no cases, exits 1.  All file output is UTF-8 with LF line endings;
+floats are serialized with repr, Python's shortest round-trip
+representation.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def main(argv=None) -> int:
     except (OracleConvergenceError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DomainError, PoleError) as exc:
+    except (DomainError, PoleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

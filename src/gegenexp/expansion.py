@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .orthopoly import gauss_gegenbauer_rule, gegenbauer_all, gegenbauer_norm_sq
+from .orthopoly import gegenbauer_all, gegenbauer_norm_sq
 from .specfun import DomainError, _lgamma_1d, gamma_ratio, hyp2f1, pochhammer
 
 LN2 = math.log(2.0)
@@ -399,8 +399,11 @@ def moment_of_plus_integral(
 ) -> float:
     """Closed form of int_0^1 x^(2 mu + m + 1) (1-x^2)^beta B(x) dx where
     B(x) is plus_part_integral at shear x."""
-    if beta <= -1.0:
-        raise DomainError("requires beta > -1")
+    if not (-0.5 < lam < math.inf and -0.5 < mu < math.inf and 0.0 < nu < math.inf
+            and -1.0 < beta < math.inf):
+        raise DomainError("requires lam, mu > -1/2, nu > 0 and beta > -1, all finite")
+    if ell < 0 or m < 0:
+        raise DomainError("indices must be nonnegative")
     return gamma_ratio(
         (2.0 * nu + 1.0, beta + 1.0, lam + mu + 2.0 * nu + beta + 2.0),
         (
@@ -424,8 +427,11 @@ def shear_averaged_projection(
     """
     if (ell + m) % 2:
         raise DomainError("requires ell + m even")
-    if lam <= -0.5 or mu <= -0.5 or nu <= 0.0 or b <= -1.0:
-        raise DomainError("requires lam, mu > -1/2, nu > 0, b > -1")
+    if not (-0.5 < lam < math.inf and -0.5 < mu < math.inf and 0.0 < nu < math.inf
+            and -1.0 < b < math.inf):
+        raise DomainError("requires lam, mu > -1/2, nu > 0 and b > -1, all finite")
+    if ell < 0 or m < 0:
+        raise DomainError("indices must be nonnegative")
     half = (ell + m) // 2
     const = math.sqrt(math.pi) * (-1.0) ** ((m - ell) // 2) / (
         math.factorial(ell) * math.factorial(m)
@@ -473,8 +479,8 @@ def cosine_expansion(rho: float, parity: int, phi: float, psi: float, K: int) ->
     reciprocal products for all integer |l|, |m| <= K with l = m + parity
     mod 2, without folding the lattice.
     """
-    if rho <= 0.0:
-        raise DomainError("requires rho > 0")
+    if not 0.0 < rho < math.inf:
+        raise DomainError("requires rho > 0 and finite")
     if parity not in (0, 1):
         raise DomainError("parity must be 0 or 1")
     if K < 0:
@@ -495,8 +501,10 @@ def hermite_kernel_integral(nu: float, ell: int, m: int, x: float) -> float:
     """
     if (ell + m) % 2:
         raise DomainError("requires ell + m even")
-    if nu <= 0.0:
-        raise DomainError("requires nu > 0")
+    if not (0.0 < nu < math.inf and math.isfinite(x)):
+        raise DomainError("requires nu > 0 and finite x")
+    if ell < 0 or m < 0:
+        raise DomainError("indices must be nonnegative")
     half = (ell + m) // 2
     return (
         pochhammer(-nu, half)
@@ -510,7 +518,18 @@ def hermite_kernel_integral(nu: float, ell: int, m: int, x: float) -> float:
 
 
 def weighted_power_mass(lam: float, mu: float, nu: float) -> float:
-    """Closed form of int int |s-t|^(2 nu) (1-s^2)^(lam-1/2) (1-t^2)^(mu-1/2)."""
+    """Closed form of int int |s-t|^(2 nu) (1-s^2)^(lam-1/2) (1-t^2)^(mu-1/2).
+
+    The integral converges for lam, mu, nu > -1/2 with lam + mu + 2 nu + 1
+    > 0 (the corners s = t = +-1); elsewhere this raises DomainError.
+    """
+    if not (
+        -0.5 < lam < math.inf and -0.5 < mu < math.inf and -0.5 < nu < math.inf
+        and lam + mu + 2.0 * nu + 1.0 > 0.0
+    ):
+        raise DomainError(
+            "requires lam, mu, nu > -1/2 and lam + mu + 2 nu + 1 > 0, all finite"
+        )
     return gamma_ratio(
         (lam + 0.5, mu + 0.5, nu + 0.5, lam + mu + 2.0 * nu + 1.0),
         (lam + nu + 1.0, mu + nu + 1.0, lam + mu + nu + 1.0),
@@ -518,63 +537,60 @@ def weighted_power_mass(lam: float, mu: float, nu: float) -> float:
     )
 
 
-def identity_rhs(name: str, params: dict) -> float:
-    """Right side of a named classical identity.
-
-    Names: selberg2(lam, nu), warnaar(lam, mu), tarasov_varchenko(lam, nu),
-    dotsenko_fateev(lam, mu), mehta2(nu).
-    """
-    if name == "selberg2":
-        lam, nu = params["lam"], params["nu"]
-        return gamma_ratio(
-            (lam + 0.5, lam + 0.5, lam + nu + 0.5, lam + nu + 0.5, 1.0 + 2.0 * nu),
-            (2.0 * lam + 1.0 + nu, 2.0 * lam + 2.0 * nu + 1.0, 1.0 + nu),
-            scale_log=(4.0 * lam + 2.0 * nu) * LN2,
+def selberg2(lam: float, nu: float) -> float:
+    """Two-variable Selberg integral, weighted_power_mass at mu = lam; it
+    converges for lam, nu > -1/2 with 2 lam + 2 nu + 1 > 0."""
+    if not (-0.5 < lam < math.inf and -0.5 < nu < math.inf and lam + nu + 0.5 > 0.0):
+        raise DomainError(
+            "requires lam, nu > -1/2 and 2 lam + 2 nu + 1 > 0, all finite"
         )
-    if name == "warnaar":
-        lam, mu = params["lam"], params["mu"]
-        return gamma_ratio(
-            (lam + 0.5, 0.5 - mu, mu + 0.5, mu + 0.5),
-            (lam + 1.0 - mu, mu + 1.0 - lam, lam + mu + 1.0),
-        )
-    if name == "tarasov_varchenko":
-        lam, nu = params["lam"], params["nu"]
-        return gamma_ratio(
-            (lam + 0.5, 1.5 + lam + 2.0 * nu),
-            (2.0 + 2.0 * lam + 2.0 * nu,),
-            scale_log=(2.0 * lam + 2.0 * nu + 1.0) * LN2,
-        ) / (1.0 + 2.0 * nu)
-    if name == "dotsenko_fateev":
-        lam, mu = params["lam"], params["mu"]
-        return gamma_ratio(
-            (lam + 0.5, lam + 0.5, mu + 0.5, mu + 0.5),
-            (2.0 * lam, 2.0 * mu),
-            scale_log=(2.0 * lam + 2.0 * mu - 1.0) * LN2,
-        ) / (1.0 - lam - mu)
-    if name == "mehta2":
-        nu = params["nu"]
-        return gamma_ratio((1.0 + 2.0 * nu,), (1.0 + nu,))
-    raise DomainError(f"unknown identity {name!r}")
-
-
-def fit_coefficients(f, lam: float, nmax: int, order: int | None = None) -> np.ndarray:
-    """Expansion coefficients of f in the lam basis by Gaussian projection."""
-    rule = gauss_gegenbauer_rule(lam, order if order is not None else nmax + 48)
-    fv = np.asarray(f(rule.nodes), dtype=float)
-    cs = gegenbauer_all(lam, nmax, rule.nodes)
-    raw = cs @ (rule.weights * fv)
-    norms = np.array([gegenbauer_norm_sq(lam, n) for n in range(nmax + 1)])
-    return raw / norms
-
-
-def coefficient_bound(lam: float, n: int, n_deriv: int, deriv_norm: float) -> float:
-    """Decay bound |a_n| <= deriv_norm / (2^N (lam)_N ||C_(n-N)^(lam+N)||)
-    for n >= N, the chain that powers uniform convergence."""
-    if n < n_deriv:
-        raise DomainError("bound applies for n >= n_deriv")
-    denom = (
-        2.0**n_deriv
-        * pochhammer(lam, n_deriv)
-        * math.sqrt(gegenbauer_norm_sq(lam + n_deriv, n - n_deriv))
+    return gamma_ratio(
+        (lam + 0.5, lam + 0.5, lam + nu + 0.5, lam + nu + 0.5, 1.0 + 2.0 * nu),
+        (2.0 * lam + 1.0 + nu, 2.0 * lam + 2.0 * nu + 1.0, 1.0 + nu),
+        scale_log=(4.0 * lam + 2.0 * nu) * LN2,
     )
-    return deriv_norm / denom
+
+
+def warnaar(lam: float, mu: float) -> float:
+    """Warnaar's 2^(-lam-mu) (I_< + I_> cos(pi lam) / cos(pi mu)), with I_<
+    and I_> the integrals of |s-t|^(-lam-mu) (1-s^2)^(mu-1/2) (1-t^2)^(lam-1/2)
+    over s < t and t < s in [-1, 1]^2.  Both converge for lam, mu > -1/2 with
+    lam + mu < 1; mu = 1/2, where cos(pi mu) = 0, raises PoleError."""
+    if not (-0.5 < lam and -0.5 < mu and lam + mu < 1.0):
+        raise DomainError("requires lam, mu > -1/2 and lam + mu < 1")
+    return gamma_ratio(
+        (lam + 0.5, 0.5 - mu, mu + 0.5, mu + 0.5),
+        (lam + 1.0 - mu, mu + 1.0 - lam, lam + mu + 1.0),
+    )
+
+
+def tarasov_varchenko(lam: float, nu: float) -> float:
+    """Tarasov-Varchenko one-sided integral of (t-s)^(2 nu) (1-s^2)^(lam-1/2)
+    over s < t in [-1, 1]^2; it converges for lam, nu > -1/2."""
+    if not (-0.5 < lam < math.inf and -0.5 < nu < math.inf):
+        raise DomainError("requires lam, nu > -1/2, both finite")
+    return gamma_ratio(
+        (lam + 0.5, 1.5 + lam + 2.0 * nu),
+        (2.0 + 2.0 * lam + 2.0 * nu,),
+        scale_log=(2.0 * lam + 2.0 * nu + 1.0) * LN2,
+    ) / (1.0 + 2.0 * nu)
+
+
+def dotsenko_fateev(lam: float, mu: float) -> float:
+    """Dotsenko-Fateev finite part of int int |s-t|^(-2) (1-s^2)^(lam-1/2)
+    (1-t^2)^(mu-1/2), defined for lam, mu > -1/2 with lam + mu > 1."""
+    if not (-0.5 < lam < math.inf and -0.5 < mu < math.inf and lam + mu > 1.0):
+        raise DomainError("requires lam, mu > -1/2 and lam + mu > 1, both finite")
+    return gamma_ratio(
+        (lam + 0.5, lam + 0.5, mu + 0.5, mu + 0.5),
+        (2.0 * lam, 2.0 * mu),
+        scale_log=(2.0 * lam + 2.0 * mu - 1.0) * LN2,
+    ) / (1.0 - lam - mu)
+
+
+def mehta2(nu: float) -> float:
+    """Mehta's (1 / 2 pi) int int |s-t|^(2 nu) e^(-(s^2+t^2)/2) over R^2; it
+    converges for nu > -1/2."""
+    if not -0.5 < nu < math.inf:
+        raise DomainError("requires nu > -1/2 and finite")
+    return gamma_ratio((1.0 + 2.0 * nu,), (1.0 + nu,))

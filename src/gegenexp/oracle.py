@@ -68,7 +68,6 @@ class QuadratureSpec:
     weight_exponents: tuple = (0.0, 0.0)
     polynomial_factors: tuple = (None, None)
     extra_axis: tuple | None = None
-    prefactor: float = 1.0
 
     def __post_init__(self):
         if self.kernel not in KERNELS:
@@ -201,7 +200,7 @@ def _chunked_rows(n: int, width: int, block):
 
 def _eval_2d(spec: QuadratureSpec, xs, size: tuple):
     """(value at each shear in xs, evaluations) of the 2D kernel integral
-    without its prefactor, with (panel order, grading levels) = size."""
+    with (panel order, grading levels) = size."""
     order, levels = size
     xs = np.asarray(xs, dtype=float)
     ws, wt = spec.weight_exponents
@@ -249,7 +248,7 @@ def _eval_3d(spec: QuadratureSpec, level: int):
     alpha, beta_ = spec.extra_axis
     xn, xw = _interval_rule(0.0, 1.0, 2.0 * alpha + 1.0, beta_, 1 + level, 8)
     values, evals = _eval_2d(spec, xn, _ladder(level))
-    return spec.prefactor * 2.0 * float((xw * (1.0 + xn) ** beta_) @ values), evals
+    return 2.0 * float((xw * (1.0 + xn) ** beta_) @ values), evals
 
 
 def refine_until(
@@ -262,7 +261,7 @@ def refine_until(
         if spec.extra_axis is not None:
             return _eval_3d(spec, level)
         values, evals = _eval_2d(spec, [spec.x_shear], _ladder(level))
-        return spec.prefactor * float(values[0]), evals
+        return float(values[0]), evals
 
     return _refine(rung, target, max_level)
 

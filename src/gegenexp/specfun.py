@@ -48,9 +48,15 @@ class ConvergenceError(RuntimeError):
 
 
 def nonpositive_int(x: float) -> int | None:
-    """Return n >= 0 such that x is within INTEGER_TOL of -n, else None."""
+    """Return n >= 0 such that x is within INTEGER_TOL of -n, else None.
+
+    Raises DomainError for NaN and -inf, which no gamma or series argument
+    may be.
+    """
     if x > 0.5:
         return None
+    if not x > -math.inf:
+        raise DomainError(f"argument must be a number above -inf, got {x!r}")
     n = round(x)
     if n <= 0 and abs(x - n) <= INTEGER_TOL:
         return -int(n)
@@ -375,6 +381,8 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> HypResult:
     """
     if not -1.0 < z <= 1.0:
         raise DomainError(f"2F1 supported for -1 < z <= 1, got z={z!r}")
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise DomainError(f"2F1 needs finite parameters, got {(a, b, c)!r}")
 
     nterm = _termination_index(a, b)
     nc = nonpositive_int(c)

@@ -102,15 +102,18 @@ def _gegenbauer_pair(lam, ell, mu, m) -> tuple:
 
 def sheared_oracle(kind, lam, mu, nu, ell, m, x, tol) -> float:
     """Oracle value of expansion.sheared_integral (the sheared kernel
-    integral against u_ell u_m), refined until two levels agree to tol."""
-    return _refine_2d(
-        tol,
+    integral against u_ell u_m), refined until two levels agree to tol.
+
+    The quadrature runs on C_ell C_m under the weights; u's normalization p
+    scales the result, so that integral is refined to tol / |p|."""
+    p = u_prefactor(lam, ell) * u_prefactor(mu, m)
+    return p * _refine_2d(
+        tol / abs(p),
         kind,
         2.0 * nu,
         (lam - 0.5, mu - 0.5),
         x,
         polynomial_factors=_gegenbauer_pair(lam, ell, mu, m),
-        prefactor=u_prefactor(lam, ell) * u_prefactor(mu, m),
     )
 
 
@@ -185,13 +188,6 @@ def _even(p: dict) -> dict:
     return p
 
 
-def _rhs(name: str) -> Callable:
-    """Closed form of a named identity_rhs, with "lambda" passed as "lam"."""
-    return lambda p: ex.identity_rhs(
-        name, {("lam" if k == "lambda" else k): v for k, v in p.items()}
-    )
-
-
 X_SET = (0.0, 0.3, -0.3, 0.9, -0.9, 1.0)
 
 
@@ -247,7 +243,7 @@ SUITE_TABLE = {
     "selberg": SuiteRow(
         "selberg-two-variable", 1e-7, 3,
         lambda rng, i: _draw(rng, {"lambda": (0.2, 2.5), "nu": (0.3, 2.5)}),
-        _rhs("selberg2"),
+        lambda p: ex.selberg2(p["lambda"], p["nu"]),
         lambda p, tol: _refine_2d(
             tol * 1e-2, "abs", 2.0 * p["nu"], (p["lambda"] - 0.5,) * 2
         ),
@@ -257,14 +253,14 @@ SUITE_TABLE = {
         _fixed_then(("lambda", "mu"), [(0.2, 0.3), (0.15, 0.35)],
                     lambda rng: _draw(rng, {"lambda": (0.05, 0.45),
                                             "mu": (0.05, 0.45)})),
-        _rhs("warnaar"),
+        lambda p: ex.warnaar(p["lambda"], p["mu"]),
         lambda p, tol: warnaar_left_side(p["lambda"], p["mu"], tol * 1e-2),
     ),
     "tv": SuiteRow(
         "one-sided-single-weight", 1e-7, 3,
         _fixed_then(("lambda", "nu"), [(0.7, 0.4), (1.2, 0.9)],
                     lambda rng: _draw(rng, {"lambda": (0.2, 2.5), "nu": (0.3, 2.0)})),
-        _rhs("tarasov_varchenko"),
+        lambda p: ex.tarasov_varchenko(p["lambda"], p["nu"]),
         lambda p, tol: _refine_2d(
             tol * 1e-2, "minus", 2.0 * p["nu"], (p["lambda"] - 0.5, 0.0)
         ),
@@ -273,7 +269,7 @@ SUITE_TABLE = {
         "inverse-square-finite-part", 1e-5, 2,
         _fixed_then(("lambda", "mu"), [(1.3, 1.4), (2.0, 0.8)],
                     lambda rng: _draw(rng, {"lambda": (0.9, 2.0), "mu": (0.9, 2.0)})),
-        _rhs("dotsenko_fateev"),
+        lambda p: ex.dotsenko_fateev(p["lambda"], p["mu"]),
         # target tol/10: G(u) - G(0) cancellation puts a ~1e-7 floor under it
         lambda p, tol: orc.regularized_inverse_square(
             p["lambda"] - 0.5, p["mu"] - 0.5, tol * 1e-1
@@ -282,7 +278,7 @@ SUITE_TABLE = {
     "mehta": SuiteRow(
         "gaussian-pair-kernel", 1e-8, 2,
         _fixed_then(("nu",), [(1.0,)], lambda rng: _draw(rng, {"nu": (0.3, 2.5)})),
-        _rhs("mehta2"),
+        lambda p: ex.mehta2(p["nu"]),
         lambda p, tol: mehta_left_side(p["nu"], tol * 1e-2),
     ),
     "hermite": SuiteRow(

@@ -15,7 +15,6 @@ from gegenexp.expansion import (
     cosine_expansion,
     hermite_kernel_integral,
     hyp2f1,
-    identity_rhs,
     kernel_value,
     plus_base_integral,
     series_eval_grid,

@@ -317,6 +317,34 @@ class TestExitCodes:
         assert "did not converge" in capsys.readouterr().err
 
 
+class TestUnwritableOut:
+    """An --out that cannot be opened is a usage error (exit 2, one error
+    line), not a failing suite (exit 1) or a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--lambda", "1", "--mu", "1", "--nu", "1", "--eps", "0",
+             "--lmax", "2", "--mmax", "2"],
+            ["verify", "--suite", "tv", "--cases", "1"],
+        ],
+        ids=["coeffs", "verify"],
+    )
+    def test_exits_2_without_traceback(self, argv, tmp_path):
+        out = tmp_path / "missing" / "t.out"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gegenexp.cli", *argv, "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and str(out) in proc.stderr
+        assert not out.exists()
+
+
 class TestCsvRoundTrip:
     def test_values_round_trip_bit_exact(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -12,33 +12,34 @@ from gegenexp.expansion import (
     HypothesisError,
     coeff_grid,
     coeff_table,
-    coefficient_bound,
     cosine_expansion,
+    dotsenko_fateev,
     expansion_coeff,
-    fit_coefficients,
     hermite_kernel_integral,
-    identity_rhs,
     kernel_value,
+    mehta2,
     moment_of_plus_integral,
     plus_base_integral,
     plus_part_integral,
     projection_integral,
+    selberg2,
     series_eval,
     series_eval_grid,
     sheared_integral,
     shear_averaged_projection,
     tail_bound,
+    tarasov_varchenko,
     truncation_order,
+    warnaar,
     weighted_power_mass,
 )
 from gegenexp.oracle import QuadratureSpec, refine_until
 from gegenexp.orthopoly import (
-    gauss_gegenbauer_rule,
-    gegenbauer_endpoint,
     gegenbauer_norm_sq,
     u_prefactor,
 )
 from gegenexp.specfun import DomainError, gamma
+from gegenexp.verify import sheared_oracle
 
 
 class TestCoefficients:
@@ -286,15 +287,7 @@ class TestShearedIntegral:
             (0.6, 2.2, 1.7, 3, 1, 0.9),
             (1.4, 0.8, 2.9, 2, 2, 1.0),
         ]:
-            spec = QuadratureSpec(
-                kernel="plus",
-                kernel_exponent=2 * nu,
-                x_shear=x,
-                weight_exponents=(lam - 0.5, mu - 0.5),
-                polynomial_factors=(("gegenbauer", lam, ell), ("gegenbauer", mu, m)),
-                prefactor=u_prefactor(lam, ell) * u_prefactor(mu, m),
-            )
-            oracle = refine_until(spec, 1e-10).value
+            oracle = sheared_oracle("plus", lam, mu, nu, ell, m, x, 1e-10)
             assert plus_part_integral(lam, mu, nu, ell, m, x) == pytest.approx(
                 oracle, abs=1e-8, rel=1e-8
             )
@@ -490,58 +483,53 @@ class TestHermiteIntegral:
 
 class TestIdentities:
     def test_mehta_value(self):
-        assert identity_rhs("mehta2", {"nu": 1.0}) == pytest.approx(2.0, rel=1e-14)
+        assert mehta2(1.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_selberg_reduces_to_mass(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             lam = float(rng.uniform(0.2, 3.0))
             nu = float(rng.uniform(0.2, 3.0))
-            a = identity_rhs("selberg2", {"lam": lam, "nu": nu})
+            a = selberg2(lam, nu)
             b = weighted_power_mass(lam, lam, nu)
             assert a == pytest.approx(b, rel=1e-12)
 
-    def test_unknown_name(self):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: selberg2(-0.8, 1.0),
+            lambda: warnaar(0.6, 0.5),
+            lambda: tarasov_varchenko(1.0, -0.5),
+            lambda: dotsenko_fateev(0.4, 0.6),
+            lambda: mehta2(-0.7),
+            lambda: weighted_power_mass(-0.7, 1.0, 1.0),
+            lambda: weighted_power_mass(-0.4, -0.4, -0.2),
+            lambda: mehta2(math.nan),
+            lambda: selberg2(math.inf, 1.0),
+        ],
+        ids=["selberg2", "warnaar", "tarasov_varchenko", "dotsenko_fateev", "mehta2",
+             "mass", "mass-corner", "mehta2-nan", "selberg2-inf"],
+    )
+    def test_outside_convergence_region(self, call):
+        # outside the region the gamma products are finite but mean nothing
         with pytest.raises(DomainError):
-            identity_rhs("nope", {})
+            call()
 
 
-class TestCoefficientDecay:
-    def test_polynomial_case_is_finite(self):
-        # an even-power kernel is a polynomial: coefficients vanish beyond
-        # the degree and every decay bound is trivially satisfied
-        c = 0.37
-        a = fit_coefficients(lambda x: np.abs(x - c) ** 6, 1.0, 30, order=200)
-        assert np.abs(a[7:]).max() < 1e-12
-
-    def test_derivative_chain_bound(self):
-        # fractional-power kernel: |a_n| <= ||f^(N)|| / (2^N (lam)_N ||C||)
-        lam, c, p = 1.0, 0.37, 5.5
-        n_deriv = 3  # floor(lam) + 2
-        a = fit_coefficients(lambda x: np.abs(x - c) ** p, lam, 100, order=700)
-        fac = p * (p - 1.0) * (p - 2.0)
-        rule = gauss_gegenbauer_rule(lam + n_deriv, 700)
-        dvals = fac * np.abs(rule.nodes - c) ** (p - 3.0) * np.sign(rule.nodes - c)
-        deriv_norm = math.sqrt(float(rule.weights @ dvals**2))
-        for n in range(n_deriv, 101):
-            bound = coefficient_bound(lam, n, n_deriv, deriv_norm)
-            assert abs(a[n]) <= bound * 1.05
-
-    def test_sup_terms_decay_like_majorant(self):
-        lam, c, p = 1.0, 0.37, 5.5
-        n_deriv = 3
-        a = fit_coefficients(lambda x: np.abs(x - c) ** p, lam, 100, order=700)
-        terms = np.array(
-            [abs(a[n]) * gegenbauer_endpoint(lam, n) for n in range(101)]
-        )
-        # coefficients oscillate in phase, so anchor the majorant constant on
-        # a band rather than a single degree
-        anchor = max(terms[n] / n ** (lam - n_deriv) for n in range(15, 26))
-        for n in range(26, 101):
-            assert terms[n] <= 1.5 * anchor * n ** (lam - n_deriv)
-        # dyadic tail sums of |a_n| C_n(1) shrink, so the sup-norm series
-        # converges
-        t1 = terms[20:40].sum()
-        t2 = terms[40:80].sum()
-        assert t2 < t1
-        assert terms[80:].sum() < t2
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: shear_averaged_projection(math.nan, 1.0, 1.0, 0.0, 0, 0),
+            lambda: shear_averaged_projection(1.0, 1.0, 1.0, 0.0, -1, 1),
+            lambda: cosine_expansion(math.nan, 0, 0.1, 0.2, 4),
+            lambda: moment_of_plus_integral(1.0, 1.0, math.nan, 0.0, 0, 0),
+            lambda: hermite_kernel_integral(1.0, 0, 0, math.nan),
+            lambda: hermite_kernel_integral(math.inf, 0, 0, 0.5),
+        ],
+        ids=["triple-nan", "triple-negative-index", "cosine-nan", "moment-nan",
+             "hermite-nan-x", "hermite-inf-nu"],
+    )
+    def test_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()

@@ -10,7 +10,7 @@ import pytest
 from gegenexp import oracle as orc
 from gegenexp import verify as vf
 from gegenexp.expansion import (
-    identity_rhs,
+    dotsenko_fateev,
     plus_base_integral,
     shear_averaged_projection,
     weighted_power_mass,
@@ -281,7 +281,7 @@ class TestRegularizedKernel:
     def test_matches_continuation_closed_form(self):
         for lam, mu in [(1.3, 1.4), (2.0, 0.8)]:
             r = regularized_inverse_square(lam - 0.5, mu - 0.5, 1e-6)
-            ref = identity_rhs("dotsenko_fateev", {"lam": lam, "mu": mu})
+            ref = dotsenko_fateev(lam, mu)
             assert r.value == pytest.approx(ref, rel=1e-5)
 
     def test_domain_guard(self):
@@ -294,7 +294,7 @@ class TestRegularizedKernel:
         # difference alone understates the error; the noise floor covers it
         for lam, mu in itertools.product(np.linspace(0.9, 2.0, 6), repeat=2):
             r = regularized_inverse_square(lam - 0.5, mu - 0.5, 1e-6)
-            ref = identity_rhs("dotsenko_fateev", {"lam": lam, "mu": mu})
+            ref = dotsenko_fateev(lam, mu)
             assert abs(r.value - ref) <= r.est_error
 
 

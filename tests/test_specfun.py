@@ -99,6 +99,21 @@ class TestGammaFamily:
         with pytest.raises(PoleError):
             gamma_ratio((-1.0,), (2.0,))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: gamma_ratio((math.nan,)),
+            lambda: gamma_ratio((), (-math.inf,)),
+            lambda: rgamma(math.nan),
+            lambda: log_gamma(math.nan),
+            lambda: nonpositive_int(-math.inf),
+        ],
+        ids=["ratio-nan", "ratio-minus-inf", "rgamma-nan", "log-gamma-nan", "minus-inf"],
+    )
+    def test_non_finite_arguments_raise(self, call):
+        with pytest.raises(DomainError):
+            call()
+
 
 class TestLgamma1d:
     def test_matches_mpmath_on_a_half_lattice(self):
@@ -242,6 +257,20 @@ class TestHyp2f1:
             hyp2f1(0.3, 0.4, 1.2, 1.5)
         with pytest.raises(DomainError):
             hyp2f1(0.3, 0.4, 1.2, -1.0)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (math.nan, 1.0, 2.0, 0.5),
+            (-math.inf, 1.0, 2.0, 0.5),
+            (1.0, math.inf, 2.0, 0.5),
+            (1.0, 1.0, math.nan, 0.5),
+            (1.0, 1.0, 2.0, math.nan),
+        ],
+    )
+    def test_non_finite_arguments_raise(self, args):
+        with pytest.raises(DomainError):
+            hyp2f1(*args)
 
     def test_c_pole_raises_without_termination(self):
         with pytest.raises(PoleError):
