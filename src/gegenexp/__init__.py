@@ -6,7 +6,6 @@ verification suites tying them together.
 """
 
 from .expansion import (
-    CoeffTable,
     ExpansionParams,
     HypothesisError,
     SeriesEvalResult,

@@ -60,7 +60,7 @@ def _cmd_coeffs(args) -> int:
         for ell in range(args.lmax + 1):
             for m in range(args.mmax + 1):
                 if (ell + m) % 2 == params.eps:
-                    lines.append(f"{ell},{m},{float(table.values[ell, m])!r}")
+                    lines.append(f"{ell},{m},{float(table[ell, m])!r}")
         _write_text(args.out, "\n".join(lines) + "\n")
     else:
         payload = {
@@ -70,9 +70,9 @@ def _cmd_coeffs(args) -> int:
                 "nu": params.nu,
                 "eps": params.eps,
             },
-            "L": table.L,
-            "M": table.M,
-            "values": [float(v) for v in table.values.ravel()],
+            "L": args.lmax,
+            "M": args.mmax,
+            "values": [float(v) for v in table.ravel()],
         }
         _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return 0

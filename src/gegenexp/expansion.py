@@ -65,17 +65,8 @@ class ExpansionParams:
 
 
 @dataclass(frozen=True)
-class CoeffTable:
-    params: ExpansionParams
-    L: int
-    M: int
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class SeriesEvalResult:
     value: float
-    order_used: tuple
     tail_bound: float
 
 
@@ -149,14 +140,19 @@ def _diagonal_factors(params: ExpansionParams, L: int, M: int):
     return log_s, sign_s, log_d, sign_d
 
 
-def coeff_grid(params: ExpansionParams, L: int, M: int) -> np.ndarray:
-    """Dense (L+1) x (M+1) coefficient grid without the parity mask.
+def coeff_table(params: ExpansionParams, L: int, M: int) -> np.ndarray:
+    """Dense (L+1) x (M+1) coefficient table, entries with l+m of the wrong
+    parity zeroed.
 
     Vectorized counterpart of expansion_coeff with the same pole zeros.  The
-    gammas are taken on the l+m and l-m vectors (O(L+M) values) and
-    gathered onto the grid as Hankel and Toeplitz views; one exp follows.
+    gammas are taken on the l+m and l-m vectors (O(L+M) values), with the
+    parity mask folded into the l+m vector, and gathered onto the grid as
+    Hankel and Toeplitz views; one exp follows.
     """
+    if L < 0 or M < 0:
+        raise DomainError(f"orders must be nonnegative, got L={L!r}, M={M!r}")
     log_s, sign_s, log_d, sign_d = _diagonal_factors(params, L, M)
+    log_s[np.arange(L + M + 1) % 2 != params.eps] = -np.inf
     vals = _hankel(log_s, M + 1) + _toeplitz(log_d, M + 1)
     np.exp(vals, out=vals)
     vals *= _hankel(sign_s, M + 1)
@@ -164,19 +160,8 @@ def coeff_grid(params: ExpansionParams, L: int, M: int) -> np.ndarray:
     m = np.arange(M + 1)
     vals *= (params.lam + np.arange(L + 1))[:, None]
     vals *= np.where(m % 2, -1.0, 1.0) * (params.mu + m)
-    vals += 0.0  # a pole's zero is +0.0, whatever sign it was given
+    vals += 0.0  # a masked entry's or a pole's zero is +0.0, whatever its sign
     return vals
-
-
-def coeff_table(params: ExpansionParams, L: int, M: int) -> CoeffTable:
-    """Coefficient table with entries of the wrong parity zeroed."""
-    if L < 0 or M < 0:
-        raise DomainError(f"orders must be nonnegative, got L={L!r}, M={M!r}")
-    vals = coeff_grid(params, L, M)
-    ell = np.arange(L + 1)[:, None]
-    m = np.arange(M + 1)[None, :]
-    vals = np.where((ell + m) % 2 == params.eps, vals, 0.0)
-    return CoeffTable(params, L, M, vals)
 
 
 def kernel_value(params: ExpansionParams, s, t):
@@ -193,10 +178,9 @@ def series_eval_grid(
 ) -> np.ndarray:
     """Partial expansion sum on the tensor grid s x t."""
     params.require_hypothesis(force)
-    table = coeff_table(params, L, M)
     cs = gegenbauer_all(params.lam, L, np.atleast_1d(s))
     ct = gegenbauer_all(params.mu, M, np.atleast_1d(t))
-    return cs.T @ table.values @ ct
+    return cs.T @ coeff_table(params, L, M) @ ct
 
 
 def series_eval(
@@ -211,13 +195,13 @@ def series_eval(
     """
     value = float(series_eval_grid(params, [s], [t], L, M, force=force)[0, 0])
     bound = tail_bound(params, L, M) if params.series_hypothesis_ok else math.inf
-    return SeriesEvalResult(value, (L, M), bound)
+    return SeriesEvalResult(value, bound)
 
 
 def _term_sup_grid(params: ExpansionParams, L: int, M: int) -> np.ndarray:
     """|b_{l,m}| C_l(1) C_m(1) with the parity mask applied.
 
-    Built like coeff_grid, with the mask folded into the l+m vector and the
+    Built like coeff_table, with the mask folded into the l+m vector and the
     endpoint values C_n(1) = Gamma(n + 2 lam) / (n! Gamma(2 lam)) taken on
     the 1-D index vectors.
     """

@@ -1,7 +1,8 @@
 """Independent numerical ground truth for the weighted singular integrals.
 
 The kernels |s - x t|^p (and their one-sided parts) are integrated against
-endpoint-weighted polynomial factors by iterated Gaussian quadrature: the
+(1-s^2)^(lam-1/2) (1-t^2)^(mu-1/2) C_ell^lam(s) C_m^mu(t), the paper's
+integrand (see QuadratureSpec), by iterated Gaussian quadrature: the
 inner axis is split at the kernel line s = x t into pieces whose two
 algebraic endpoints (the split point and the interval end) are folded
 exactly into composite Jacobi rules on graded dyadic panels; the outer axis
@@ -30,14 +31,15 @@ backend evaluates its convolution profile, which is even, at |u|.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
+from numbers import Integral
 
 import numpy as np
 
 from .orthopoly import gauss_hermite_rule, gauss_jacobi_rule, gegenbauer, hermite
 from .specfun import DomainError
 
-KERNELS = ("none", "plus", "minus", "abs", "abssgn")
+KERNELS = ("plus", "minus", "abs", "abssgn")
 
 
 class OracleConvergenceError(RuntimeError):
@@ -50,38 +52,49 @@ class OracleConvergenceError(RuntimeError):
         self.est_error = est_error
 
 
+def _check_above(what: str, value, floor: float) -> None:
+    if not floor < value < np.inf:
+        raise DomainError(f"{what} must be finite and exceed {floor}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Description of a weighted kernel integral over [-1,1]^2.
 
-    The integrand is K(s - x t) * (1-s^2)^ws * (1-t^2)^wt * P(s) * Q(t)
-    where K is selected by `kernel` with exponent `kernel_exponent`, x is
-    x_shear in [-1, 1] and (ws, wt) = weight_exponents; "plus" and "minus"
-    keep s > x t and s < x t.  Setting extra_axis = (alpha, beta) makes the
-    integral 3D: a third variable y weighted by y^alpha (1-y)^beta on [0, 1]
-    sets the shear to sqrt(y), so x_shear must stay 0.
+    The integrand is K(s - x t) (1-s^2)^(lam-1/2) (1-t^2)^(mu-1/2)
+    C_ell^lam(s) C_m^mu(t) where K is selected by `kernel` with exponent
+    `kernel_exponent`, x is x_shear in [-1, 1], (lam, mu) = gegenbauer and
+    (ell, m) = degrees; "plus" and "minus" keep s > x t and s < x t.  A
+    degree-0 factor is 1, so its parameter may be 0 (the Chebyshev weight).
+    Setting extra_axis = (alpha, beta) makes the integral 3D: a third
+    variable y weighted by y^alpha (1-y)^beta on [0, 1] sets the shear to
+    sqrt(y), so x_shear must stay 0.
     """
 
-    kernel: str = "none"
+    kernel: str
     kernel_exponent: float = 0.0
     x_shear: float = 0.0
-    weight_exponents: tuple = (0.0, 0.0)
-    polynomial_factors: tuple = (None, None)
+    gegenbauer: tuple = (0.5, 0.5)
+    degrees: tuple = (0, 0)
     extra_axis: tuple | None = None
 
     def __post_init__(self):
         if self.kernel not in KERNELS:
             raise DomainError(f"unknown kernel {self.kernel!r}")
-        if self.kernel != "none" and not -1.0 < self.kernel_exponent < np.inf:
-            raise DomainError(
-                f"kernel exponent must be finite and exceed -1, "
-                f"got {self.kernel_exponent!r}"
-            )
-        for w in self.weight_exponents:
-            if not -1.0 < w < np.inf:
-                raise DomainError(
-                    f"endpoint exponent must be finite and exceed -1, got {w!r}"
-                )
+        _check_above("kernel exponent", self.kernel_exponent, -1.0)
+        for name in ("gegenbauer", "degrees", "extra_axis"):
+            pair = getattr(self, name)
+            if pair is not None and len(pair) != 2:
+                raise DomainError(f"{name} takes two entries, got {pair!r}")
+        for lam, n in zip(self.gegenbauer, self.degrees):
+            _check_above("Gegenbauer parameter", lam, -0.5)
+            if not (isinstance(n, Integral) and n >= 0):
+                raise DomainError(f"degree must be a nonnegative integer, got {n!r}")
+            if n > 0 and lam == 0.0:
+                raise DomainError(f"degree {n} needs a nonzero Gegenbauer parameter")
+        if self.extra_axis is not None:
+            for a in self.extra_axis:
+                _check_above("extra_axis exponent", a, -1.0)
         if not -1.0 <= self.x_shear <= 1.0:
             raise DomainError(f"x_shear must lie in [-1, 1], got {self.x_shear!r}")
         if self.extra_axis is not None and self.x_shear != 0.0:
@@ -98,19 +111,6 @@ class QuadResult:
     est_error: float
     evaluations: int
     level: int
-
-
-def _poly(factor, arr):
-    if factor is None:
-        return np.ones_like(arr)
-    kind = factor[0]
-    if kind == "gegenbauer":
-        _, lam, n = factor
-        return gegenbauer(lam, n, arr)
-    if kind == "monomial":
-        _, n = factor
-        return np.asarray(arr, dtype=float) ** n
-    raise DomainError(f"unknown polynomial factor {factor!r}")
 
 
 @lru_cache(maxsize=512)
@@ -154,6 +154,7 @@ def _interval_rule(a: float, b: float, exp_a: float, exp_b: float, levels: int, 
 
 
 _MAX_LEVEL = 5
+_MAX_LEVEL_3D = 3  # each 3D rung is 16 (k + 2) 2D integrals at rung k
 
 
 def _ladder(level: int):
@@ -168,8 +169,6 @@ def _refine(rung, target: float, max_level: int) -> QuadResult:
     OracleConvergenceError when rung max_level is not."""
     if not target > 0.0:
         raise DomainError(f"target must be positive, got {target!r}")
-    if not max_level >= 1:
-        raise DomainError(f"max_level must be at least 1, got {max_level!r}")
     value, evals = rung(0)
     for level in range(1, max_level + 1):
         prev = value
@@ -203,17 +202,14 @@ def _eval_2d(spec: QuadratureSpec, xs, size: tuple):
     with (panel order, grading levels) = size."""
     order, levels = size
     xs = np.asarray(xs, dtype=float)
-    ws, wt = spec.weight_exponents
-    ps, pt = spec.polynomial_factors
+    lam, mu = spec.gegenbauer
+    ell, m = spec.degrees
+    ws, wt = lam - 0.5, mu - 0.5
 
     tn, tw = _interval_rule(-1.0, 1.0, wt, wt, levels, order)
-    tw = tw * _poly(pt, tn)
+    if m:
+        tw = tw * gegenbauer(mu, m, tn)
     evals = xs.size * tn.size
-
-    if spec.kernel == "none":
-        sn, sw = _interval_rule(-1.0, 1.0, ws, ws, levels, order)
-        value = float(tw.sum() * (sw @ _poly(ps, sn)))
-        return np.full(xs.size, value), evals + xs.size * sn.size
 
     p = spec.kernel_exponent
     u, uw = _unit_rule(p, ws, levels, order)
@@ -227,7 +223,10 @@ def _eval_2d(spec: QuadratureSpec, xs, size: tuple):
 
         def block(r):
             s = s0[r, None] + (sign * h[r, None]) * u
-            return ((1.0 + sign * s) ** ws * _poly(ps, s)) @ uw
+            f = (1.0 + sign * s) ** ws
+            if ell:
+                f *= gegenbauer(lam, ell, s)
+            return f @ uw
 
         part = _chunked_rows(s0.size, u.size, block) * h ** (1.0 + p + ws)
         rows += -part if sign < 0.0 and spec.kernel == "abssgn" else part
@@ -251,19 +250,18 @@ def _eval_3d(spec: QuadratureSpec, level: int):
     return 2.0 * float((xw * (1.0 + xn) ** beta_) @ values), evals
 
 
-def refine_until(
-    spec: QuadratureSpec, target: float, max_level: int = _MAX_LEVEL
-) -> QuadResult:
+def refine_until(spec: QuadratureSpec, target: float) -> QuadResult:
     """The spec's integral, refined until two consecutive rungs agree to
-    target; see _refine."""
+    target, within _MAX_LEVEL rungs in 2D and _MAX_LEVEL_3D in 3D; see
+    _refine."""
+    if spec.extra_axis is not None:
+        return _refine(partial(_eval_3d, spec), target, _MAX_LEVEL_3D)
 
     def rung(level: int):
-        if spec.extra_axis is not None:
-            return _eval_3d(spec, level)
         values, evals = _eval_2d(spec, [spec.x_shear], _ladder(level))
         return float(values[0]), evals
 
-    return _refine(rung, target, max_level)
+    return _refine(rung, target, _MAX_LEVEL)
 
 
 def integrate_hermite_2d(nu: float, x: float, ell: int, m: int, target: float) -> QuadResult:

@@ -160,10 +160,12 @@ def _jacobi_coefficients(alpha: float, beta: float, n: int):
 def gauss_jacobi_rule(alpha: float, beta: float, order: int) -> QuadratureRule:
     """Gaussian rule for int_{-1}^{1} f(x) (1-x)^alpha (1+x)^beta dx.
 
-    Exact for polynomial f of degree <= 2 order - 1; alpha, beta > -1.
+    Exact for polynomial f of degree <= 2 order - 1; alpha, beta > -1 finite.
     """
-    if alpha <= -1.0 or beta <= -1.0:
-        raise DomainError("Jacobi exponents must exceed -1")
+    if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
+        raise DomainError(
+            f"Jacobi exponents must be finite and exceed -1, got {alpha!r}, {beta!r}"
+        )
     if order < 1:
         raise DomainError("order must be >= 1")
     a, b, mu0 = _jacobi_coefficients(alpha, beta, order)

@@ -84,20 +84,10 @@ class VerifyReport:
         }
 
 
-def _refine_2d(tol, kernel, exponent, weights, x=1.0, **fields) -> float:
+def _refine_2d(tol, kernel, exponent, gegenbauer, x=1.0, degrees=(0, 0)) -> float:
     """Oracle value of one 2-D kernel integral at shear x."""
-    spec = orc.QuadratureSpec(
-        kernel=kernel,
-        kernel_exponent=exponent,
-        x_shear=x,
-        weight_exponents=weights,
-        **fields,
-    )
+    spec = orc.QuadratureSpec(kernel, exponent, x, gegenbauer, degrees)
     return orc.refine_until(spec, tol).value
-
-
-def _gegenbauer_pair(lam, ell, mu, m) -> tuple:
-    return (("gegenbauer", lam, ell), ("gegenbauer", mu, m))
 
 
 def sheared_oracle(kind, lam, mu, nu, ell, m, x, tol) -> float:
@@ -107,14 +97,7 @@ def sheared_oracle(kind, lam, mu, nu, ell, m, x, tol) -> float:
     The quadrature runs on C_ell C_m under the weights; u's normalization p
     scales the result, so that integral is refined to tol / |p|."""
     p = u_prefactor(lam, ell) * u_prefactor(mu, m)
-    return p * _refine_2d(
-        tol / abs(p),
-        kind,
-        2.0 * nu,
-        (lam - 0.5, mu - 0.5),
-        x,
-        polynomial_factors=_gegenbauer_pair(lam, ell, mu, m),
-    )
+    return p * _refine_2d(tol / abs(p), kind, 2.0 * nu, (lam, mu), x, (ell, m))
 
 
 def warnaar_left_side(lam: float, mu: float, tol: float) -> float:
@@ -122,7 +105,7 @@ def warnaar_left_side(lam: float, mu: float, tol: float) -> float:
     [-1,1]^2 (constant 2^(-lam-mu)) as the minus (s < t) and plus (t < s)
     kernels at shear 1, and combined with cos(pi lam)/cos(pi mu)."""
     lower, upper = (
-        _refine_2d(tol, kernel, -(lam + mu), (mu - 0.5, lam - 0.5))
+        _refine_2d(tol, kernel, -(lam + mu), (mu, lam))
         for kernel in ("minus", "plus")
     )
     ratio = math.cos(math.pi * lam) / math.cos(math.pi * mu)
@@ -155,11 +138,11 @@ def _cc_oracle(p: dict, tol: float) -> float:
     spec = orc.QuadratureSpec(
         kernel="abs",
         kernel_exponent=2.0 * p["nu"],
-        weight_exponents=(lam - 0.5, mu - 0.5),
-        polynomial_factors=_gegenbauer_pair(lam, p["ell"], mu, m),
+        gegenbauer=(lam, mu),
+        degrees=(p["ell"], m),
         extra_axis=(mu + m / 2.0, p["b"]),
     )
-    return orc.refine_until(spec, tol * 1e-1, max_level=3).value
+    return orc.refine_until(spec, tol * 1e-1).value
 
 
 def _draw(rng, ranges: dict) -> dict:
@@ -224,7 +207,7 @@ SUITE_TABLE = {
                                    "c": (0.6, 2.0), "x": (-1.0, 1.0)}),
         lambda p: ex.plus_base_integral(p["a"], p["b"], p["c"], p["x"]),
         lambda p, tol: _refine_2d(
-            tol * 1e-2, "plus", 2.0 * p["c"] - 1.0, (p["a"] - 1.0, p["b"] - 1.0),
+            tol * 1e-2, "plus", 2.0 * p["c"] - 1.0, (p["a"] - 0.5, p["b"] - 0.5),
             p["x"],
         ),
     ),
@@ -236,8 +219,7 @@ SUITE_TABLE = {
         ),
         lambda p, tol: _refine_2d(
             tol * 1e-2, "abssgn" if p["eps"] else "abs", 2.0 * p["nu"],
-            (p["lambda"] - 0.5, p["mu"] - 0.5),
-            polynomial_factors=_gegenbauer_pair(p["lambda"], p["ell"], p["mu"], p["m"]),
+            (p["lambda"], p["mu"]), degrees=(p["ell"], p["m"]),
         ),
     ),
     "selberg": SuiteRow(
@@ -245,7 +227,7 @@ SUITE_TABLE = {
         lambda rng, i: _draw(rng, {"lambda": (0.2, 2.5), "nu": (0.3, 2.5)}),
         lambda p: ex.selberg2(p["lambda"], p["nu"]),
         lambda p, tol: _refine_2d(
-            tol * 1e-2, "abs", 2.0 * p["nu"], (p["lambda"] - 0.5,) * 2
+            tol * 1e-2, "abs", 2.0 * p["nu"], (p["lambda"],) * 2
         ),
     ),
     "warnaar": SuiteRow(
@@ -262,7 +244,7 @@ SUITE_TABLE = {
                     lambda rng: _draw(rng, {"lambda": (0.2, 2.5), "nu": (0.3, 2.0)})),
         lambda p: ex.tarasov_varchenko(p["lambda"], p["nu"]),
         lambda p, tol: _refine_2d(
-            tol * 1e-2, "minus", 2.0 * p["nu"], (p["lambda"] - 0.5, 0.0)
+            tol * 1e-2, "minus", 2.0 * p["nu"], (p["lambda"], 0.5)
         ),
     ),
     "df": SuiteRow(

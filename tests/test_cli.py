@@ -65,7 +65,7 @@ class TestCoeffs:
         payload = json.loads(out.read_text(encoding="utf-8"))
         table = coeff_table(ExpansionParams(1.7, 0.9, 2.3, 0), 5, 4)
         got = np.array(payload["values"]).reshape(6, 5)
-        assert np.array_equal(got, table.values)
+        assert np.array_equal(got, table)
         assert payload["params"]["lambda"] == 1.7
 
     def test_missing_flag_exits_2(self):
@@ -358,7 +358,7 @@ class TestCsvRoundTrip:
         table = coeff_table(ExpansionParams(1.7, 0.9, 2.3, 1), 6, 6)
         for line in out.read_text(encoding="utf-8").splitlines()[1:]:
             ell, m, b = line.split(",")
-            assert float(b) == table.values[int(ell), int(m)]
+            assert float(b) == table[int(ell), int(m)]
 
 
 def test_cli_import_loads_no_scipy():

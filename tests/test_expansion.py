@@ -10,7 +10,6 @@ import gegenexp.expansion as ex
 from gegenexp.expansion import (
     ExpansionParams,
     HypothesisError,
-    coeff_grid,
     coeff_table,
     cosine_expansion,
     dotsenko_fateev,
@@ -51,21 +50,24 @@ class TestCoefficients:
     def test_quadratic_kernel_table(self):
         t = coeff_table(ExpansionParams(1, 1, 1, 0), 2, 2)
         expect = np.array([[0.5, 0.0, 0.25], [0.0, -0.5, 0.0], [0.25, 0.0, 0.0]])
-        np.testing.assert_allclose(t.values, expect, atol=1e-13)
+        np.testing.assert_allclose(t, expect, atol=1e-13)
 
     def test_parity_mask(self):
         t = coeff_table(ExpansionParams(0.7, 1.9, 2.4, 1), 5, 5)
         ell = np.arange(6)[:, None]
         m = np.arange(6)[None, :]
-        assert np.all(t.values[(ell + m) % 2 == 0] == 0.0)
+        assert np.all(t[(ell + m) % 2 == 0] == 0.0)
 
     def test_grid_matches_scalar(self):
-        g = coeff_grid(ExpansionParams(1.7, 0.9, 2.3, 0), 8, 8)
-        for ell in range(9):
-            for m in range(9):
-                assert g[ell, m] == pytest.approx(
-                    expansion_coeff(1.7, 0.9, 2.3, ell, m), rel=1e-12, abs=1e-300
-                )
+        # each entry is the scalar coefficient in the table of its parity
+        for eps in (0, 1):
+            g = coeff_table(ExpansionParams(1.7, 0.9, 2.3, eps), 8, 8)
+            for ell in range(9):
+                for m in range(9):
+                    want = expansion_coeff(1.7, 0.9, 2.3, ell, m)
+                    if (ell + m) % 2 != eps:
+                        want = 0.0
+                    assert g[ell, m] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -89,7 +91,9 @@ class TestCoefficients:
     def test_grid_against_mpmath_at_large_indices(self):
         # six seeded parameter sets and one with lam 2e-4 from a half-integer,
         # whose gamma arguments pass near poles; 150 entries each with l,
-        # m <= 1200; integer and half-integer nu put exact zeros on the grid
+        # m <= 1200; integer and half-integer nu put exact zeros on the grid.
+        # Each entry is read from the table of its parity, where it is kept,
+        # and must be zero in the other.
         rng = np.random.default_rng(1200)
         n, worst, zeros = 1200, 0.0, 0
         for k in range(7):
@@ -98,13 +102,15 @@ class TestCoefficients:
             nu = draws[k % 3]
             if k == 6:
                 lam, mu, nu = 3.4998, 7.83, 4.5
-            grid = coeff_grid(ExpansionParams(lam, mu, nu, 0), n, n)
+            tables = [coeff_table(ExpansionParams(lam, mu, nu, eps), n, n) for eps in (0, 1)]
             lam_, mu_, nu_ = mp.mpf(lam), mp.mpf(mu), mp.mpf(nu)
             num = (
                 mp.gamma(lam_ + mu_ + 2 * nu_ + 1) * mp.gamma(lam_) * mp.gamma(mu_)
                 * mp.gamma(2 * nu_ + 1) / mp.power(2, 2 * nu_)
             )
             for ell, m in rng.integers(0, n + 1, size=(150, 2)).tolist():
+                grid = tables[(ell + m) % 2]
+                assert tables[1 - (ell + m) % 2][ell, m] == 0.0
                 s, d = mp.mpf(ell + m) / 2, mp.mpf(ell - m) / 2
                 ref = (-1) ** m * (lam_ + ell) * (mu_ + m) * num * (
                     mp.rgamma(nu_ + 1 + lam_ + mu_ + s) * mp.rgamma(nu_ + 1 - s)
@@ -128,16 +134,13 @@ class TestCoefficients:
                     kernel="abs",
                     kernel_exponent=12.0,
                     x_shear=1.0,
-                    weight_exponents=(1.5, 2.5),
-                    polynomial_factors=(
-                        ("gegenbauer", 2.0, ell),
-                        ("gegenbauer", 3.0, m),
-                    ),
+                    gegenbauer=(2.0, 3.0),
+                    degrees=(ell, m),
                 )
                 proj = refine_until(spec, 1e-11).value / (
                     gegenbauer_norm_sq(2.0, ell) * gegenbauer_norm_sq(3.0, m)
                 )
-                assert table.values[ell, m] == pytest.approx(
+                assert table[ell, m] == pytest.approx(
                     proj, rel=1e-8, abs=1e-12
                 )
 
@@ -341,7 +344,7 @@ class TestShearedIntegral:
             kernel="plus",
             kernel_exponent=2 * c - 1,
             x_shear=x,
-            weight_exponents=(a - 1, b - 1),
+            gegenbauer=(a - 0.5, b - 0.5),
         )
         assert plus_base_integral(a, b, c, x) == pytest.approx(
             refine_until(spec, 1e-10).value, abs=1e-8
@@ -373,8 +376,8 @@ class TestProjection:
                 kernel="abs" if eps == 0 else "abssgn",
                 kernel_exponent=2 * nu,
                 x_shear=1.0,
-                weight_exponents=(lam - 0.5, mu - 0.5),
-                polynomial_factors=(("gegenbauer", lam, ell), ("gegenbauer", mu, m)),
+                gegenbauer=(lam, mu),
+                degrees=(ell, m),
             )
             assert abs(refine_until(spec, 1e-10).value) < 1e-9
 

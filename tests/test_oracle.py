@@ -35,27 +35,56 @@ class TestSpecValidation:
     def test_integrability_guards(self):
         with pytest.raises(DomainError):
             QuadratureSpec(kernel="abs", kernel_exponent=-1.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(weight_exponents=(-1.2, 0.0))
+        # the weight exponent lam - 1/2 must exceed -1
+        for pair in ((-0.7, 0.5), (-0.5, 1.0), (1.0, -0.5)):
+            with pytest.raises(DomainError, match="Gegenbauer parameter"):
+                QuadratureSpec(kernel="abs", gegenbauer=pair)
 
     def test_nan_exponents(self):
         with pytest.raises(DomainError):
             QuadratureSpec(kernel="abs", kernel_exponent=math.nan)
         with pytest.raises(DomainError):
-            QuadratureSpec(weight_exponents=(0.0, math.nan))
+            QuadratureSpec(kernel="abs", gegenbauer=(0.5, math.nan))
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_infinite_exponents(self, value):
         with pytest.raises(DomainError, match="finite"):
             QuadratureSpec(kernel="abs", kernel_exponent=value)
         with pytest.raises(DomainError, match="finite"):
-            QuadratureSpec(weight_exponents=(value, 0.0))
+            QuadratureSpec(kernel="abs", gegenbauer=(value, 0.5))
+
+    @pytest.mark.parametrize("n", [-1, 1.0, 2.5, None])
+    def test_degree_is_a_nonnegative_integer(self, n):
+        for degrees in ((n, 0), (0, n)):
+            with pytest.raises(DomainError, match="degree"):
+                QuadratureSpec(kernel="abs", gegenbauer=(1.0, 1.0), degrees=degrees)
+
+    def test_positive_degree_needs_nonzero_parameter(self):
+        # C_n^0 vanishes for n > 0; at degree 0 the factor is 1 and lam = 0
+        # is the Chebyshev weight
+        for gegenbauer, degrees in (((0.0, 1.0), (2, 0)), ((1.0, 0.0), (0, 1))):
+            with pytest.raises(DomainError, match="nonzero Gegenbauer parameter"):
+                QuadratureSpec(kernel="abs", gegenbauer=gegenbauer, degrees=degrees)
+        spec = QuadratureSpec(kernel="abs", gegenbauer=(0.0, 0.5))
+        assert refine_until(spec, 1e-10).value == pytest.approx(2.0 * math.pi, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "axis",
+        [(0.0, math.inf), (math.nan, 0.0), (-math.inf, 0.5), (-1.0, 0.5), (0.5, -1.2), (0.5,)],
+    )
+    def test_extra_axis_entries(self, axis, monkeypatch):
+        # checked when the spec is made, not when a rung first evaluates it
+        calls = []
+        monkeypatch.setattr(orc, "_eval_3d", lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match="extra_axis"):
+            refine_until(QuadratureSpec(kernel="abs", kernel_exponent=1.0, extra_axis=axis), 1e-6)
+        assert calls == []
 
     @pytest.mark.parametrize("x", [0.4, 1.0])
     def test_extra_axis_takes_no_shear(self, x):
         # the extra axis sets the shear, so a set x_shear would be ignored
         with pytest.raises(DomainError, match="extra_axis"):
-            QuadratureSpec(extra_axis=(1.0, 0.0), x_shear=x)
+            QuadratureSpec(kernel="abs", extra_axis=(1.0, 0.0), x_shear=x)
 
     @pytest.mark.parametrize("x", [1.5, -2.0, math.nan, math.inf])
     def test_shear_outside_unit_interval(self, x):
@@ -71,7 +100,7 @@ class TestBasics:
         assert w.sum() == pytest.approx(math.pi, abs=1e-12)
 
     def test_square_area(self):
-        r = refine_until(QuadratureSpec(), 1e-8)
+        r = refine_until(QuadratureSpec(kernel="abs"), 1e-8)
         assert r.value == pytest.approx(4.0, abs=1e-11)
 
     def test_plus_part_of_linear_kernel(self):
@@ -82,8 +111,8 @@ class TestBasics:
         assert r.value == pytest.approx(1.0, abs=1e-12)
 
     def test_monomial_factors(self):
-        # int s^2 dt ds over the square = (2/3) * 2
-        spec = QuadratureSpec(polynomial_factors=(("monomial", 2), None))
+        # at x = 0 the quadratic kernel is s^2: int s^2 dt ds = (2/3) * 2
+        spec = QuadratureSpec(kernel="abs", kernel_exponent=2.0)
         assert refine_until(spec, 1e-8).value == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_weighted_mass_matches_closed_form(self):
@@ -92,7 +121,7 @@ class TestBasics:
                 kernel="abs",
                 kernel_exponent=2 * nu,
                 x_shear=1.0,
-                weight_exponents=(lam - 0.5, mu - 0.5),
+                gegenbauer=(lam, mu),
             )
             r = refine_until(spec, 1e-10)
             assert r.value == pytest.approx(
@@ -107,8 +136,8 @@ class TestSplitLogic:
             kernel=kind,
             kernel_exponent=2 * nu,
             x_shear=x,
-            weight_exponents=(lam - 0.5, mu - 0.5),
-            polynomial_factors=(("gegenbauer", lam, ell), ("gegenbauer", mu, m)),
+            gegenbauer=(lam, mu),
+            degrees=(ell, m),
         )
 
     def test_plus_plus_minus_is_abs(self):
@@ -139,31 +168,21 @@ class TestSplitLogic:
 
 class TestRefinement:
     def test_smooth_converges_immediately(self):
-        spec = QuadratureSpec(polynomial_factors=(("monomial", 4), None))
-        r = refine_until(spec, 1e-12, max_level=1)
-        assert r.est_error <= 1e-12
-
-    def test_exhaustion_carries_best_value(self):
-        spec = QuadratureSpec(
-            kernel="abs",
-            kernel_exponent=0.2,
-            x_shear=1.0,
-            weight_exponents=(-0.3, -0.4),
-        )
-        with pytest.raises(OracleConvergenceError) as info:
-            refine_until(spec, 1e-30, max_level=1)
-        assert math.isfinite(info.value.value)
+        # at x = 0 the quartic kernel is s^4, which rung 0 already integrates
+        spec = QuadratureSpec(kernel="abs", kernel_exponent=4.0)
+        r = refine_until(spec, 1e-12)
+        assert r.level == 1 and r.est_error <= 1e-12
 
     def test_bad_target(self):
         with pytest.raises(DomainError):
-            refine_until(QuadratureSpec(), 0.0)
+            refine_until(QuadratureSpec(kernel="abs"), 0.0)
 
-    @pytest.mark.parametrize("target,max_level", [(math.nan, 5), (1e-8, 0), (1e-8, -1)])
-    def test_usage_error_evaluates_nothing(self, target, max_level, monkeypatch):
+    @pytest.mark.parametrize("target", [math.nan, -1e-8])
+    def test_usage_error_evaluates_nothing(self, target, monkeypatch):
         calls = []
         monkeypatch.setattr(orc, "_eval_2d", lambda *args: calls.append(args))
         with pytest.raises(DomainError):
-            refine_until(QuadratureSpec(), target, max_level)
+            refine_until(QuadratureSpec(kernel="abs"), target)
         assert calls == []
 
     def test_driver_stops_at_first_agreeing_rung(self):
@@ -188,7 +207,7 @@ class TestRefinement:
                 kernel="abs",
                 kernel_exponent=2 * nu,
                 x_shear=1.0,
-                weight_exponents=(lam - 0.5, mu - 0.5),
+                gegenbauer=(lam, mu),
             )
             r = refine_until(spec, 1e-9)
             truth = weighted_power_mass(lam, mu, nu)
@@ -206,7 +225,7 @@ class TestRefinement:
                 kernel="plus",
                 kernel_exponent=2.0 * c - 1.0,
                 x_shear=x,
-                weight_exponents=(a - 1.0, b - 1.0),
+                gegenbauer=(a - 0.5, b - 0.5),
             )
             r = refine_until(spec, 1e-9)
             assert r.value == pytest.approx(plus_base_integral(a, b, c, x), rel=1e-9)
@@ -253,7 +272,7 @@ class TestTriangles:
         common = dict(
             kernel_exponent=2 * nu,
             x_shear=1.0,
-            weight_exponents=(lam - 0.5, mu - 0.5),
+            gegenbauer=(lam, mu),
         )
         lower = refine_until(QuadratureSpec(kernel="minus", **common), 1e-10).value
         upper = refine_until(QuadratureSpec(kernel="plus", **common), 1e-10).value
@@ -302,12 +321,13 @@ class TestThreeDimensional:
     SPEC = QuadratureSpec(
         kernel="abs",
         kernel_exponent=2.0,
-        weight_exponents=(0.5, 0.5),
+        gegenbauer=(1.0, 1.0),
         extra_axis=(1.0, 0.0),
     )
 
     def test_known_value(self):
-        r = refine_until(self.SPEC, 1e-7, max_level=2)
+        r = refine_until(self.SPEC, 1e-7)
+        assert r.level <= 2
         # 5 pi^2 / 96, reduced by hand from the gamma product
         assert r.value == pytest.approx(5.0 * math.pi**2 / 96.0, rel=1e-7)
 
@@ -326,8 +346,8 @@ class TestThreeDimensional:
         spec = QuadratureSpec(
             kernel="abs",
             kernel_exponent=2.0 * nu,
-            weight_exponents=(lam - 0.5, mu - 0.5),
-            polynomial_factors=(("gegenbauer", lam, ell), ("gegenbauer", mu, m)),
+            gegenbauer=(lam, mu),
+            degrees=(ell, m),
             extra_axis=(mu + m / 2.0, b),
         )
         truth = shear_averaged_projection(lam, mu, nu, b, ell, m)
@@ -350,10 +370,9 @@ class TestThreeDimensional:
 
 
 def _geg_spec(kernel, n_s=3, n_t=1, **fields):
-    geg = (("gegenbauer", 1.1, n_s), ("gegenbauer", 1.3, n_t))
     return QuadratureSpec(
-        kernel=kernel, kernel_exponent=1.4, weight_exponents=(0.3, -0.2),
-        polynomial_factors=geg, **fields,
+        kernel=kernel, kernel_exponent=1.4, gegenbauer=(0.8, 0.3),
+        degrees=(n_s, n_t), **fields,
     )
 
 
@@ -361,7 +380,6 @@ def _vector_specs():
     # factor parities chosen so that no integral vanishes by symmetry
     specs = {kernel: _geg_spec(kernel) for kernel in KERNELS}
     specs["abssgn"] = _geg_spec("abssgn", n_t=2)
-    specs["none"] = _geg_spec("none", n_s=2, n_t=2)
     return specs
 
 
@@ -399,8 +417,8 @@ class TestChunking:
         spec = QuadratureSpec(
             kernel="abs",
             kernel_exponent=1.7,
-            weight_exponents=(0.4, 0.9),
-            polynomial_factors=(("gegenbauer", 0.9, 2), ("gegenbauer", 1.4, 2)),
+            gegenbauer=(0.9, 1.4),
+            degrees=(2, 2),
             extra_axis=(1.2, 0.5),
         )
         a, b = self._small_chunk(monkeypatch, lambda: orc._eval_3d(spec, 1))
@@ -467,15 +485,18 @@ def test_block_peak_stays_under_trim_threshold(kernel, monkeypatch):
 
 
 def test_tensor_moments_match_beta():
-    # separable monomials against closed-form beta moments
+    # |s - x t|^2 = s^2 - 2 x s t + x^2 t^2: the odd middle term vanishes and
+    # the other two are separable beta moments of the weights
     lam, mu = 1.2, 0.7
-    for i, j in [(0, 0), (2, 4), (6, 2)]:
+    for x in (0.0, 0.45, -1.0):
         spec = QuadratureSpec(
-            weight_exponents=(lam - 0.5, mu - 0.5),
-            polynomial_factors=(("monomial", i), ("monomial", j)),
+            kernel="abs", kernel_exponent=2.0, x_shear=x, gegenbauer=(lam, mu)
         )
         got = refine_until(spec, 1e-8).value
-        exact = beta((i + 1) / 2.0, lam + 0.5) * beta((j + 1) / 2.0, mu + 0.5)
+        exact = (
+            beta(1.5, lam + 0.5) * beta(0.5, mu + 0.5)
+            + x * x * beta(0.5, lam + 0.5) * beta(1.5, mu + 0.5)
+        )
         assert got == pytest.approx(exact, rel=1e-12)
 
 
@@ -486,7 +507,7 @@ BACKENDS = {
             kernel="abs",
             kernel_exponent=0.2,
             x_shear=1.0,
-            weight_exponents=(-0.3, -0.4),
+            gegenbauer=(0.2, 0.1),
         ),
         target,
     ),

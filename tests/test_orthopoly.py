@@ -216,3 +216,10 @@ class TestRules:
             gauss_jacobi_rule(-1.0, 0.0, 4)
         with pytest.raises(DomainError):
             gauss_jacobi_rule(0.0, 0.0, 0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_jacobi_exponents(self, bad):
+        # inf once reached the eigensolver and failed there with LinAlgError
+        for alpha, beta_ in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(DomainError, match="finite"):
+                gauss_jacobi_rule(alpha, beta_, 4)
