@@ -41,14 +41,11 @@ from .oracle import (
 )
 from .orthopoly import (
     QuadratureRule,
-    gauss_gegenbauer_rule,
     gauss_hermite_rule,
     gauss_jacobi_rule,
     gegenbauer,
-    gegenbauer_endpoint,
     gegenbauer_norm_sq,
     hermite,
-    u_weighted,
 )
 from .specfun import (
     ConvergenceError,
@@ -60,7 +57,6 @@ from .specfun import (
     gamma,
     hyp2f1,
     hyp2f1_half,
-    log_gamma,
     pochhammer,
     rgamma,
 )

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .orthopoly import gegenbauer_all, gegenbauer_norm_sq
-from .specfun import DomainError, _lgamma_1d, gamma_ratio, hyp2f1, pochhammer
+from .specfun import DomainError, _lgamma_1d, check_degree, gamma_ratio, hyp2f1, pochhammer
 
 LN2 = math.log(2.0)
 LNPI = math.log(math.pi)
@@ -80,8 +79,8 @@ def expansion_coeff(lam: float, mu: float, nu: float, ell: int, m: int) -> float
     """
     if not (0.0 < lam < math.inf and 0.0 < mu < math.inf and 0.0 < nu < math.inf):
         raise DomainError("requires lam, mu, nu > 0 and finite")
-    if ell < 0 or m < 0:
-        raise DomainError("indices must be nonnegative")
+    check_degree("ell", ell)
+    check_degree("m", m)
     base = nu + 1.0 + (lam + mu) / 2.0
     p, q = (lam + ell) / 2.0, (mu + m) / 2.0
     return (
@@ -149,8 +148,8 @@ def coeff_table(params: ExpansionParams, L: int, M: int) -> np.ndarray:
     parity mask folded into the l+m vector, and gathered onto the grid as
     Hankel and Toeplitz views; one exp follows.
     """
-    if L < 0 or M < 0:
-        raise DomainError(f"orders must be nonnegative, got L={L!r}, M={M!r}")
+    check_degree("L", L)
+    check_degree("M", M)
     log_s, sign_s, log_d, sign_d = _diagonal_factors(params, L, M)
     log_s[np.arange(L + M + 1) % 2 != params.eps] = -np.inf
     vals = _hankel(log_s, M + 1) + _toeplitz(log_d, M + 1)
@@ -177,6 +176,8 @@ def series_eval_grid(
     params: ExpansionParams, s, t, L: int, M: int, force: bool = False
 ) -> np.ndarray:
     """Partial expansion sum on the tensor grid s x t."""
+    check_degree("L", L)
+    check_degree("M", M)
     params.require_hypothesis(force)
     cs = gegenbauer_all(params.lam, L, np.atleast_1d(s))
     ct = gegenbauer_all(params.mu, M, np.atleast_1d(t))
@@ -230,6 +231,8 @@ def tail_bound(params: ExpansionParams, L: int, M: int) -> float:
     extrapolated part carries a safety factor of two; the extrapolation is
     a heuristic, so the result is an estimate, not a proven bound.
     """
+    check_degree("L", L)
+    check_degree("M", M)
     W = max(L, M) + _WINDOW
     return _tail_from_grid(_term_sup_grid(params, W, W), params, L, M)
 
@@ -307,8 +310,8 @@ def plus_part_integral(
         raise DomainError("requires lam, mu > -1/2 and nu > 0, all finite")
     if not -1.0 <= x <= 1.0:
         raise DomainError("requires -1 <= x <= 1")
-    if ell < 0 or m < 0:
-        raise DomainError("indices must be nonnegative")
+    check_degree("ell", ell)
+    check_degree("m", m)
     coef = gamma_ratio(
         (2.0 * nu + 1.0,),
         (nu - (ell + m) / 2.0 + 1.0, mu + m + 1.0, lam + nu + (ell - m) / 2.0 + 1.0),
@@ -334,6 +337,8 @@ def sheared_integral(
     """
     if kind not in SHEAR_KINDS:
         raise DomainError(f"unknown variant {kind!r}")
+    check_degree("ell", ell)
+    check_degree("m", m)
     parity = -1.0 if (ell + m) % 2 else 1.0
     if kind == "abs" and parity < 0:
         return 0.0
@@ -351,6 +356,8 @@ def projection_integral(params: ExpansionParams, ell: int, m: int) -> float:
     """Closed form of the kernel's projection onto C_ell(s) C_m(t) under the
     product weight: (1+(-1)^(ell+m+eps))/2 times coefficient times both
     squared norms."""
+    check_degree("ell", ell)
+    check_degree("m", m)
     if (ell + m + params.eps) % 2:
         return 0.0
     return (
@@ -386,8 +393,8 @@ def moment_of_plus_integral(
     if not (-0.5 < lam < math.inf and -0.5 < mu < math.inf and 0.0 < nu < math.inf
             and -1.0 < beta < math.inf):
         raise DomainError("requires lam, mu > -1/2, nu > 0 and beta > -1, all finite")
-    if ell < 0 or m < 0:
-        raise DomainError("indices must be nonnegative")
+    check_degree("ell", ell)
+    check_degree("m", m)
     return gamma_ratio(
         (2.0 * nu + 1.0, beta + 1.0, lam + mu + 2.0 * nu + beta + 2.0),
         (
@@ -409,13 +416,13 @@ def shear_averaged_projection(
 
     Defined for even ell + m; the odd case is a domain error.
     """
+    check_degree("ell", ell)
+    check_degree("m", m)
     if (ell + m) % 2:
         raise DomainError("requires ell + m even")
     if not (-0.5 < lam < math.inf and -0.5 < mu < math.inf and 0.0 < nu < math.inf
             and -1.0 < b < math.inf):
         raise DomainError("requires lam, mu > -1/2, nu > 0 and b > -1, all finite")
-    if ell < 0 or m < 0:
-        raise DomainError("indices must be nonnegative")
     half = (ell + m) // 2
     const = math.sqrt(math.pi) * (-1.0) ** ((m - ell) // 2) / (
         math.factorial(ell) * math.factorial(m)
@@ -435,7 +442,6 @@ def shear_averaged_projection(
     )
 
 
-@lru_cache(maxsize=32)
 def _cosine_matrix(rho: float, parity: int, K: int) -> np.ndarray:
     """Reciprocal gamma products over the lattice [-K, K]^2 with the
     parity mask applied.
@@ -455,26 +461,25 @@ def _cosine_matrix(rho: float, parity: int, K: int) -> np.ndarray:
     return vals
 
 
-def cosine_expansion(rho: float, parity: int, phi: float, psi: float, K: int) -> float:
+def cosine_expansion(rho: float, parity: int, phi, psi, K: int) -> np.ndarray:
     """Truncated bilateral expansion of |cos(phi) + cos(psi)|^rho
-    sgn^parity(cos(phi) + cos(psi)).
+    sgn^parity(cos(phi) + cos(psi)) on the angle grid phi x psi.
 
-    Sums 2^(-rho) Gamma(rho+1)^2 cos(l phi) cos(m psi) over the four-gamma
-    reciprocal products for all integer |l|, |m| <= K with l = m + parity
-    mod 2, without folding the lattice.
+    Entry (i, j) sums 2^(-rho) Gamma(rho+1)^2 cos(l phi_i) cos(m psi_j) over
+    the four-gamma reciprocal products for all integer |l|, |m| <= K with
+    l = m + parity mod 2, without folding the lattice; the result has shape
+    (len(phi), len(psi)), a scalar angle counting as one.
     """
     if not 0.0 < rho < math.inf:
         raise DomainError("requires rho > 0 and finite")
     if parity not in (0, 1):
         raise DomainError("parity must be 0 or 1")
-    if K < 0:
-        raise DomainError("K must be nonnegative")
-    mat = _cosine_matrix(rho, parity, K)
+    check_degree("K", K)
     idx = np.arange(-K, K + 1)
-    cl = np.cos(idx * phi)
-    cm = np.cos(idx * psi)
+    cl = np.cos(np.multiply.outer(np.atleast_1d(phi), idx))
+    cm = np.cos(np.multiply.outer(idx, np.atleast_1d(psi)))
     pref = gamma_ratio((rho + 1.0, rho + 1.0), (), scale_log=-rho * LN2)
-    return pref * float(cl @ mat @ cm)
+    return pref * (cl @ _cosine_matrix(rho, parity, K) @ cm)
 
 
 def hermite_kernel_integral(nu: float, ell: int, m: int, x: float) -> float:
@@ -483,12 +488,12 @@ def hermite_kernel_integral(nu: float, ell: int, m: int, x: float) -> float:
     (-nu)_((ell+m)/2) (-1)^((ell-m)/2) 2^(ell+m) sqrt(pi) Gamma(nu+1/2)
     (x^2+1)^(nu-(ell+m)/2) x^m, for even ell + m.
     """
+    check_degree("ell", ell)
+    check_degree("m", m)
     if (ell + m) % 2:
         raise DomainError("requires ell + m even")
     if not (0.0 < nu < math.inf and math.isfinite(x)):
         raise DomainError("requires nu > 0 and finite x")
-    if ell < 0 or m < 0:
-        raise DomainError("indices must be nonnegative")
     half = (ell + m) // 2
     return (
         pochhammer(-nu, half)

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from numbers import Integral
 
 import numpy as np
 
 from .orthopoly import gauss_hermite_rule, gauss_jacobi_rule, gegenbauer, hermite
-from .specfun import DomainError
+from .specfun import DomainError, check_degree
 
 KERNELS = ("plus", "minus", "abs", "abssgn")
 
@@ -88,8 +87,7 @@ class QuadratureSpec:
                 raise DomainError(f"{name} takes two entries, got {pair!r}")
         for lam, n in zip(self.gegenbauer, self.degrees):
             _check_above("Gegenbauer parameter", lam, -0.5)
-            if not (isinstance(n, Integral) and n >= 0):
-                raise DomainError(f"degree must be a nonnegative integer, got {n!r}")
+            check_degree("degree", n)
             if n > 0 and lam == 0.0:
                 raise DomainError(f"degree {n} needs a nonzero Gegenbauer parameter")
         if self.extra_axis is not None:

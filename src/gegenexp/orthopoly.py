@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import DomainError, gamma_ratio, pochhammer
+from .specfun import DomainError, check_degree, gamma_ratio
 
 LN2 = math.log(2.0)
 LNPI = math.log(math.pi)
@@ -33,8 +33,7 @@ def gegenbauer(lam: float, n: int, x):
     seeded with C_0 = 1 and C_1 = 2 lam x.
     """
     _check_lambda(lam)
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
+    check_degree("n", n)
     x = np.asarray(x, dtype=float)
     prev = np.ones_like(x)
     if n == 0:
@@ -48,6 +47,7 @@ def gegenbauer(lam: float, n: int, x):
 def gegenbauer_all(lam: float, nmax: int, x) -> np.ndarray:
     """All degrees at once: array of shape (nmax+1,) + shape(x)."""
     _check_lambda(lam)
+    check_degree("nmax", nmax)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((nmax + 1,) + x.shape)
     out[0] = 1.0
@@ -58,22 +58,13 @@ def gegenbauer_all(lam: float, nmax: int, x) -> np.ndarray:
     return out
 
 
-def gegenbauer_endpoint(lam: float, n: int) -> float:
-    """C_n^lam(1) = (2 lam)_n / n!, the sup of |C_n^lam| on [-1, 1]."""
-    _check_lambda(lam)
-    if n <= 32:
-        return pochhammer(2.0 * lam, n) / math.factorial(n)
-    return gamma_ratio((n + 2.0 * lam,), (2.0 * lam, n + 1.0))
-
-
 def gegenbauer_norm_sq(lam: float, n: int) -> float:
     """Squared L2 norm of C_n^lam under the weight (1-x^2)^(lam-1/2).
 
     Equals 2^(1-2 lam) pi Gamma(n+2 lam) / (n! (n+lam) Gamma(lam)^2).
     """
     _check_lambda(lam)
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
+    check_degree("n", n)
     return gamma_ratio(
         (n + 2.0 * lam,),
         (n + 1.0, lam, lam),
@@ -82,23 +73,11 @@ def gegenbauer_norm_sq(lam: float, n: int) -> float:
 
 
 def u_prefactor(lam: float, n: int) -> float:
-    """Normalization 2^(2 lam - 1) n! Gamma(lam) / Gamma(2 lam + n)."""
+    """Normalization 2^(2 lam - 1) n! Gamma(lam) / Gamma(2 lam + n) of the
+    weighted polynomial u_n^lam(s) = u_prefactor (1-s^2)^(lam-1/2) C_n^lam(s)
+    that the sheared integrals take."""
+    check_degree("n", n)
     return gamma_ratio((n + 1.0, lam), (2.0 * lam + n,), scale_log=(2.0 * lam - 1.0) * LN2)
-
-
-def u_weighted(lam: float, n: int, s):
-    """Weighted, normalized polynomial u_n^lam(s).
-
-    u_n^lam(s) = 2^(2 lam - 1) n! Gamma(lam) / Gamma(2 lam + n)
-                 * (1 - s^2)^(lam - 1/2) * C_n^lam(s).
-    For lam < 1/2 the weight is singular at s = +-1.
-    """
-    if lam <= -0.5:
-        raise DomainError(f"u_weighted requires lam > -1/2, got {lam!r}")
-    s = np.asarray(s, dtype=float)
-    w = np.power(np.maximum(1.0 - s * s, 0.0), lam - 0.5)
-    val = u_prefactor(lam, n) * w * gegenbauer(lam, n, s)
-    return val if np.ndim(val) else float(val)
 
 
 def hermite(n: int, x):
@@ -106,8 +85,7 @@ def hermite(n: int, x):
 
     H_{n+1} = 2 x H_n - 2 n H_{n-1}, with H_0 = 1 and H_1 = 2x.
     """
-    if n < 0:
-        raise DomainError("degree must be nonnegative")
+    check_degree("n", n)
     x = np.asarray(x, dtype=float)
     prev = np.ones_like(x)
     if n == 0:
@@ -174,20 +152,6 @@ def gauss_jacobi_rule(alpha: float, beta: float, order: int) -> QuadratureRule:
     jac = np.diag(a) + np.diag(np.sqrt(b[1:]), 1) + np.diag(np.sqrt(b[1:]), -1)
     nodes, vecs = np.linalg.eigh(jac)
     weights = mu0 * vecs[0, :] ** 2
-    return QuadratureRule(nodes, weights)
-
-
-@lru_cache(maxsize=256)
-def gauss_gegenbauer_rule(lam: float, order: int) -> QuadratureRule:
-    """Gaussian rule for int_{-1}^{1} f(x) (1-x^2)^(lam-1/2) dx.
-
-    Nodes are symmetrized about 0 so parity holds exactly.
-    """
-    if lam <= -0.5:
-        raise DomainError(f"weight exponent requires lam > -1/2, got {lam!r}")
-    base = gauss_jacobi_rule(lam - 0.5, lam - 0.5, order)
-    nodes = 0.5 * (base.nodes - base.nodes[::-1])
-    weights = 0.5 * (base.weights + base.weights[::-1])
     return QuadratureRule(nodes, weights)
 
 

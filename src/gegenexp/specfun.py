@@ -1,11 +1,12 @@
 """Scalar special-function kernels.
 
-Log-gamma with explicit sign tracking (the pole test and the gamma sign also
-come as array versions, and _lgamma_1d gives log|Gamma|, sign and pole mask
-on a short 1-D lattice c + j/2, which is all the gamma work the closed-form
-grids need), a reciprocal gamma that is exactly zero at the poles, rising
-factorials, the beta function, an in-house digamma (reflection, recurrence
-and the asymptotic series), and a real-argument Gauss hypergeometric
+The rule that a degree or order is a nonnegative integer, the gamma pole
+test and sign (both also as array versions, and _lgamma_1d gives log|Gamma|,
+sign and pole mask on a short 1-D lattice c + j/2, which is all the gamma
+work the closed-form grids need), gamma ratios in log space, a reciprocal
+gamma that is exactly zero at the poles, rising factorials, the beta
+function, an in-house digamma (reflection, recurrence and the asymptotic
+series), and a real-argument Gauss hypergeometric
 function with termination detection, a z -> 1-z connection formula
 (including the logarithmic case for integer c-a-b) and exact Gauss
 summation at z = 1.  Everything runs on math and numpy alone.
@@ -70,14 +71,11 @@ def nonpositive_int_mask(x: np.ndarray) -> np.ndarray:
     return (x <= 0.5) & (r <= 0.0) & (np.abs(x - r) <= INTEGER_TOL)
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of |Gamma(x)|; the sign is given by gamma_sign(x).
-
-    Raises PoleError when x is within INTEGER_TOL of a nonpositive integer.
-    """
-    if nonpositive_int(x) is not None:
-        raise PoleError(f"log_gamma at pole x={x!r}")
-    return math.lgamma(x)
+def check_degree(name: str, n) -> None:
+    """Raise DomainError unless n, a degree or order called name, is a
+    nonnegative integer (a Python or numpy integer)."""
+    if not (isinstance(n, (int, np.integer)) and n >= 0):
+        raise DomainError(f"{name} must be a nonnegative integer, got {n!r}")
 
 
 def gamma_sign(x: float) -> float:
@@ -170,8 +168,7 @@ def rgamma(x: float) -> float:
 
 def pochhammer(y: float, n: int) -> float:
     """Rising factorial (y)_n = y (y+1) ... (y+n-1), with (y)_0 = 1."""
-    if n < 0:
-        raise DomainError("pochhammer requires n >= 0")
+    check_degree("n", n)
     out = 1.0
     for k in range(n):
         out *= y + k
@@ -197,7 +194,9 @@ def gamma_ratio(num=(), den=(), scale_log: float = 0.0, sign: float = 1.0) -> fl
         total -= math.lgamma(x)
         s *= gamma_sign(x)
     for x in num:
-        total += log_gamma(x)
+        if nonpositive_int(x) is not None:
+            raise PoleError(f"gamma pole at x={x!r}")
+        total += math.lgamma(x)
         s *= gamma_sign(x)
     if total > 709.782712893384:  # log of the largest double
         return s * math.inf

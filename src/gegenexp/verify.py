@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -62,26 +62,10 @@ class VerifyReport:
     cases: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "tol": self.tol,
-            "overall_pass": self.overall_pass,
-            "cases": [
-                {
-                    "identity": c.identity,
-                    "params": c.params,
-                    "closed_form": c.closed_form,
-                    "oracle": c.oracle,
-                    "abs_err": c.abs_err,
-                    "rel_err": c.rel_err,
-                    "pass": c.passed,
-                    "seconds": c.seconds,
-                    "note": c.note,
-                }
-                for c in self.cases
-            ],
-        }
+        """Every field, in declaration order; a case's `passed` is written as "pass"."""
+        return asdict(self, dict_factory=lambda items: {
+            "pass" if key == "passed" else key: value for key, value in items
+        })
 
 
 def _refine_2d(tol, kernel, exponent, gegenbauer, x=1.0, degrees=(0, 0)) -> float:
@@ -123,14 +107,9 @@ def cosine_sup_error(rho: float, parity: int, K: int) -> float:
     """Sup difference between the truncated trigonometric expansion and the
     kernel itself on a 9 x 9 angle lattice."""
     angles = np.linspace(0.1, math.pi - 0.1, 9)
-    worst = 0.0
-    for phi in angles:
-        for psi in angles:
-            k = math.cos(phi) + math.cos(psi)
-            ref = abs(k) ** rho * (math.copysign(1.0, k) ** parity if k != 0.0 else 0.0)
-            v = ex.cosine_expansion(rho, parity, float(phi), float(psi), K)
-            worst = max(worst, abs(v - ref))
-    return worst
+    k = np.add.outer(np.cos(angles), np.cos(angles))
+    ref = np.abs(k) ** rho * np.sign(k) ** parity
+    return float(np.abs(ex.cosine_expansion(rho, parity, angles, angles, K) - ref).max())
 
 
 def _cc_oracle(p: dict, tol: float) -> float:

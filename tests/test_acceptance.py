@@ -121,16 +121,12 @@ def test_criterion_6_limits():
     ok = ok and mehta_err <= 1e-9
     details.append(f"pair-kernel mass err {mehta_err:.1e}")
     angles = np.linspace(0.1, math.pi - 0.1, 9)
-    sup = 0.0
-    for parity in (0, 1):
-        for phi in angles:
-            for psi in angles:
-                k = math.cos(phi) + math.cos(psi)
-                ref = abs(k) ** 7 * (math.copysign(1.0, k) if parity else 1.0)
-                sup = max(
-                    sup,
-                    abs(cosine_expansion(7.0, parity, float(phi), float(psi), 40) - ref),
-                )
+    k = np.add.outer(np.cos(angles), np.cos(angles))
+    sup = max(
+        float(np.abs(cosine_expansion(7.0, parity, angles, angles, 40)
+                     - np.abs(k) ** 7 * np.sign(k) ** parity).max())
+        for parity in (0, 1)
+    )
     ok = ok and sup <= 1e-5
     details.append(f"cosine sup err {sup:.1e}")
     _report("criterion 6 (limit formulas)", ok, "; ".join(details))

@@ -113,7 +113,8 @@ class TestCoeffs:
         argv[argv.index(flag) + 1] = "-1"
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: orders must be nonnegative") and err.count("\n") == 1
+        name = {"--lmax": "L", "--mmax": "M"}[flag]
+        assert err == f"error: {name} must be a nonnegative integer, got -1\n"
         assert not (tmp_path / "x.csv").exists()
 
 

@@ -34,10 +34,13 @@ from gegenexp.expansion import (
 )
 from gegenexp.oracle import QuadratureSpec, refine_until
 from gegenexp.orthopoly import (
+    gegenbauer,
+    gegenbauer_all,
     gegenbauer_norm_sq,
+    hermite,
     u_prefactor,
 )
-from gegenexp.specfun import DomainError, gamma
+from gegenexp.specfun import DomainError, gamma, pochhammer, rgamma
 from gegenexp.verify import sheared_oracle
 
 
@@ -440,23 +443,44 @@ class TestMomentAndTriple:
 
 class TestCosine:
     def test_vanishing_configuration(self):
-        assert cosine_expansion(2.0, 0, 0.0, math.pi, 4) == pytest.approx(0.0, abs=1e-10)
+        assert cosine_expansion(2.0, 0, 0.0, math.pi, 4)[0, 0] == pytest.approx(0.0, abs=1e-10)
 
     def test_polynomial_case(self):
-        v = cosine_expansion(2.0, 0, math.pi / 3, math.pi / 4, 6)
+        v = cosine_expansion(2.0, 0, math.pi / 3, math.pi / 4, 6)[0, 0]
         ref = (math.cos(math.pi / 3) + math.cos(math.pi / 4)) ** 2
         assert v == pytest.approx(ref, rel=1e-13)
 
     def test_degree_seven_sup_error(self):
         angles = np.linspace(0.1, math.pi - 0.1, 9)
-        worst = 0.0
-        for phi in angles:
-            for psi in angles:
-                k = math.cos(phi) + math.cos(psi)
-                ref = abs(k) ** 7 * math.copysign(1.0, k)
-                v = cosine_expansion(7.0, 1, float(phi), float(psi), 40)
-                worst = max(worst, abs(v - ref))
-        assert worst < 1e-5
+        k = np.add.outer(np.cos(angles), np.cos(angles))
+        worst = np.abs(cosine_expansion(7.0, 1, angles, angles, 40) - np.abs(k) ** 7 * np.sign(k))
+        assert worst.max() < 1e-5
+
+    def test_grid_entry_is_the_sum_at_its_angles(self):
+        # the lattice sum written out term by term; the tolerance is relative
+        # to the sum of |terms|, since some entries cancel to ~1e-6 of it
+        rho, parity, K = 3.3, 1, 12
+        phi, psi = np.array([0.2, 1.1, 2.9]), np.array([0.5, 1.6, 2.2, 3.0])
+        grid = cosine_expansion(rho, parity, phi, psi, K)
+        assert grid.shape == (3, 4)
+        pref = 2.0**-rho * gamma(rho + 1.0) ** 2
+        for i, a in enumerate(phi):
+            for j, b in enumerate(psi):
+                terms = [
+                    pref * math.cos(l * a) * math.cos(m * b)
+                    * rgamma(1.0 + (rho + l + m) / 2.0) * rgamma(1.0 + (rho - l - m) / 2.0)
+                    * rgamma(1.0 + (rho + l - m) / 2.0) * rgamma(1.0 + (rho - l + m) / 2.0)
+                    for l in range(-K, K + 1)
+                    for m in range(-K, K + 1)
+                    if (l - m - parity) % 2 == 0
+                ]
+                scale = math.fsum(map(abs, terms))
+                assert abs(grid[i, j] - math.fsum(terms)) <= 1e-13 * scale
+
+    def test_returned_matrix_is_not_shared(self):
+        before = cosine_expansion(7.0, 1, 0.3, 0.4, 40)
+        ex._cosine_matrix(7.0, 1, 40)[...] *= 2.0
+        np.testing.assert_array_equal(cosine_expansion(7.0, 1, 0.3, 0.4, 40), before)
 
 
 class TestHermiteIntegral:
@@ -536,3 +560,46 @@ class TestNonFiniteInputs:
     def test_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
+
+
+_PARAMS = ExpansionParams(1.0, 1.0, 3.5, 0)
+DEGREE_ENTRIES = {
+    "expansion_coeff-ell": lambda n: expansion_coeff(1.0, 1.0, 1.0, n, 0),
+    "expansion_coeff-m": lambda n: expansion_coeff(1.0, 1.0, 1.0, 0, n),
+    "projection_integral-ell": lambda n: projection_integral(_PARAMS, n, 0),
+    "projection_integral-m": lambda n: projection_integral(_PARAMS, 0, n),
+    "sheared_integral-ell": lambda n: sheared_integral("abs", 1.0, 1.0, 1.0, n, 1, 0.5),
+    "sheared_integral-m": lambda n: sheared_integral("abs", 1.0, 1.0, 1.0, 1, n, 0.5),
+    "plus_part_integral-ell": lambda n: plus_part_integral(1.0, 1.0, 1.0, n, 0, 0.5),
+    "plus_part_integral-m": lambda n: plus_part_integral(1.0, 1.0, 1.0, 0, n, 0.5),
+    "moment_of_plus_integral-ell": lambda n: moment_of_plus_integral(1.0, 1.0, 1.0, 0.0, n, 0),
+    "moment_of_plus_integral-m": lambda n: moment_of_plus_integral(1.0, 1.0, 1.0, 0.0, 0, n),
+    "shear_averaged_projection-ell": lambda n: shear_averaged_projection(1.0, 1.0, 1.0, 0.0, n, 2),
+    "shear_averaged_projection-m": lambda n: shear_averaged_projection(1.0, 1.0, 1.0, 0.0, 2, n),
+    "hermite_kernel_integral-ell": lambda n: hermite_kernel_integral(1.0, n, 2, 0.3),
+    "hermite_kernel_integral-m": lambda n: hermite_kernel_integral(1.0, 2, n, 0.3),
+    "coeff_table-L": lambda n: coeff_table(_PARAMS, n, 2),
+    "coeff_table-M": lambda n: coeff_table(_PARAMS, 2, n),
+    "series_eval_grid-L": lambda n: series_eval_grid(_PARAMS, [0.1], [0.2], n, 2),
+    "series_eval_grid-M": lambda n: series_eval_grid(_PARAMS, [0.1], [0.2], 2, n),
+    "tail_bound-L": lambda n: tail_bound(_PARAMS, n, 2),
+    "tail_bound-M": lambda n: tail_bound(_PARAMS, 2, n),
+    "cosine_expansion": lambda n: cosine_expansion(2.0, 0, 0.1, 0.2, n),
+    "gegenbauer": lambda n: gegenbauer(1.0, n, 0.3),
+    "gegenbauer_all": lambda n: gegenbauer_all(1.0, n, 0.3),
+    "gegenbauer_norm_sq": lambda n: gegenbauer_norm_sq(1.0, n),
+    "u_prefactor": lambda n: u_prefactor(1.0, n),
+    "hermite": lambda n: hermite(n, 0.3),
+    "pochhammer": lambda n: pochhammer(1.0, n),
+    "QuadratureSpec-ell": lambda n: QuadratureSpec("abs", gegenbauer=(1.0, 1.0), degrees=(n, 0)),
+    "QuadratureSpec-m": lambda n: QuadratureSpec("abs", gegenbauer=(1.0, 1.0), degrees=(0, n)),
+}
+
+
+@pytest.mark.parametrize("call", DEGREE_ENTRIES.values(), ids=DEGREE_ENTRIES.keys())
+def test_degree_is_a_nonnegative_integer(call):
+    # numpy integers pass; 2.5 and -1 are refused before any parity shortcut
+    call(np.int64(2))
+    for bad in (2.5, -1):
+        with pytest.raises(DomainError, match=f"must be a nonnegative integer, got {bad!r}$"):
+            call(bad)

@@ -1,13 +1,28 @@
 """Package rules read from the source: the oracle stays independent of the
-closed forms, and no module reads the environment."""
+closed forms, no module reads the environment, and every export has a
+caller, a README mention or a test that compares against it."""
 
 import ast
+import re
 from pathlib import Path
 
 import gegenexp
 
 PACKAGE = Path(gegenexp.__file__).parent
+ROOT = PACKAGE.parents[1]
 TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+
+#: Exports that no module reads and the README does not name, each mapped to
+#: a test that compares a computed value against it.
+REFERENCE_ONLY = {
+    "gamma": "tests/test_orthopoly.py::TestGegenbauer::test_endpoint_value",
+    "hyp2f1_half": "tests/test_specfun.py::TestHyp2f1Half::test_matches_series",
+    "moment_of_plus_integral":
+        "tests/test_expansion.py::TestMomentAndTriple::test_moment_matches_quadrature",
+    "rgamma": "tests/test_specfun.py::TestGammaFamily::test_rgamma_inverts_gamma",
+    "weighted_power_mass":
+        "tests/test_oracle.py::TestBasics::test_weighted_mass_matches_closed_form",
+}
 
 
 def _package_imports(tree) -> set:
@@ -52,3 +67,54 @@ def test_oracle_is_independent_and_environment_unread():
             todo.extend(_package_imports(TREES[name]))
     assert not reached & {"expansion", "verify"}
     assert [name for name, tree in TREES.items() if _reads_environment(tree)] == []
+
+
+def _reads(tree) -> set:
+    """Names that a module reads, as an ast.Name or an ast.Attribute, outside
+    the def or class of the same name.  The match is by name alone, so a
+    local variable that shares an export's name counts as a read."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name):
+            found.update({node.id} - inside)
+        elif isinstance(node, ast.Attribute):
+            found.update({node.attr} - inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def _readme_code_names() -> set:
+    """Identifiers inside the README's code blocks and inline code spans."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```.*?```", text, flags=re.S)
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    return set(re.findall(r"\w+", " ".join(blocks + spans)))
+
+
+def _test_reads(test_id: str) -> set:
+    """Names that the test function test_id reads."""
+    path, *scope = test_id.split("::")
+    node = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+    for name in scope:
+        node = next(n for n in node.body if getattr(n, "name", None) == name)
+    return _reads(node)
+
+
+def test_every_export_has_a_reader():
+    exported = {
+        alias.asname or alias.name
+        for node in TREES["__init__"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    read = set().union(*(_reads(tree) for name, tree in TREES.items() if name != "__init__"))
+    unread = exported - read - _readme_code_names()
+    assert sorted(unread) == sorted(REFERENCE_ONLY)
+    for name, test_id in REFERENCE_ONLY.items():
+        assert name in _test_reads(test_id), (name, test_id)

@@ -1,4 +1,4 @@
-"""Polynomial evaluation, norms, weighted forms, and Gaussian rules."""
+"""Polynomial evaluation, norms, the u normalization, and Gaussian rules."""
 
 import math
 
@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 from gegenexp.orthopoly import (
-    gauss_gegenbauer_rule,
     gauss_hermite_rule,
     gauss_jacobi_rule,
     gegenbauer,
     gegenbauer_all,
-    gegenbauer_endpoint,
     gegenbauer_norm_sq,
     hermite,
-    u_weighted,
+    u_prefactor,
 )
 from gegenexp.specfun import DomainError, beta, gamma
+
+
+def gegenbauer_rule(lam, order):
+    """Gaussian rule for the weight (1-x^2)^(lam-1/2)."""
+    return gauss_jacobi_rule(lam - 0.5, lam - 0.5, order)
 
 
 class TestGegenbauer:
@@ -32,8 +35,7 @@ class TestGegenbauer:
     def test_endpoint_value(self):
         # C_n(1) = Gamma(n + 2 lam) / (n! Gamma(2 lam))
         assert gegenbauer(2.0, 3, 1.0) == pytest.approx(20.0, rel=1e-14)
-        assert gegenbauer_endpoint(2.0, 3) == pytest.approx(20.0, rel=1e-14)
-        assert gegenbauer_endpoint(0.8, 40) == pytest.approx(
+        assert gegenbauer(0.8, 40, 1.0) == pytest.approx(
             gamma(40 + 1.6) / (math.factorial(40) * gamma(1.6)), rel=1e-12
         )
 
@@ -56,7 +58,7 @@ class TestGegenbauer:
         for lam in (0.5, 1.0, 3.0):
             for n in range(31):
                 sup = np.abs(gegenbauer(lam, n, xs)).max()
-                assert sup <= gegenbauer_endpoint(lam, n) * (1.0 + 1e-12)
+                assert sup <= gegenbauer(lam, n, 1.0) * (1.0 + 1e-12)
 
     def test_derivative_lowers_degree(self):
         # d/dx C_n = 2 lam C_{n-1} at the raised parameter
@@ -83,21 +85,26 @@ class TestNorms:
         assert gegenbauer_norm_sq(0.5, 2) == pytest.approx(0.4, rel=1e-13)
 
     def test_quadrature_oracle(self):
-        rule = gauss_gegenbauer_rule(1.7, 48)
+        rule = gegenbauer_rule(1.7, 48)
         vals = gegenbauer(1.7, 5, rule.nodes)
         quad = float(rule.weights @ (vals * vals))
         assert gegenbauer_norm_sq(1.7, 5) == pytest.approx(quad, rel=1e-13)
 
 
+def u_value(lam, n, s):
+    """u_n^lam(s) = u_prefactor (1-s^2)^(lam-1/2) C_n^lam(s)."""
+    return u_prefactor(lam, n) * (1.0 - s * s) ** (lam - 0.5) * gegenbauer(lam, n, s)
+
+
 class TestWeighted:
     def test_center_values(self):
         # 2^(2 lam - 1) Gamma(lam) / Gamma(2 lam) = sqrt(pi) / Gamma(lam + 1/2)
-        assert u_weighted(0.5, 0, 0.0) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert u_weighted(1.0, 0, 0.0) == pytest.approx(2.0, rel=1e-14)
-        assert u_weighted(3.0, 1, 0.0) == 0.0
+        assert u_value(0.5, 0, 0.0) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+        assert u_value(1.0, 0, 0.0) == pytest.approx(2.0, rel=1e-14)
+        assert u_value(3.0, 1, 0.0) == 0.0
 
     def test_odd_parity(self):
-        assert u_weighted(1.2, 3, 0.4) == pytest.approx(-u_weighted(1.2, 3, -0.4), rel=1e-13)
+        assert u_value(1.2, 3, 0.4) == pytest.approx(-u_value(1.2, 3, -0.4), rel=1e-13)
 
     def test_rodrigues_form(self):
         # u_n(s) = (-1)^n 2^-n sqrt(pi)/Gamma(lam+n+1/2) d^n/ds^n (1-s^2)^(lam+n-1/2)
@@ -118,7 +125,7 @@ class TestWeighted:
             for s in (-0.4, 0.1, 0.55):
                 deriv = sum(c * w(n, s + o * h) for o, c in zip(offs, coefs)) / h**n
                 pref = (-1.0) ** n * 2.0**-n * math.sqrt(math.pi) / gamma(lam + n + 0.5)
-                assert u_weighted(lam, n, s) == pytest.approx(pref * deriv, rel=1e-4)
+                assert u_value(lam, n, s) == pytest.approx(pref * deriv, rel=1e-4)
 
 
 class TestHermite:
@@ -149,12 +156,12 @@ class TestHermite:
 
 class TestRules:
     def test_midpoint_case(self):
-        r = gauss_gegenbauer_rule(0.5, 1)
+        r = gegenbauer_rule(0.5, 1)
         np.testing.assert_allclose(r.nodes, [0.0], atol=1e-15)
         np.testing.assert_allclose(r.weights, [2.0], rtol=1e-14)
 
     def test_two_point_legendre(self):
-        r = gauss_gegenbauer_rule(0.5, 2)
+        r = gegenbauer_rule(0.5, 2)
         np.testing.assert_allclose(
             r.nodes, [-1 / math.sqrt(3), 1 / math.sqrt(3)], rtol=1e-14
         )
@@ -162,7 +169,7 @@ class TestRules:
 
     def test_total_mass(self):
         for lam, order in ((1.0, 9), (0.7, 33), (2.4, 16)):
-            r = gauss_gegenbauer_rule(lam, order)
+            r = gegenbauer_rule(lam, order)
             assert float(r.weights.sum()) == pytest.approx(
                 beta(0.5, lam + 0.5), rel=1e-13
             )
@@ -171,14 +178,14 @@ class TestRules:
         )
 
     def test_nodes_symmetric_and_increasing(self):
-        r = gauss_gegenbauer_rule(1.9, 25)
+        r = gegenbauer_rule(1.9, 25)
         assert np.all(np.diff(r.nodes) > 0)
-        np.testing.assert_array_equal(r.nodes, -r.nodes[::-1])
+        np.testing.assert_allclose(r.nodes, -r.nodes[::-1], rtol=0.0, atol=1e-15)
         assert np.all(r.weights > 0)
 
     def test_orthogonality(self):
         for lam in (0.5, 1.0, 2.5):
-            rule = gauss_gegenbauer_rule(lam, 64)
+            rule = gegenbauer_rule(lam, 64)
             c = gegenbauer_all(lam, 20, rule.nodes)
             gram = (c * rule.weights) @ c.T
             expect = np.diag([gegenbauer_norm_sq(lam, i) for i in range(21)])
@@ -188,7 +195,7 @@ class TestRules:
         # monomial moments against the beta closed form
         lam = 1.3
         q = 10
-        rule = gauss_gegenbauer_rule(lam, q)
+        rule = gegenbauer_rule(lam, q)
         for k in range(0, 2 * q, 2):
             quad = float(rule.weights @ rule.nodes**k)
             exact = beta((k + 1) / 2.0, lam + 0.5)
@@ -204,7 +211,6 @@ class TestRules:
         for rule in (
             gauss_jacobi_rule(0.0, 0.0, 4),
             gauss_jacobi_rule(0.3, -0.2, 1),
-            gauss_gegenbauer_rule(1.5, 6),
             gauss_hermite_rule(8),
         ):
             for arr in (rule.nodes, rule.weights):
