@@ -7,7 +7,9 @@ projection identity linking the two, classical specializations (Selberg,
 Warnaar, Tarasov-Varchenko, Dotsenko-Fateev, Mehta), the trigonometric and
 Hermite limit forms, and the sup-norm tail machinery used to pick
 truncation orders.  All gamma ratios run in log space with separate sign
-tracking; a gamma pole in a denominator produces an exact zero.
+tracking; a gamma pole in a denominator produces an exact zero.  A gamma
+at a lattice point c + j/2 (the coefficient's four denominators, on a grid
+or at one entry, and the cosine lattice) is taken by specfun._lgamma_at.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .orthopoly import gegenbauer_all, gegenbauer_norm_sq
-from .specfun import DomainError, _lgamma_1d, check_degree, gamma_ratio, hyp2f1, pochhammer
+from .specfun import (
+    DomainError, _lgamma_at, _log_gamma_ratio, check_degree, gamma_ratio, hyp2f1, pochhammer,
+)
 
 LN2 = math.log(2.0)
 LNPI = math.log(math.pi)
@@ -69,30 +73,45 @@ class SeriesEvalResult:
     tail_bound: float
 
 
+def _log_numerator(lam: float, mu: float, nu: float) -> float:
+    """log Gamma(lam+mu+2nu+1) Gamma(lam) Gamma(mu) Gamma(2nu+1) - 2nu ln 2,
+    the log of b_{l,m}'s constant numerator."""
+    args = (lam + mu + 2.0 * nu + 1.0, lam, mu, 2.0 * nu + 1.0)
+    return _log_gamma_ratio(args)[0] - 2.0 * nu * LN2
+
+
+def _denominator_lattices(lam: float, mu: float, nu: float, s, d):
+    """b_{l,m}'s four denominator gammas as (c, j) pairs, Gamma(c + j/2):
+    nu+1+lam+mu+s/2 and nu+1-s/2 on s = l+m, then nu+1+lam+d/2 and
+    nu+1+mu-d/2 on d = l-m (integers, or integer vectors for a grid)."""
+    return (
+        ((nu + 1.0 + lam + mu, s), (nu + 1.0, -s)),
+        ((nu + 1.0 + lam, d), (nu + 1.0 + mu, -d)),
+    )
+
+
 def expansion_coeff(lam: float, mu: float, nu: float, ell: int, m: int) -> float:
     """Coefficient of C_ell(s) C_m(t) in the two-variable power expansion.
 
     (-1)^m (lam+ell)(mu+m) Gamma(lam+mu+2nu+1) Gamma(lam) Gamma(mu)
     Gamma(2nu+1) divided by 2^(2nu) and the four gammas at
-    nu+1+(lam+mu)/2 +- (lam+ell)/2 +- (mu+m)/2.  A pole in any denominator
-    gamma gives an exact zero, which is what truncates polynomial kernels.
+    nu+1+(lam+mu)/2 +- (lam+ell)/2 +- (mu+m)/2, taken from the same lattice
+    pairs as coeff_table.  A pole in any denominator gamma gives an exact
+    zero, which is what truncates polynomial kernels.
     """
     if not (0.0 < lam < math.inf and 0.0 < mu < math.inf and 0.0 < nu < math.inf):
         raise DomainError("requires lam, mu, nu > 0 and finite")
     check_degree("ell", ell)
     check_degree("m", m)
-    base = nu + 1.0 + (lam + mu) / 2.0
-    p, q = (lam + ell) / 2.0, (mu + m) / 2.0
-    return (
-        (lam + ell)
-        * (mu + m)
-        * gamma_ratio(
-            (lam + mu + 2.0 * nu + 1.0, lam, mu, 2.0 * nu + 1.0),
-            (base + p + q, base + p - q, base - p + q, base - p - q),
-            scale_log=-2.0 * nu * LN2,
-            sign=-1.0 if m % 2 else 1.0,
-        )
-    )
+    log, sign = _log_numerator(lam, mu, nu), -1.0 if m % 2 else 1.0
+    s_pairs, d_pairs = _denominator_lattices(lam, mu, nu, ell + m, ell - m)
+    for c, j in s_pairs + d_pairs:
+        lg, sg = _lgamma_at(c, j)
+        log, sign = log - lg, sign * sg
+    if log == -math.inf:
+        return 0.0
+    # sign * exp(log), +-inf past the double range
+    return (lam + ell) * (mu + m) * gamma_ratio(scale_log=log, sign=sign)
 
 
 def _hankel(v: np.ndarray, n: int) -> np.ndarray:
@@ -109,56 +128,39 @@ def _reciprocal_gammas(*lattices):
     """log|1 / prod Gamma(c + j/2)| and its sign over (c, j) pairs of a
     scalar and a 1-D integer vector, all j of equal length; the log is -inf
     where any argument is a pole."""
-    log, sign, dead = 0.0, 1.0, False
+    log, sign = 0.0, 1.0
     for c, j in lattices:
-        lg, sg, pole = _lgamma_1d(c, j)
-        log, sign, dead = log - lg, sign * sg, dead | pole
-    return np.where(dead, -np.inf, log), sign
-
-
-def _diagonal_factors(params: ExpansionParams, L: int, M: int):
-    """The four denominator gammas of b_{l,m} on 1-D index vectors.
-
-    nu+1+lam+mu+(l+m)/2 and nu+1-(l+m)/2 depend on s = l+m alone, and
-    nu+1+lam+(l-m)/2 and nu+1+mu-(l-m)/2 on d = l-m alone.  Returns
-    (log_s, sign_s) over s = 0..L+M, with the numerator constant folded
-    into log_s, and (log_d, sign_d) over d = -M..L; a pole gives -inf.
-    """
-    lam, mu, nu = params.lam, params.mu, params.nu
-    s = np.arange(L + M + 1)
-    d = np.arange(-M, L + 1)
-    log_s, sign_s = _reciprocal_gammas((nu + 1.0 + lam + mu, s), (nu + 1.0, -s))
-    log_d, sign_d = _reciprocal_gammas((nu + 1.0 + lam, d), (nu + 1.0 + mu, -d))
-    log_s += (
-        math.lgamma(lam + mu + 2.0 * nu + 1.0)
-        + math.lgamma(lam)
-        + math.lgamma(mu)
-        + math.lgamma(2.0 * nu + 1.0)
-        - 2.0 * nu * LN2
-    )
-    return log_s, sign_s, log_d, sign_d
+        lg, sg = np.array([_lgamma_at(c, k) for k in j.tolist()]).T
+        log, sign = log - lg, sign * sg
+    return log, sign
 
 
 def coeff_table(params: ExpansionParams, L: int, M: int) -> np.ndarray:
     """Dense (L+1) x (M+1) coefficient table, entries with l+m of the wrong
     parity zeroed.
 
-    Vectorized counterpart of expansion_coeff with the same pole zeros.  The
-    gammas are taken on the l+m and l-m vectors (O(L+M) values), with the
-    parity mask folded into the l+m vector, and gathered onto the grid as
-    Hankel and Toeplitz views; one exp follows.
+    Vectorized counterpart of expansion_coeff with the same lattice pairs
+    and pole zeros.  The gammas are taken on the s = l+m and d = l-m vectors
+    (O(L+M) values), the numerator and the parity mask are folded into the
+    s vector, and both are gathered onto the grid as Hankel and Toeplitz
+    views; one exp follows.
     """
     check_degree("L", L)
     check_degree("M", M)
-    log_s, sign_s, log_d, sign_d = _diagonal_factors(params, L, M)
-    log_s[np.arange(L + M + 1) % 2 != params.eps] = -np.inf
+    lam, mu, nu = params.lam, params.mu, params.nu
+    s = np.arange(L + M + 1)
+    s_pairs, d_pairs = _denominator_lattices(lam, mu, nu, s, np.arange(-M, L + 1))
+    log_s, sign_s = _reciprocal_gammas(*s_pairs)
+    log_d, sign_d = _reciprocal_gammas(*d_pairs)
+    log_s += _log_numerator(lam, mu, nu)
+    log_s[s % 2 != params.eps] = -np.inf
     vals = _hankel(log_s, M + 1) + _toeplitz(log_d, M + 1)
     np.exp(vals, out=vals)
     vals *= _hankel(sign_s, M + 1)
     vals *= _toeplitz(sign_d, M + 1)
     m = np.arange(M + 1)
-    vals *= (params.lam + np.arange(L + 1))[:, None]
-    vals *= np.where(m % 2, -1.0, 1.0) * (params.mu + m)
+    vals *= (lam + np.arange(L + 1))[:, None]
+    vals *= np.where(m % 2, -1.0, 1.0) * (mu + m)
     vals += 0.0  # a masked entry's or a pole's zero is +0.0, whatever its sign
     return vals
 
@@ -199,25 +201,21 @@ def series_eval(
     return SeriesEvalResult(value, bound)
 
 
-def _term_sup_grid(params: ExpansionParams, L: int, M: int) -> np.ndarray:
-    """|b_{l,m}| C_l(1) C_m(1) with the parity mask applied.
+def _endpoint_values(lam: float, n: int) -> np.ndarray:
+    """C_k^lam(1) = (2 lam)_k / k! for k = 0..n, as a running product of the
+    factors (2 lam + i) / (i + 1)."""
+    i = np.arange(n)
+    return np.concatenate(([1.0], np.cumprod((2.0 * lam + i) / (i + 1.0))))
 
-    Built like coeff_table, with the mask folded into the l+m vector and the
-    endpoint values C_n(1) = Gamma(n + 2 lam) / (n! Gamma(2 lam)) taken on
-    the 1-D index vectors.
-    """
-    lam, mu = params.lam, params.mu
-    log_s, _, log_d, _ = _diagonal_factors(params, L, M)
-    log_s[np.arange(L + M + 1) % 2 != params.eps] = -np.inf
-    vals = _hankel(log_s, M + 1) + _toeplitz(log_d, M + 1)
-    np.exp(vals, out=vals)
-    ell = np.arange(L + 1)
-    m = np.arange(M + 1)
-    ce = _lgamma_1d(2.0 * lam, 2 * ell)[0] - _lgamma_1d(1.0, 2 * ell)[0]
-    cm = _lgamma_1d(2.0 * mu, 2 * m)[0] - _lgamma_1d(1.0, 2 * m)[0]
-    vals *= ((lam + ell) * np.exp(ce - math.lgamma(2.0 * lam)))[:, None]
-    vals *= (mu + m) * np.exp(cm - math.lgamma(2.0 * mu))
-    return vals
+
+def _term_sup_grid(params: ExpansionParams, L: int, M: int) -> np.ndarray:
+    """|b_{l,m}| C_l(1) C_m(1) with the parity mask applied: the magnitude of
+    coeff_table times the endpoint values of both polynomials."""
+    T = coeff_table(params, L, M)
+    np.abs(T, out=T)
+    T *= _endpoint_values(params.lam, L)[:, None]
+    T *= _endpoint_values(params.mu, M)
+    return T
 
 
 def tail_bound(params: ExpansionParams, L: int, M: int) -> float:
@@ -250,12 +248,10 @@ def _tail_from_grid(T: np.ndarray, params: ExpansionParams, L: int, M: int) -> f
     discard = (ell[:, None] > L) | (ell[None, :] > M)
     finite = float(T[discard].sum())
 
-    bands = np.bincount(
-        (ell[:, None] + ell[None, :]).ravel(), weights=T.ravel(), minlength=2 * W + 1
-    )
     s_hi = W if (W - params.eps) % 2 == 0 else W - 1
     s_lo = s_hi - 2
-    b_hi, b_lo = float(bands[s_hi]), float(bands[s_lo])
+    # band s, the anti-diagonal l + m = s, is a diagonal of the flipped block
+    b_hi, b_lo = (float(np.trace(T[:, ::-1], offset=W - s)) for s in (s_hi, s_lo))
     if b_hi == 0.0:
         rest = 0.0  # bands terminated: polynomial kernel
     elif b_lo <= b_hi or s_lo <= 0:
@@ -296,6 +292,15 @@ def truncation_order(params: ExpansionParams, tol: float) -> tuple:
     raise DomainError(f"tail estimate cannot reach {tol} by order {MAX_ORDER}")
 
 
+def _check_plus_part(lam: float, mu: float, nu: float, x: float) -> None:
+    """Raise DomainError outside plus_part_integral's domain: lam, mu > -1/2
+    and nu > 0, all finite, and -1 <= x <= 1."""
+    if not (-0.5 < lam < math.inf and -0.5 < mu < math.inf and 0.0 < nu < math.inf):
+        raise DomainError("requires lam, mu > -1/2 and nu > 0, all finite")
+    if not -1.0 <= x <= 1.0:
+        raise DomainError("requires -1 <= x <= 1")
+
+
 def plus_part_integral(
     lam: float, mu: float, nu: float, ell: int, m: int, x: float
 ) -> float:
@@ -306,10 +311,7 @@ def plus_part_integral(
     -lam-nu+(m-ell)/2; mu+m+1; x^2) over 2^(2nu+1)
     Gamma(nu-(ell+m)/2+1) Gamma(mu+m+1) Gamma(lam+nu+(ell-m)/2+1).
     """
-    if not (-0.5 < lam < math.inf and -0.5 < mu < math.inf and 0.0 < nu < math.inf):
-        raise DomainError("requires lam, mu > -1/2 and nu > 0, all finite")
-    if not -1.0 <= x <= 1.0:
-        raise DomainError("requires -1 <= x <= 1")
+    _check_plus_part(lam, mu, nu, x)
     check_degree("ell", ell)
     check_degree("m", m)
     coef = gamma_ratio(
@@ -333,16 +335,17 @@ def sheared_integral(
     """Sign variants of the sheared kernel integral.
 
     minus flips by (-1)^(ell+m); abs keeps only even ell+m (factor
-    1+(-1)^(ell+m)); abssgn keeps only odd (factor 1-(-1)^(ell+m)).
+    1+(-1)^(ell+m)); abssgn keeps only odd (factor 1-(-1)^(ell+m)).  The
+    arguments are checked as plus_part_integral checks them, also where the
+    variant vanishes by parity.
     """
     if kind not in SHEAR_KINDS:
         raise DomainError(f"unknown variant {kind!r}")
     check_degree("ell", ell)
     check_degree("m", m)
     parity = -1.0 if (ell + m) % 2 else 1.0
-    if kind == "abs" and parity < 0:
-        return 0.0
-    if kind == "abssgn" and parity > 0:
+    if (kind == "abs" and parity < 0) or (kind == "abssgn" and parity > 0):
+        _check_plus_part(lam, mu, nu, x)  # plus_part_integral checks the others
         return 0.0
     base = plus_part_integral(lam, mu, nu, ell, m, x)
     if kind == "plus":
@@ -408,6 +411,11 @@ def moment_of_plus_integral(
     )
 
 
+def _rising_ratio(a: float, b: float, n: int) -> float:
+    """(a)_n / (b)_n as the running product of (a + k) / (b + k), k < n."""
+    return math.prod((a + k) / (b + k) for k in range(n))
+
+
 def shear_averaged_projection(
     lam: float, mu: float, nu: float, b: float, ell: int, m: int
 ) -> float:
@@ -423,22 +431,18 @@ def shear_averaged_projection(
     if not (-0.5 < lam < math.inf and -0.5 < mu < math.inf and 0.0 < nu < math.inf
             and -1.0 < b < math.inf):
         raise DomainError("requires lam, mu > -1/2, nu > 0 and b > -1, all finite")
+    # (2 lam)_ell / ell!, (2 mu)_m / m! and (-nu)_half / (big)_half as
+    # running products of factors near 1, the gammas left in one ratio
     half = (ell + m) // 2
-    const = math.sqrt(math.pi) * (-1.0) ** ((m - ell) // 2) / (
-        math.factorial(ell) * math.factorial(m)
+    big = lam + mu + nu + b + 2.0
+    products = (
+        _rising_ratio(2.0 * lam, 1.0, ell)
+        * _rising_ratio(2.0 * mu, 1.0, m)
+        * _rising_ratio(-nu, big, half)
     )
-    poch = (
-        pochhammer(2.0 * lam, ell)
-        * pochhammer(2.0 * mu, m)
-        * pochhammer(-nu, half)
-    )
-    return const * poch * gamma_ratio(
+    return math.sqrt(math.pi) * (-1.0) ** ((m - ell) // 2) * products * gamma_ratio(
         (lam + 0.5, mu + 0.5, nu + 0.5, lam + mu + 2.0 * nu + b + 2.0, b + 1.0),
-        (
-            lam + mu + nu + b + half + 2.0,
-            lam + nu + (ell - m) / 2.0 + 1.0,
-            mu + nu + b - (ell - m) / 2.0 + 2.0,
-        ),
+        (big, lam + nu + (ell - m) / 2.0 + 1.0, mu + nu + b - (ell - m) / 2.0 + 2.0),
     )
 
 

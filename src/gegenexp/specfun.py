@@ -1,15 +1,15 @@
 """Scalar special-function kernels.
 
 The rule that a degree or order is a nonnegative integer, the gamma pole
-test and sign (both also as array versions, and _lgamma_1d gives log|Gamma|,
-sign and pole mask on a short 1-D lattice c + j/2, which is all the gamma
-work the closed-form grids need), gamma ratios in log space, a reciprocal
-gamma that is exactly zero at the poles, rising factorials, the beta
-function, an in-house digamma (reflection, recurrence and the asymptotic
-series), and a real-argument Gauss hypergeometric
-function with termination detection, a z -> 1-z connection formula
-(including the logarithmic case for integer c-a-b) and exact Gauss
-summation at z = 1.  Everything runs on math and numpy alone.
+test and sign, log|Gamma| at a lattice point c + j/2 (_lgamma_at, the one
+way the closed forms take a gamma whose argument is a parameter plus a
+half-integer), gamma ratios in log space, a reciprocal gamma that is
+exactly zero at the poles, rising factorials, the beta function, an
+in-house digamma (reflection, recurrence and the asymptotic series), and a
+real-argument Gauss hypergeometric function with termination detection, a
+z -> 1-z connection formula (including the logarithmic case for integer
+c-a-b) and exact Gauss summation at z = 1.  Everything runs on math and
+numpy alone; no other module of the package calls math.lgamma.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +35,8 @@ MAX_TERMS = 10_000
 
 #: |z| above which evaluation routes through a connection formula.
 Z_SWITCH = 0.75
+
+_LOG_PI = math.log(math.pi)
 
 
 class PoleError(ValueError):
@@ -64,13 +67,6 @@ def nonpositive_int(x: float) -> int | None:
     return None
 
 
-def nonpositive_int_mask(x: np.ndarray) -> np.ndarray:
-    """Array version of nonpositive_int: True where x is within INTEGER_TOL
-    of a nonpositive integer."""
-    r = np.round(x)
-    return (x <= 0.5) & (r <= 0.0) & (np.abs(x - r) <= INTEGER_TOL)
-
-
 def check_degree(name: str, n) -> None:
     """Raise DomainError unless n, a degree or order called name, is a
     nonnegative integer (a Python or numpy integer)."""
@@ -86,35 +82,33 @@ def gamma_sign(x: float) -> float:
     return -1.0 if math.floor(-x) % 2 == 0 else 1.0
 
 
-def gamma_sign_array(x: np.ndarray) -> np.ndarray:
-    """Array version of gamma_sign."""
-    return np.where(x > 0.0, 1.0, np.where(np.floor(-x) % 2 == 0, -1.0, 1.0))
-
-
-def _lgamma_1d(c: float, j: np.ndarray):
-    """log|Gamma(x)|, the sign of Gamma(x) and the pole mask at the points
-    x = c + j/2 of a 1-D integer vector j.
+def _lgamma_at(c: float, j: int) -> tuple:
+    """(log|Gamma(x)|, sign of Gamma(x)) at the lattice point x = c + j/2,
+    with log +inf and sign 1 at a pole.
 
     Below x = 1/2 the reflection Gamma(x) Gamma(1-x) = pi / sin(pi x)
     (DLMF 5.5.3) is used, with sin(pi x) taken from c's exact offset from
     the nearest integer (even j) or half-integer (odd j) rather than from
     the rounded x: near a pole that rounding would cost |psi(x)| ulp(x) of
-    relative accuracy.  Pole entries get log|Gamma| = 0 and sign 1; callers
-    use the mask.  Meant for the short index vectors of the coefficient
-    grids (a few thousand entries): math.lgamma runs per entry.
+    relative accuracy.  The sine's log is numpy's, not math's: the two
+    differ in the last bit on ~1% of arguments, and numpy's keeps
+    coeff_table bit-identical to the tables of earlier versions.
     """
-    j = np.asarray(j)
     x = c + 0.5 * j
-    pole = nonpositive_int_mask(x)
-    safe = np.where(pole, 1.0, x)
-    low = safe < 0.5
-    logabs = np.fromiter(
-        map(math.lgamma, np.where(low, 1.0 - safe, safe).tolist()), float, count=x.size
-    )
-    offset = np.where(j[low] % 2 == 0, c - round(c), c - (math.floor(c) + 0.5))
-    sin_pi_x = np.abs(np.sin(math.pi * offset))
-    logabs[low] = math.log(math.pi) - np.log(sin_pi_x) - logabs[low]
-    return logabs, gamma_sign_array(safe), pole
+    if x >= 0.5:
+        return math.lgamma(x), 1.0
+    if nonpositive_int(x) is not None:
+        return math.inf, 1.0
+    return _log_pi_over_sin(c, j % 2) - math.lgamma(1.0 - x), gamma_sign(x)
+
+
+@lru_cache(maxsize=128)
+def _log_pi_over_sin(c: float, odd: int) -> float:
+    """log(pi / |sin(pi x)|) for every x = c + j/2 with j % 2 == odd, from
+    c's offset from the nearest integer (even j) or half-integer (odd j).
+    It depends on c and the parity alone: a lattice computes it at most twice."""
+    offset = c - (math.floor(c) + 0.5) if odd else c - round(c)
+    return _LOG_PI - float(np.log(abs(math.sin(math.pi * offset))))
 
 
 #: Coefficients B_2k / (2k) of the digamma asymptotic series, k = 1..7.
@@ -180,17 +174,19 @@ def beta(a: float, b: float) -> float:
     return gamma_ratio((a, b), (a + b,))
 
 
-def gamma_ratio(num=(), den=(), scale_log: float = 0.0, sign: float = 1.0) -> float:
-    """prod Gamma(num_i) / prod Gamma(den_j) * sign * exp(scale_log).
+def _log_gamma_ratio(num=(), den=(), scale_log: float = 0.0, sign: float = 1.0):
+    """(log|prod Gamma(num_i) / prod Gamma(den_j)| + scale_log, its sign
+    times sign).
 
-    Computed in log space.  A pole in a denominator factor yields an exact
-    0.0; a pole in a numerator factor raises PoleError.
+    A pole in a numerator factor raises PoleError, also when a denominator
+    has one too; otherwise a pole in a denominator factor gives (-inf, 1).
     """
     total = scale_log
     s = sign
     for x in den:
         if nonpositive_int(x) is not None:
-            return 0.0
+            _log_gamma_ratio(num)  # raises if a numerator has a pole too
+            return -math.inf, 1.0
         total -= math.lgamma(x)
         s *= gamma_sign(x)
     for x in num:
@@ -198,6 +194,17 @@ def gamma_ratio(num=(), den=(), scale_log: float = 0.0, sign: float = 1.0) -> fl
             raise PoleError(f"gamma pole at x={x!r}")
         total += math.lgamma(x)
         s *= gamma_sign(x)
+    return total, s
+
+
+def gamma_ratio(num=(), den=(), scale_log: float = 0.0, sign: float = 1.0) -> float:
+    """prod Gamma(num_i) / prod Gamma(den_j) * sign * exp(scale_log).
+
+    Computed in log space.  A pole in a numerator factor raises PoleError,
+    whatever the denominators; otherwise a pole in a denominator factor
+    yields an exact 0.0.
+    """
+    total, s = _log_gamma_ratio(num, den, scale_log, sign)
     if total > 709.782712893384:  # log of the largest double
         return s * math.inf
     return s * math.exp(total)
@@ -281,18 +288,14 @@ def _log_case(a: float, b: float, m: int, w: float):
     """
     c = a + b + m
     logw = math.log(w)
-    # Finite part: Gamma(m) Gamma(c) / (Gamma(a+m) Gamma(b+m)) * sum_{n<m}.
+    # Finite part: Gamma(m) Gamma(c) / (Gamma(a+m) Gamma(b+m)) times
+    # sum_{n<m} (a)_n (b)_n w^n / (n! (1-m)_n), the Gauss series at 1-m cut
+    # after its m terms.
     p1 = 0.0
     if m >= 1:
         pref1 = gamma_ratio((float(m), c), (a + m, b + m))
         if pref1 != 0.0:
-            acc = 0.0
-            term = 1.0
-            for n in range(m):
-                acc += term
-                if n + 1 < m:
-                    term *= (a + n) * (b + n) * w / ((n + 1.0) * (1.0 - m + n))
-            p1 = pref1 * acc
+            p1 = pref1 * _series(a, b, 1.0 - m, w, nterms=m - 1)[0]
     # Logarithmic part.
     sgn = -1.0 if m % 2 else 1.0
     pref2 = sgn * gamma_ratio((c,), (a, b), scale_log=m * logw)

@@ -240,6 +240,34 @@ class TestBx:
         out = capsys.readouterr()
         assert out.out == "" and "nu > 0, all finite" in out.err
 
+    @pytest.mark.parametrize(
+        "variant, ell, m, lam, x",
+        [("abs", 1, 0, "-5", "7"), ("abs", 1, 0, "-5", "0.5"), ("abssgn", 1, 1, "nan", "0.5"),
+         ("abs", 1, 0, "1", "7")],
+        ids=["abs-lam-and-x", "abs-lam", "abssgn-lam-nan", "abs-x"],
+    )
+    @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["plain", "oracle"])
+    def test_vanishing_variant_outside_domain_exits_2(self, variant, ell, m, lam, x, oracle,
+                                                      capsys):
+        # the parity zero was printed, and --oracle then divided by zero
+        argv = ["bx", "--variant", variant, f"--lambda={lam}", "--mu", "1", "--nu", "1",
+                "--ell", str(ell), "--m", str(m), "--x", x] + oracle
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: requires") and out.err.count("\n") == 1
+
+    def test_zero_over_zero_normalization_exits_2(self, capsys):
+        # u_prefactor(0, 0) is Gamma(1) Gamma(0) / Gamma(0): the closed form is
+        # printed, then the oracle's normalization raises instead of dividing
+        # by a false zero
+        argv = ["bx", "--lambda", "0", "--mu", "1", "--nu", "1", "--ell", "0", "--m", "0",
+                "--x", "0.5", "--oracle"]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert len(out.out.splitlines()) == 1
+        assert out.err.startswith("error: gamma pole") and out.err.count("\n") == 1
+
 
 class TestVerify:
     def test_single_suite_report(self, capsys):

@@ -96,9 +96,10 @@ class TestCoefficients:
         # whose gamma arguments pass near poles; 150 entries each with l,
         # m <= 1200; integer and half-integer nu put exact zeros on the grid.
         # Each entry is read from the table of its parity, where it is kept,
-        # and must be zero in the other.
+        # and must be zero in the other.  The scalar expansion_coeff must
+        # give the same entry, which it reads from the same lattice pairs.
         rng = np.random.default_rng(1200)
-        n, worst, zeros = 1200, 0.0, 0
+        n, worst, worst_scalar, zeros = 1200, 0.0, 0.0, 0
         for k in range(7):
             lam, mu = rng.uniform(0.1, 8.0, 2)
             draws = (rng.uniform(0.2, 30.0), float(rng.integers(1, 5)), rng.integers(1, 12) / 2)
@@ -114,6 +115,7 @@ class TestCoefficients:
             for ell, m in rng.integers(0, n + 1, size=(150, 2)).tolist():
                 grid = tables[(ell + m) % 2]
                 assert tables[1 - (ell + m) % 2][ell, m] == 0.0
+                scalar = expansion_coeff(lam, mu, nu, ell, m)
                 s, d = mp.mpf(ell + m) / 2, mp.mpf(ell - m) / 2
                 ref = (-1) ** m * (lam_ + ell) * (mu_ + m) * num * (
                     mp.rgamma(nu_ + 1 + lam_ + mu_ + s) * mp.rgamma(nu_ + 1 - s)
@@ -121,11 +123,13 @@ class TestCoefficients:
                 )
                 if ref == 0:
                     zeros += 1
-                    assert grid[ell, m] == 0.0
+                    assert grid[ell, m] == 0.0 and scalar == 0.0
                 else:
                     worst = max(worst, float(abs((grid[ell, m] - ref) / ref)))
+                    worst_scalar = max(worst_scalar, float(abs((scalar - ref) / ref)))
         assert zeros > 0
         assert worst <= 1e-11, worst
+        assert worst_scalar <= 1e-11, worst_scalar
 
     def test_table_matches_oracle_projections(self):
         # dense table against quadrature of the projection integrals
@@ -319,6 +323,26 @@ class TestShearedIntegral:
         assert sheared_integral("abs", 1, 1, 1.2, 1, 2, 0.6) == 0.0
         assert sheared_integral("abssgn", 1, 1, 1.2, 2, 2, 0.6) == 0.0
 
+    @pytest.mark.parametrize("kind, ell, m", [("abs", 1, 0), ("abssgn", 1, 1)])
+    @pytest.mark.parametrize(
+        "lam, mu, nu, x",
+        [
+            (-5.0, 1.0, 1.0, 0.5),
+            (math.nan, 1.0, 1.0, 0.5),
+            (1.0, -0.5, 1.0, 0.5),
+            (1.0, math.inf, 1.0, 0.5),
+            (1.0, 1.0, 0.0, 0.5),
+            (1.0, 1.0, math.nan, 0.5),
+            (1.0, 1.0, 1.0, 7.0),
+            (1.0, 1.0, 1.0, math.nan),
+        ],
+        ids=["lam", "lam-nan", "mu", "mu-inf", "nu", "nu-nan", "x", "x-nan"],
+    )
+    def test_vanishing_variant_checks_its_arguments(self, kind, ell, m, lam, mu, nu, x):
+        # the parity zero is no answer outside plus_part_integral's domain
+        with pytest.raises(DomainError, match="^requires"):
+            sheared_integral(kind, lam, mu, nu, ell, m, x)
+
     def test_variant_relations(self):
         base = plus_part_integral(1, 1, 1.2, 1, 2, 0.6)
         assert sheared_integral("minus", 1, 1, 1.2, 1, 2, 0.6) == pytest.approx(
@@ -433,6 +457,38 @@ class TestMomentAndTriple:
                 * moment_of_plus_integral(lam, mu, nu, b, ell, m)
             )
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @mp.workdps(40)
+    @pytest.mark.parametrize(
+        "lam, mu, nu, b, ell, m",
+        [
+            (1.0, 1.0, 1.3, 0.5, 170, 0),
+            (1.0, 1.0, 1.3, 0.5, 200, 0),
+            (1.2, 0.8, 1.7, 0.3, 180, 180),
+            (0.7, 1.9, 2.0, -0.4, 12, 30),
+            (0.0, 1.1, 0.6, 0.2, 0, 40),
+        ],
+        ids=["ell-170", "ell-200", "both-180", "integer-nu", "lam-zero"],
+    )
+    def test_triple_against_mpmath(self, lam, mu, nu, b, ell, m):
+        # factorials and Pochhammer symbols of degree ~200 overflow a double
+        # on their own, while the value does not
+        lam_, mu_, nu_, b_ = (mp.mpf(v) for v in (lam, mu, nu, b))
+        half, d = (ell + m) // 2, mp.mpf(ell - m) / 2
+        ref = (
+            mp.sqrt(mp.pi) * (-1) ** ((m - ell) // 2)
+            * mp.rf(2 * lam_, ell) * mp.rf(2 * mu_, m) * mp.rf(-nu_, half)
+            / (mp.factorial(ell) * mp.factorial(m))
+            * mp.gamma(lam_ + 0.5) * mp.gamma(mu_ + 0.5) * mp.gamma(nu_ + 0.5)
+            * mp.gamma(lam_ + mu_ + 2 * nu_ + b_ + 2) * mp.gamma(b_ + 1)
+            * mp.rgamma(lam_ + mu_ + nu_ + b_ + half + 2)
+            * mp.rgamma(lam_ + nu_ + d + 1) * mp.rgamma(mu_ + nu_ + b_ - d + 2)
+        )
+        val = shear_averaged_projection(lam, mu, nu, b, ell, m)
+        if ref == 0:
+            assert val == 0.0
+        else:
+            assert val == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
     def test_triple_known_value(self):
         # hand-reduced value at the all-ones parameter point

@@ -1,6 +1,7 @@
 """Package rules read from the source: the oracle stays independent of the
-closed forms, no module reads the environment, and every export has a
-caller, a README mention or a test that compares against it."""
+closed forms, no module reads the environment, log-gamma is taken in
+specfun alone, and every export has a caller, a README mention or a test
+that compares against it."""
 
 import ast
 import re
@@ -67,6 +68,23 @@ def test_oracle_is_independent_and_environment_unread():
             todo.extend(_package_imports(TREES[name]))
     assert not reached & {"expansion", "verify"}
     assert [name for name, tree in TREES.items() if _reads_environment(tree)] == []
+
+
+def _uses_lgamma(tree) -> bool:
+    """Whether a module reads math.lgamma, as an attribute or by import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "lgamma":
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            if "lgamma" in {a.name for a in node.names}:
+                return True
+    return False
+
+
+def test_log_gamma_is_taken_in_specfun_alone():
+    # every other module reaches a gamma through specfun's lattice rule
+    # (_lgamma_at) or its log-space ratio, so there is one way to take it
+    assert [name for name, tree in TREES.items() if _uses_lgamma(tree)] == ["specfun"]
 
 
 def _reads(tree) -> set:
