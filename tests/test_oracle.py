@@ -307,6 +307,23 @@ class TestRegularizedKernel:
         for exp_s, exp_t in [(0.2, -0.3), (math.nan, 0.5)]:
             with pytest.raises(DomainError):
                 regularized_inverse_square(exp_s, exp_t, 1e-6)
+        # each exponent is checked before any rule is built, under its own name
+        for exp_s, exp_t, name in [
+            (-1.5, 2.0, "exp_s"),
+            (2.0, -1.2, "exp_t"),
+            (math.inf, 0.5, "exp_s"),
+        ]:
+            with pytest.raises(DomainError, match=name):
+                regularized_inverse_square(exp_s, exp_t, 1e-4)
+
+    def test_evaluation_counts(self):
+        # (1 + u-nodes) x v-width per rung.  Rung 0: _ladder(2) = (14, 16),
+        # u on 13 levels each way, 2 * 14 * 14 = 392; v width 2 * 17 * 14 = 476.
+        # Rung 1: _ladder(3) = (17, 21), u on 15 levels, 2 * 16 * 17 = 544;
+        # v width 2 * 22 * 17 = 748.  393 * 476 + 545 * 748 = 594_728.
+        r = regularized_inverse_square(0.8, 0.9, 1e-6)
+        assert r.level == 1
+        assert r.evaluations == 594_728
 
     def test_estimate_covers_error_over_draw_range(self):
         # consecutive rungs share the G(u) - G(0) rounding noise, so their
@@ -315,6 +332,17 @@ class TestRegularizedKernel:
             r = regularized_inverse_square(lam - 0.5, mu - 0.5, 1e-6)
             ref = dotsenko_fateev(lam, mu)
             assert abs(r.value - ref) <= r.est_error
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="below lam = 1/2 the rung difference understates the error",
+    )
+    def test_estimate_covers_error_below_half(self):
+        # (lam, mu) = (0.2, 1.1): the value lies ~1.0e-3 from the closed form
+        # while est_error is ~6.5e-4
+        r = regularized_inverse_square(-0.3, 0.6, 6.6e-4)
+        assert abs(r.value - dotsenko_fateev(0.2, 1.1)) <= r.est_error
 
 
 class TestThreeDimensional:
