@@ -94,7 +94,6 @@ def _cmd_eval(args) -> int:
     pts = np.linspace(-1.0, 1.0, args.grid)
     series = ex.series_eval_grid(params, pts, pts, L, M, force=True)
     kernel = ex.kernel_value(params, pts[:, None], pts[None, :])
-    kernel = np.atleast_2d(kernel)
     lines = ["s,t,series,kernel,abs_err"]
     for i, s in enumerate(pts):
         for j, t in enumerate(pts):

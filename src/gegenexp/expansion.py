@@ -22,7 +22,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .orthopoly import gegenbauer_all, gegenbauer_norm_sq
 from .specfun import (
-    DomainError, _lgamma_at, _log_gamma_ratio, check_degree, gamma_ratio, hyp2f1, pochhammer,
+    DomainError, _lgamma_at, _log_gamma_ratio, check_above, check_degree, gamma_ratio, hyp2f1,
+    pochhammer,
 )
 
 LN2 = math.log(2.0)
@@ -49,9 +50,9 @@ class ExpansionParams:
     eps: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.lam < math.inf and 0.0 < self.mu < math.inf
-                and 0.0 < self.nu < math.inf):
-            raise DomainError("requires lam, mu, nu > 0 and finite")
+        check_above("lam", self.lam, 0.0)
+        check_above("mu", self.mu, 0.0)
+        check_above("nu", self.nu, 0.0)
         if self.eps not in (0, 1):
             raise DomainError("eps must be 0 or 1")
 
@@ -99,8 +100,7 @@ def expansion_coeff(lam: float, mu: float, nu: float, ell: int, m: int) -> float
     pairs as coeff_table.  A pole in any denominator gamma gives an exact
     zero, which is what truncates polynomial kernels.
     """
-    if not (0.0 < lam < math.inf and 0.0 < mu < math.inf and 0.0 < nu < math.inf):
-        raise DomainError("requires lam, mu, nu > 0 and finite")
+    ExpansionParams(lam, mu, nu)  # checks lam, mu and nu
     check_degree("ell", ell)
     check_degree("m", m)
     log, sign = _log_numerator(lam, mu, nu), -1.0 if m % 2 else 1.0
@@ -177,9 +177,14 @@ def kernel_value(params: ExpansionParams, s, t):
 def series_eval_grid(
     params: ExpansionParams, s, t, L: int, M: int, force: bool = False
 ) -> np.ndarray:
-    """Partial expansion sum on the tensor grid s x t."""
+    """Partial expansion sum on the tensor grid s x t.  Every point lies in
+    [-1, 1], the square that the tail estimate's sup runs over."""
     check_degree("L", L)
     check_degree("M", M)
+    for name, x in (("s", s), ("t", t)):
+        outside = np.asarray(x, dtype=float)[~(np.abs(x) <= 1.0)]  # NaN included
+        if outside.size:
+            raise DomainError(f"{name} must lie in [-1, 1], got {float(outside[0])!r}")
     params.require_hypothesis(force)
     cs = gegenbauer_all(params.lam, L, np.atleast_1d(s))
     ct = gegenbauer_all(params.mu, M, np.atleast_1d(t))
@@ -272,8 +277,7 @@ def truncation_order(params: ExpansionParams, tol: float) -> tuple:
     MAX_ORDER + _WINDOW per side.  The returned order is the one a scan with
     tail_bound would give.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    check_above("tol", tol, 0.0)
     params.require_hypothesis()
     candidates = [(0, 1)] if params.eps == 1 else [(0, 0)]
     n = 1
@@ -292,11 +296,13 @@ def truncation_order(params: ExpansionParams, tol: float) -> tuple:
     raise DomainError(f"tail estimate cannot reach {tol} by order {MAX_ORDER}")
 
 
-def _check_plus_part(lam: float, mu: float, nu: float, x: float) -> None:
+def _check_plus_part(lam: float, mu: float, nu: float, x: float = 0.0) -> None:
     """Raise DomainError outside plus_part_integral's domain: lam, mu > -1/2
-    and nu > 0, all finite, and -1 <= x <= 1."""
-    if not (-0.5 < lam < math.inf and -0.5 < mu < math.inf and 0.0 < nu < math.inf):
-        raise DomainError("requires lam, mu > -1/2 and nu > 0, all finite")
+    and nu > 0, all finite, and -1 <= x <= 1 (a closed form with no shear
+    leaves x at 0)."""
+    check_above("lam", lam, -0.5)
+    check_above("mu", mu, -0.5)
+    check_above("nu", nu, 0.0)
     if not -1.0 <= x <= 1.0:
         raise DomainError("requires -1 <= x <= 1")
 
@@ -376,8 +382,9 @@ def plus_base_integral(a: float, b: float, c: float, x: float) -> float:
     sqrt(pi) Gamma(a) Gamma(b) Gamma(c) / (2 Gamma(a+c) Gamma(b+1/2)) times
     2F1(-c+1/2, -a-c+1; b+1/2; x^2).
     """
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf and 0.5 < c < math.inf):
-        raise DomainError("requires a, b > 0 and c > 1/2, all finite")
+    check_above("a", a, 0.0)
+    check_above("b", b, 0.0)
+    check_above("c", c, 0.5)
     if not -1.0 <= x <= 1.0:
         raise DomainError("requires -1 <= x <= 1")
     coef = gamma_ratio(
@@ -393,9 +400,8 @@ def moment_of_plus_integral(
 ) -> float:
     """Closed form of int_0^1 x^(2 mu + m + 1) (1-x^2)^beta B(x) dx where
     B(x) is plus_part_integral at shear x."""
-    if not (-0.5 < lam < math.inf and -0.5 < mu < math.inf and 0.0 < nu < math.inf
-            and -1.0 < beta < math.inf):
-        raise DomainError("requires lam, mu > -1/2, nu > 0 and beta > -1, all finite")
+    _check_plus_part(lam, mu, nu)
+    check_above("beta", beta, -1.0)
     check_degree("ell", ell)
     check_degree("m", m)
     return gamma_ratio(
@@ -428,9 +434,8 @@ def shear_averaged_projection(
     check_degree("m", m)
     if (ell + m) % 2:
         raise DomainError("requires ell + m even")
-    if not (-0.5 < lam < math.inf and -0.5 < mu < math.inf and 0.0 < nu < math.inf
-            and -1.0 < b < math.inf):
-        raise DomainError("requires lam, mu > -1/2, nu > 0 and b > -1, all finite")
+    _check_plus_part(lam, mu, nu)
+    check_above("b", b, -1.0)
     # (2 lam)_ell / ell!, (2 mu)_m / m! and (-nu)_half / (big)_half as
     # running products of factors near 1, the gammas left in one ratio
     half = (ell + m) // 2
@@ -474,8 +479,7 @@ def cosine_expansion(rho: float, parity: int, phi, psi, K: int) -> np.ndarray:
     l = m + parity mod 2, without folding the lattice; the result has shape
     (len(phi), len(psi)), a scalar angle counting as one.
     """
-    if not 0.0 < rho < math.inf:
-        raise DomainError("requires rho > 0 and finite")
+    check_above("rho", rho, 0.0)
     if parity not in (0, 1):
         raise DomainError("parity must be 0 or 1")
     check_degree("K", K)
@@ -496,8 +500,8 @@ def hermite_kernel_integral(nu: float, ell: int, m: int, x: float) -> float:
     check_degree("m", m)
     if (ell + m) % 2:
         raise DomainError("requires ell + m even")
-    if not (0.0 < nu < math.inf and math.isfinite(x)):
-        raise DomainError("requires nu > 0 and finite x")
+    check_above("nu", nu, 0.0)
+    check_above("x", x, -math.inf)
     half = (ell + m) // 2
     return (
         pochhammer(-nu, half)
@@ -516,13 +520,11 @@ def weighted_power_mass(lam: float, mu: float, nu: float) -> float:
     The integral converges for lam, mu, nu > -1/2 with lam + mu + 2 nu + 1
     > 0 (the corners s = t = +-1); elsewhere this raises DomainError.
     """
-    if not (
-        -0.5 < lam < math.inf and -0.5 < mu < math.inf and -0.5 < nu < math.inf
-        and lam + mu + 2.0 * nu + 1.0 > 0.0
-    ):
-        raise DomainError(
-            "requires lam, mu, nu > -1/2 and lam + mu + 2 nu + 1 > 0, all finite"
-        )
+    check_above("lam", lam, -0.5)
+    check_above("mu", mu, -0.5)
+    check_above("nu", nu, -0.5)
+    if not lam + mu + 2.0 * nu + 1.0 > 0.0:
+        raise DomainError("requires lam + mu + 2 nu + 1 > 0")
     return gamma_ratio(
         (lam + 0.5, mu + 0.5, nu + 0.5, lam + mu + 2.0 * nu + 1.0),
         (lam + nu + 1.0, mu + nu + 1.0, lam + mu + nu + 1.0),
@@ -533,10 +535,10 @@ def weighted_power_mass(lam: float, mu: float, nu: float) -> float:
 def selberg2(lam: float, nu: float) -> float:
     """Two-variable Selberg integral, weighted_power_mass at mu = lam; it
     converges for lam, nu > -1/2 with 2 lam + 2 nu + 1 > 0."""
-    if not (-0.5 < lam < math.inf and -0.5 < nu < math.inf and lam + nu + 0.5 > 0.0):
-        raise DomainError(
-            "requires lam, nu > -1/2 and 2 lam + 2 nu + 1 > 0, all finite"
-        )
+    check_above("lam", lam, -0.5)
+    check_above("nu", nu, -0.5)
+    if not lam + nu + 0.5 > 0.0:
+        raise DomainError("requires 2 lam + 2 nu + 1 > 0")
     return gamma_ratio(
         (lam + 0.5, lam + 0.5, lam + nu + 0.5, lam + nu + 0.5, 1.0 + 2.0 * nu),
         (2.0 * lam + 1.0 + nu, 2.0 * lam + 2.0 * nu + 1.0, 1.0 + nu),
@@ -549,8 +551,10 @@ def warnaar(lam: float, mu: float) -> float:
     and I_> the integrals of |s-t|^(-lam-mu) (1-s^2)^(mu-1/2) (1-t^2)^(lam-1/2)
     over s < t and t < s in [-1, 1]^2.  Both converge for lam, mu > -1/2 with
     lam + mu < 1; mu = 1/2, where cos(pi mu) = 0, raises PoleError."""
-    if not (-0.5 < lam and -0.5 < mu and lam + mu < 1.0):
-        raise DomainError("requires lam, mu > -1/2 and lam + mu < 1")
+    check_above("lam", lam, -0.5)
+    check_above("mu", mu, -0.5)
+    if not lam + mu < 1.0:
+        raise DomainError("requires lam + mu < 1")
     return gamma_ratio(
         (lam + 0.5, 0.5 - mu, mu + 0.5, mu + 0.5),
         (lam + 1.0 - mu, mu + 1.0 - lam, lam + mu + 1.0),
@@ -560,8 +564,8 @@ def warnaar(lam: float, mu: float) -> float:
 def tarasov_varchenko(lam: float, nu: float) -> float:
     """Tarasov-Varchenko one-sided integral of (t-s)^(2 nu) (1-s^2)^(lam-1/2)
     over s < t in [-1, 1]^2; it converges for lam, nu > -1/2."""
-    if not (-0.5 < lam < math.inf and -0.5 < nu < math.inf):
-        raise DomainError("requires lam, nu > -1/2, both finite")
+    check_above("lam", lam, -0.5)
+    check_above("nu", nu, -0.5)
     return gamma_ratio(
         (lam + 0.5, 1.5 + lam + 2.0 * nu),
         (2.0 + 2.0 * lam + 2.0 * nu,),
@@ -572,8 +576,10 @@ def tarasov_varchenko(lam: float, nu: float) -> float:
 def dotsenko_fateev(lam: float, mu: float) -> float:
     """Dotsenko-Fateev finite part of int int |s-t|^(-2) (1-s^2)^(lam-1/2)
     (1-t^2)^(mu-1/2), defined for lam, mu > -1/2 with lam + mu > 1."""
-    if not (-0.5 < lam < math.inf and -0.5 < mu < math.inf and lam + mu > 1.0):
-        raise DomainError("requires lam, mu > -1/2 and lam + mu > 1, both finite")
+    check_above("lam", lam, -0.5)
+    check_above("mu", mu, -0.5)
+    if not lam + mu > 1.0:
+        raise DomainError("requires lam + mu > 1")
     return gamma_ratio(
         (lam + 0.5, lam + 0.5, mu + 0.5, mu + 0.5),
         (2.0 * lam, 2.0 * mu),
@@ -584,6 +590,5 @@ def dotsenko_fateev(lam: float, mu: float) -> float:
 def mehta2(nu: float) -> float:
     """Mehta's (1 / 2 pi) int int |s-t|^(2 nu) e^(-(s^2+t^2)/2) over R^2; it
     converges for nu > -1/2."""
-    if not -0.5 < nu < math.inf:
-        raise DomainError("requires nu > -1/2 and finite")
+    check_above("nu", nu, -0.5)
     return gamma_ratio((1.0 + 2.0 * nu,), (1.0 + nu,))

@@ -36,7 +36,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .orthopoly import gauss_hermite_rule, gauss_jacobi_rule, gegenbauer, hermite
-from .specfun import DomainError, check_degree
+from .specfun import DomainError, check_above, check_degree
 
 KERNELS = ("plus", "minus", "abs", "abssgn")
 
@@ -49,11 +49,6 @@ class OracleConvergenceError(RuntimeError):
         super().__init__(message)
         self.value = value
         self.est_error = est_error
-
-
-def _check_above(what: str, value, floor: float) -> None:
-    if not floor < value < np.inf:
-        raise DomainError(f"{what} must be finite and exceed {floor}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,19 +75,19 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.kernel not in KERNELS:
             raise DomainError(f"unknown kernel {self.kernel!r}")
-        _check_above("kernel exponent", self.kernel_exponent, -1.0)
+        check_above("kernel exponent", self.kernel_exponent, -1.0)
         for name in ("gegenbauer", "degrees", "extra_axis"):
             pair = getattr(self, name)
             if pair is not None and len(pair) != 2:
                 raise DomainError(f"{name} takes two entries, got {pair!r}")
         for lam, n in zip(self.gegenbauer, self.degrees):
-            _check_above("Gegenbauer parameter", lam, -0.5)
+            check_above("Gegenbauer parameter", lam, -0.5)
             check_degree("degree", n)
             if n > 0 and lam == 0.0:
                 raise DomainError(f"degree {n} needs a nonzero Gegenbauer parameter")
         if self.extra_axis is not None:
             for a in self.extra_axis:
-                _check_above("extra_axis exponent", a, -1.0)
+                check_above("extra_axis exponent", a, -1.0)
         if not -1.0 <= self.x_shear <= 1.0:
             raise DomainError(f"x_shear must lie in [-1, 1], got {self.x_shear!r}")
         if self.extra_axis is not None and self.x_shear != 0.0:
@@ -165,8 +160,7 @@ def _refine(rung, target: float, max_level: int) -> QuadResult:
     """The stopping rule over rung(k) -> (value, evaluations), k = 0, 1, ...:
     return the first rung within target of the one before it, or raise
     OracleConvergenceError when rung max_level is not."""
-    if not target > 0.0:
-        raise DomainError(f"target must be positive, got {target!r}")
+    check_above("target", target, 0.0)
     value, evals = rung(0)
     for level in range(1, max_level + 1):
         prev = value
@@ -271,8 +265,8 @@ def integrate_hermite_2d(nu: float, x: float, ell: int, m: int, target: float) -
     graded Jacobi panels, truncated where the Gaussian factor falls below
     ~1e-35.
     """
-    if not (nu > 0.0 and np.isfinite(x)):
-        raise DomainError(f"requires nu > 0 and finite x, got nu={nu!r}, x={x!r}")
+    check_above("nu", nu, 0.0)
+    check_above("x", x, -np.inf)
 
     def rung(level: int):
         order, levels = _ladder(level)
@@ -333,8 +327,8 @@ def regularized_inverse_square(exp_s: float, exp_t: float, target: float) -> Qua
     factor 4.  That estimate is tested for lam, mu in [0.9, 2], where
     exp = lam - 1/2; below lam or mu = 1/2 it can miss the error.
     """
-    _check_above("exp_s", exp_s, -1.0)
-    _check_above("exp_t", exp_t, -1.0)
+    check_above("exp_s", exp_s, -1.0)
+    check_above("exp_t", exp_t, -1.0)
     sigma = exp_s + exp_t
     if not sigma > 0.0:
         raise DomainError(f"finite part needs exp_s + exp_t > 0, got {sigma!r}")

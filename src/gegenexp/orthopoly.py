@@ -13,17 +13,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import DomainError, check_degree, gamma_ratio
+from .specfun import DomainError, check_above, check_degree, gamma_ratio
 
 LN2 = math.log(2.0)
 LNPI = math.log(math.pi)
 
 
 def _check_lambda(lam: float) -> None:
-    if lam <= -0.5 or lam == 0.0:
-        raise DomainError(
-            f"ultraspherical parameter must satisfy lam > -1/2 and lam != 0, got {lam!r}"
-        )
+    check_above("lam", lam, -0.5)
+    if lam == 0.0:
+        raise DomainError(f"ultraspherical parameter lam must be nonzero, got {lam!r}")
 
 
 def gegenbauer(lam: float, n: int, x):
@@ -76,6 +75,7 @@ def u_prefactor(lam: float, n: int) -> float:
     """Normalization 2^(2 lam - 1) n! Gamma(lam) / Gamma(2 lam + n) of the
     weighted polynomial u_n^lam(s) = u_prefactor (1-s^2)^(lam-1/2) C_n^lam(s)
     that the sheared integrals take."""
+    check_above("lam", lam, -0.5)
     check_degree("n", n)
     return gamma_ratio((n + 1.0, lam), (2.0 * lam + n,), scale_log=(2.0 * lam - 1.0) * LN2)
 
@@ -140,10 +140,8 @@ def gauss_jacobi_rule(alpha: float, beta: float, order: int) -> QuadratureRule:
 
     Exact for polynomial f of degree <= 2 order - 1; alpha, beta > -1 finite.
     """
-    if not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
-        raise DomainError(
-            f"Jacobi exponents must be finite and exceed -1, got {alpha!r}, {beta!r}"
-        )
+    check_above("alpha", alpha, -1.0)
+    check_above("beta", beta, -1.0)
     if order < 1:
         raise DomainError("order must be >= 1")
     a, b, mu0 = _jacobi_coefficients(alpha, beta, order)

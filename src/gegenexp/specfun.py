@@ -1,15 +1,17 @@
 """Scalar special-function kernels.
 
-The rule that a degree or order is a nonnegative integer, the gamma pole
-test and sign, log|Gamma| at a lattice point c + j/2 (_lgamma_at, the one
-way the closed forms take a gamma whose argument is a parameter plus a
-half-integer), gamma ratios in log space, a reciprocal gamma that is
-exactly zero at the poles, rising factorials, the beta function, an
-in-house digamma (reflection, recurrence and the asymptotic series), and a
-real-argument Gauss hypergeometric function with termination detection, a
-z -> 1-z connection formula (including the logarithmic case for integer
-c-a-b) and exact Gauss summation at z = 1.  Everything runs on math and
-numpy alone; no other module of the package calls math.lgamma.
+The rule that a degree or order is a nonnegative integer, check_above
+(the one rule that a real argument is finite and exceeds its floor), the
+gamma pole test and sign, log|Gamma| at a lattice point c + j/2
+(_lgamma_at, the one way the closed forms take a gamma whose argument is a
+parameter plus a half-integer), gamma ratios in log space, a reciprocal
+gamma that is exactly zero at the poles, rising factorials, the beta
+function, an in-house digamma (reflection, recurrence and the asymptotic
+series), and a real-argument Gauss hypergeometric function with
+termination detection, a z -> 1-z connection formula (including the
+logarithmic case for integer c-a-b) and exact Gauss summation at z = 1.
+Everything runs on math and numpy alone; no other module of the package
+calls math.lgamma.
 """
 
 from __future__ import annotations
@@ -54,13 +56,12 @@ class ConvergenceError(RuntimeError):
 def nonpositive_int(x: float) -> int | None:
     """Return n >= 0 such that x is within INTEGER_TOL of -n, else None.
 
-    Raises DomainError for NaN and -inf, which no gamma or series argument
+    Raises DomainError for NaN and +-inf, which no gamma or series argument
     may be.
     """
-    if x > 0.5:
+    if 0.5 < x < math.inf:
         return None
-    if not x > -math.inf:
-        raise DomainError(f"argument must be a number above -inf, got {x!r}")
+    check_above("argument", x, -math.inf)
     n = round(x)
     if n <= 0 and abs(x - n) <= INTEGER_TOL:
         return -int(n)
@@ -72,6 +73,13 @@ def check_degree(name: str, n) -> None:
     nonnegative integer (a Python or numpy integer)."""
     if not (isinstance(n, (int, np.integer)) and n >= 0):
         raise DomainError(f"{name} must be a nonnegative integer, got {n!r}")
+
+
+def check_above(name: str, value, floor: float) -> None:
+    """Raise DomainError unless value, a real argument called name, is
+    finite and exceeds floor; floor -inf asks for a finite value only."""
+    if not floor < value < math.inf:
+        raise DomainError(f"{name} must be finite and exceed {floor}, got {value!r}")
 
 
 def gamma_sign(x: float) -> float:
@@ -162,6 +170,7 @@ def rgamma(x: float) -> float:
 
 def pochhammer(y: float, n: int) -> float:
     """Rising factorial (y)_n = y (y+1) ... (y+n-1), with (y)_0 = 1."""
+    check_above("y", y, -math.inf)
     check_degree("n", n)
     out = 1.0
     for k in range(n):
@@ -383,8 +392,9 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> HypResult:
     """
     if not -1.0 < z <= 1.0:
         raise DomainError(f"2F1 supported for -1 < z <= 1, got z={z!r}")
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise DomainError(f"2F1 needs finite parameters, got {(a, b, c)!r}")
+    check_above("a", a, -math.inf)
+    check_above("b", b, -math.inf)
+    check_above("c", c, -math.inf)
 
     nterm = _termination_index(a, b)
     nc = nonpositive_int(c)

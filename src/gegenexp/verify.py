@@ -21,7 +21,7 @@ import numpy as np
 from . import expansion as ex
 from . import oracle as orc
 from .orthopoly import u_prefactor
-from .specfun import ConvergenceError, DomainError
+from .specfun import ConvergenceError, DomainError, check_above
 
 DEFAULT_SEED = 20240401
 
@@ -296,17 +296,8 @@ def _run_case(row: SuiteRow, params: dict, tol: float) -> CaseResult:
         abs_err = abs(cf - oc)
         rel_err = abs_err / (1.0 + abs(cf))
         passed = abs_err <= tol * (1.0 + abs(cf))
-    return CaseResult(
-        row.identity,
-        params,
-        cf,
-        oc,
-        abs_err,
-        rel_err,
-        passed,
-        time.perf_counter() - start,
-        note,
-    )
+    seconds = time.perf_counter() - start
+    return CaseResult(row.identity, params, cf, oc, abs_err, rel_err, passed, seconds, note)
 
 
 def run_suite(
@@ -319,8 +310,8 @@ def run_suite(
     """Run one suite (or 'all'); case order and values are seed-deterministic."""
     if suite not in SUITES:
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
-    if tol is not None and not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    if tol is not None:
+        check_above("tol", tol, 0.0)
     if cases is not None and cases < 0:
         raise DomainError(f"cases must be nonnegative, got {cases!r}")
     if seed < 0:
@@ -335,11 +326,10 @@ def run_suite(
     if not timings:
         for r in results:
             r.seconds = 0.0
-    report = VerifyReport(
+    return VerifyReport(
         suite=suite,
         seed=seed,
         tol=tol,
         overall_pass=bool(results) and all(r.passed for r in results),
         cases=results,
     )
-    return report

@@ -90,7 +90,8 @@ class TestCoeffs:
                 "--out", str(tmp_path / "x.csv")]
         argv[argv.index(flag) + 1] = "nan"
         assert main(argv) == 2
-        assert "requires lam, mu, nu > 0" in capsys.readouterr().err
+        name = {"--lambda": "lam", "--mu": "mu", "--nu": "nu"}[flag]
+        assert capsys.readouterr().err == f"error: {name} must be finite and exceed 0.0, got nan\n"
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("value", ["inf", "-inf"])
@@ -102,7 +103,10 @@ class TestCoeffs:
         index = next(i for i, arg in enumerate(argv) if arg.startswith(f"{flag}="))
         argv[index] = f"{flag}={value}"
         assert main(argv) == 2
-        assert "requires lam, mu, nu > 0 and finite" in capsys.readouterr().err
+        name = {"--lambda": "lam", "--mu": "mu", "--nu": "nu"}[flag]
+        assert capsys.readouterr().err == (
+            f"error: {name} must be finite and exceed 0.0, got {value}\n"
+        )
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--lmax", "--mmax"])
@@ -227,7 +231,9 @@ class TestBx:
         argv[argv.index(flag) + 1] = "nan"
         assert main(argv) == 2
         out = capsys.readouterr()
-        assert out.out == "" and "requires lam, mu > -1/2 and nu > 0" in out.err
+        name, floor = {"--lambda": ("lam", -0.5), "--mu": ("mu", -0.5), "--nu": ("nu", 0.0)}[flag]
+        assert out.out == ""
+        assert out.err == f"error: {name} must be finite and exceed {floor}, got nan\n"
 
     @pytest.mark.parametrize("value", ["inf", "-inf"])
     @pytest.mark.parametrize("flag", ["--lambda", "--mu", "--nu"])
@@ -238,24 +244,28 @@ class TestBx:
         argv[index] = f"{flag}={value}"
         assert main(argv) == 2
         out = capsys.readouterr()
-        assert out.out == "" and "nu > 0, all finite" in out.err
+        name, floor = {"--lambda": ("lam", -0.5), "--mu": ("mu", -0.5), "--nu": ("nu", 0.0)}[flag]
+        assert out.out == ""
+        assert out.err == f"error: {name} must be finite and exceed {floor}, got {value}\n"
 
     @pytest.mark.parametrize(
-        "variant, ell, m, lam, x",
-        [("abs", 1, 0, "-5", "7"), ("abs", 1, 0, "-5", "0.5"), ("abssgn", 1, 1, "nan", "0.5"),
-         ("abs", 1, 0, "1", "7")],
+        "variant, ell, m, lam, x, message",
+        [("abs", 1, 0, "-5", "7", "lam must be finite and exceed -0.5, got -5.0"),
+         ("abs", 1, 0, "-5", "0.5", "lam must be finite and exceed -0.5, got -5.0"),
+         ("abssgn", 1, 1, "nan", "0.5", "lam must be finite and exceed -0.5, got nan"),
+         ("abs", 1, 0, "1", "7", "requires -1 <= x <= 1")],
         ids=["abs-lam-and-x", "abs-lam", "abssgn-lam-nan", "abs-x"],
     )
     @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["plain", "oracle"])
-    def test_vanishing_variant_outside_domain_exits_2(self, variant, ell, m, lam, x, oracle,
-                                                      capsys):
+    def test_vanishing_variant_outside_domain_exits_2(self, variant, ell, m, lam, x, message,
+                                                      oracle, capsys):
         # the parity zero was printed, and --oracle then divided by zero
         argv = ["bx", "--variant", variant, f"--lambda={lam}", "--mu", "1", "--nu", "1",
                 "--ell", str(ell), "--m", str(m), "--x", x] + oracle
         assert main(argv) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err.startswith("error: requires") and out.err.count("\n") == 1
+        assert out.err == f"error: {message}\n"
 
     def test_zero_over_zero_normalization_exits_2(self, capsys):
         # u_prefactor(0, 0) is Gamma(1) Gamma(0) / Gamma(0): the closed form is
@@ -304,14 +314,16 @@ class TestVerify:
         assert report["cases"] == []
 
     @pytest.mark.parametrize(
-        "flags", [["--tol", "0"], ["--tol", "-1"], ["--cases", "-1"], ["--seed", "-1"]]
+        "flags", [["--tol", "0"], ["--tol", "-1"], ["--cases", "-1"], ["--seed", "-1"],
+                  ["--tol", "inf"], ["--tol", "nan"]]
     )
     def test_usage_error_exits_2(self, flags, capsys):
+        # --tol inf once ran the suite and reported "tol": null
         code = main(["verify", "--suite", "mehta", "--no-timing", *flags])
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
-        assert "must be" in err
+        assert "must be" in err and err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestExitCodes:

@@ -1,6 +1,7 @@
 """Closed forms of the kernel expansion and their cross-identities."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -32,16 +33,24 @@ from gegenexp.expansion import (
     warnaar,
     weighted_power_mass,
 )
-from gegenexp.oracle import QuadratureSpec, refine_until
+from gegenexp.oracle import (
+    QuadratureSpec,
+    integrate_hermite_2d,
+    refine_until,
+    regularized_inverse_square,
+)
 from gegenexp.orthopoly import (
+    gauss_jacobi_rule,
     gegenbauer,
     gegenbauer_all,
     gegenbauer_norm_sq,
     hermite,
     u_prefactor,
 )
-from gegenexp.specfun import DomainError, gamma, pochhammer, rgamma
-from gegenexp.verify import sheared_oracle
+from gegenexp.specfun import (
+    DomainError, beta, gamma, hyp2f1, hyp2f1_half, pochhammer, rgamma,
+)
+from gegenexp.verify import run_suite, sheared_oracle
 
 
 class TestCoefficients:
@@ -80,14 +89,18 @@ class TestCoefficients:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameters(self, bad):
-        for lam, mu, nu in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
-            with pytest.raises(DomainError, match="requires lam, mu, nu > 0"):
+        for (lam, mu, nu), name in zip(((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)),
+                                       ("lam", "mu", "nu")):
+            with pytest.raises(DomainError, match=f"^{name} must be finite and exceed 0.0, got"):
                 expansion_coeff(lam, mu, nu, 0, 0)
-            with pytest.raises(DomainError, match="requires lam, mu, nu > 0"):
+            with pytest.raises(DomainError, match=f"^{name} must be finite and exceed 0.0, got"):
                 ExpansionParams(lam, mu, nu, 0)
-            with pytest.raises(DomainError, match="all finite"):
+            floor = 0.0 if name == "nu" else -0.5
+            with pytest.raises(DomainError, match=f"^{name} must be finite and exceed {floor}"):
                 plus_part_integral(lam, mu, nu, 0, 0, 0.5)
-            with pytest.raises(DomainError, match="all finite"):
+            abc = {"lam": "a", "mu": "b", "nu": "c"}[name]
+            floor = 0.5 if name == "nu" else 0.0
+            with pytest.raises(DomainError, match=f"^{abc} must be finite and exceed {floor}"):
                 plus_base_integral(lam, mu, nu + 0.5, 0.5)
 
     @mp.workdps(40)
@@ -167,6 +180,28 @@ class TestSeries:
         p = ExpansionParams(1, 1, 1, 0)
         with pytest.raises(HypothesisError):
             series_eval(p, 0.1, 0.2, 4, 4)
+
+    @pytest.mark.parametrize(
+        "s, t, name, bad",
+        [(5.0, 0.2, "s", 5.0), (math.nan, 0.2, "s", math.nan),
+         (0.2, -1.0 - 1e-12, "t", -1.0 - 1e-12), ([-1.0, 0.3], [1.0, 1.5, math.nan], "t", 1.5)],
+        ids=["s-far", "s-nan", "t-just-below", "t-grid"],
+    )
+    def test_points_outside_the_square_raise(self, s, t, name, bad):
+        # the tail estimate is a sup over [-1, 1]^2: at s = 5 the series gave
+        # 140811.6 against a kernel of 58706.8, with an estimate of 0.0172
+        p = ExpansionParams(1, 1, 3.5, 0)
+        with pytest.raises(DomainError, match=f"^{name} must lie in \\[-1, 1\\], got {bad!r}$"):
+            series_eval_grid(p, s, t, 10, 10)
+        if np.ndim(s) == 0:
+            with pytest.raises(DomainError, match=f"^{name} must lie in"):
+                series_eval(p, s, t, 10, 10)
+
+    def test_corners_of_the_square_evaluate(self):
+        p = ExpansionParams(1, 1, 3.5, 0)
+        for s, t in ((1.0, -1.0), (-1.0, -1.0), (1.0, 1.0)):
+            r = series_eval(p, s, t, 60, 60)
+            assert abs(r.value - kernel_value(p, s, t)) <= r.tail_bound
 
     def test_sup_error_decreases(self):
         p = ExpansionParams(1, 1, 3.5, 0)
@@ -325,22 +360,23 @@ class TestShearedIntegral:
 
     @pytest.mark.parametrize("kind, ell, m", [("abs", 1, 0), ("abssgn", 1, 1)])
     @pytest.mark.parametrize(
-        "lam, mu, nu, x",
+        "lam, mu, nu, x, message",
         [
-            (-5.0, 1.0, 1.0, 0.5),
-            (math.nan, 1.0, 1.0, 0.5),
-            (1.0, -0.5, 1.0, 0.5),
-            (1.0, math.inf, 1.0, 0.5),
-            (1.0, 1.0, 0.0, 0.5),
-            (1.0, 1.0, math.nan, 0.5),
-            (1.0, 1.0, 1.0, 7.0),
-            (1.0, 1.0, 1.0, math.nan),
+            (-5.0, 1.0, 1.0, 0.5, "lam must be finite and exceed -0.5, got -5.0"),
+            (math.nan, 1.0, 1.0, 0.5, "lam must be finite and exceed -0.5, got nan"),
+            (1.0, -0.5, 1.0, 0.5, "mu must be finite and exceed -0.5, got -0.5"),
+            (1.0, math.inf, 1.0, 0.5, "mu must be finite and exceed -0.5, got inf"),
+            (1.0, 1.0, 0.0, 0.5, "nu must be finite and exceed 0.0, got 0.0"),
+            (1.0, 1.0, math.nan, 0.5, "nu must be finite and exceed 0.0, got nan"),
+            (1.0, 1.0, 1.0, 7.0, "requires -1 <= x <= 1"),
+            (1.0, 1.0, 1.0, math.nan, "requires -1 <= x <= 1"),
         ],
         ids=["lam", "lam-nan", "mu", "mu-inf", "nu", "nu-nan", "x", "x-nan"],
     )
-    def test_vanishing_variant_checks_its_arguments(self, kind, ell, m, lam, mu, nu, x):
+    def test_vanishing_variant_checks_its_arguments(self, kind, ell, m, lam, mu, nu, x,
+                                                    message):
         # the parity zero is no answer outside plus_part_integral's domain
-        with pytest.raises(DomainError, match="^requires"):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             sheared_integral(kind, lam, mu, nu, ell, m, x)
 
     def test_variant_relations(self):
@@ -658,4 +694,110 @@ def test_degree_is_a_nonnegative_integer(call):
     call(np.int64(2))
     for bad in (2.5, -1):
         with pytest.raises(DomainError, match=f"must be a nonnegative integer, got {bad!r}$"):
+            call(bad)
+
+
+_SPEC = QuadratureSpec("abs")
+#: Each real parameter of each public entry point: (name, floor, call with
+#: that parameter set and every other argument valid).
+REAL_ENTRIES = {
+    "ExpansionParams-lam": ("lam", 0.0, lambda v: ExpansionParams(v, 1.0, 1.0)),
+    "ExpansionParams-mu": ("mu", 0.0, lambda v: ExpansionParams(1.0, v, 1.0)),
+    "ExpansionParams-nu": ("nu", 0.0, lambda v: ExpansionParams(1.0, 1.0, v)),
+    "expansion_coeff-lam": ("lam", 0.0, lambda v: expansion_coeff(v, 1.0, 1.0, 0, 0)),
+    "expansion_coeff-mu": ("mu", 0.0, lambda v: expansion_coeff(1.0, v, 1.0, 0, 0)),
+    "expansion_coeff-nu": ("nu", 0.0, lambda v: expansion_coeff(1.0, 1.0, v, 0, 0)),
+    "truncation_order-tol": ("tol", 0.0, lambda v: truncation_order(_PARAMS, v)),
+    "plus_part_integral-lam": ("lam", -0.5, lambda v: plus_part_integral(v, 1.0, 1.0, 0, 0, 0.5)),
+    "plus_part_integral-mu": ("mu", -0.5, lambda v: plus_part_integral(1.0, v, 1.0, 0, 0, 0.5)),
+    "plus_part_integral-nu": ("nu", 0.0, lambda v: plus_part_integral(1.0, 1.0, v, 0, 0, 0.5)),
+    "sheared_integral-lam":
+        ("lam", -0.5, lambda v: sheared_integral("plus", v, 1.0, 1.0, 0, 0, 0.5)),
+    "sheared_integral-mu":
+        ("mu", -0.5, lambda v: sheared_integral("plus", 1.0, v, 1.0, 0, 0, 0.5)),
+    "sheared_integral-nu":
+        ("nu", 0.0, lambda v: sheared_integral("plus", 1.0, 1.0, v, 0, 0, 0.5)),
+    "plus_base_integral-a": ("a", 0.0, lambda v: plus_base_integral(v, 1.0, 1.0, 0.5)),
+    "plus_base_integral-b": ("b", 0.0, lambda v: plus_base_integral(1.0, v, 1.0, 0.5)),
+    "plus_base_integral-c": ("c", 0.5, lambda v: plus_base_integral(1.0, 1.0, v, 0.5)),
+    "moment_of_plus_integral-lam":
+        ("lam", -0.5, lambda v: moment_of_plus_integral(v, 1.0, 1.0, 0.0, 0, 0)),
+    "moment_of_plus_integral-mu":
+        ("mu", -0.5, lambda v: moment_of_plus_integral(1.0, v, 1.0, 0.0, 0, 0)),
+    "moment_of_plus_integral-nu":
+        ("nu", 0.0, lambda v: moment_of_plus_integral(1.0, 1.0, v, 0.0, 0, 0)),
+    "moment_of_plus_integral-beta":
+        ("beta", -1.0, lambda v: moment_of_plus_integral(1.0, 1.0, 1.0, v, 0, 0)),
+    "shear_averaged_projection-lam":
+        ("lam", -0.5, lambda v: shear_averaged_projection(v, 1.0, 1.0, 0.0, 0, 0)),
+    "shear_averaged_projection-mu":
+        ("mu", -0.5, lambda v: shear_averaged_projection(1.0, v, 1.0, 0.0, 0, 0)),
+    "shear_averaged_projection-nu":
+        ("nu", 0.0, lambda v: shear_averaged_projection(1.0, 1.0, v, 0.0, 0, 0)),
+    "shear_averaged_projection-b":
+        ("b", -1.0, lambda v: shear_averaged_projection(1.0, 1.0, 1.0, v, 0, 0)),
+    "cosine_expansion-rho": ("rho", 0.0, lambda v: cosine_expansion(v, 0, 0.1, 0.2, 4)),
+    "hermite_kernel_integral-nu": ("nu", 0.0, lambda v: hermite_kernel_integral(v, 0, 0, 0.5)),
+    "hermite_kernel_integral-x":
+        ("x", -math.inf, lambda v: hermite_kernel_integral(1.0, 0, 0, v)),
+    "weighted_power_mass-lam": ("lam", -0.5, lambda v: weighted_power_mass(v, 1.0, 1.0)),
+    "weighted_power_mass-mu": ("mu", -0.5, lambda v: weighted_power_mass(1.0, v, 1.0)),
+    "weighted_power_mass-nu": ("nu", -0.5, lambda v: weighted_power_mass(1.0, 1.0, v)),
+    "selberg2-lam": ("lam", -0.5, lambda v: selberg2(v, 1.0)),
+    "selberg2-nu": ("nu", -0.5, lambda v: selberg2(1.0, v)),
+    "warnaar-lam": ("lam", -0.5, lambda v: warnaar(v, 0.3)),
+    "warnaar-mu": ("mu", -0.5, lambda v: warnaar(0.2, v)),
+    "tarasov_varchenko-lam": ("lam", -0.5, lambda v: tarasov_varchenko(v, 1.0)),
+    "tarasov_varchenko-nu": ("nu", -0.5, lambda v: tarasov_varchenko(1.0, v)),
+    "dotsenko_fateev-lam": ("lam", -0.5, lambda v: dotsenko_fateev(v, 1.4)),
+    "dotsenko_fateev-mu": ("mu", -0.5, lambda v: dotsenko_fateev(1.3, v)),
+    "mehta2-nu": ("nu", -0.5, mehta2),
+    "gegenbauer-lam": ("lam", -0.5, lambda v: gegenbauer(v, 2, 0.5)),
+    "gegenbauer_all-lam": ("lam", -0.5, lambda v: gegenbauer_all(v, 2, 0.5)),
+    "gegenbauer_norm_sq-lam": ("lam", -0.5, lambda v: gegenbauer_norm_sq(v, 2)),
+    "u_prefactor-lam": ("lam", -0.5, lambda v: u_prefactor(v, 0)),
+    "gauss_jacobi_rule-alpha": ("alpha", -1.0, lambda v: gauss_jacobi_rule(v, 0.0, 4)),
+    "gauss_jacobi_rule-beta": ("beta", -1.0, lambda v: gauss_jacobi_rule(0.0, v, 4)),
+    "QuadratureSpec-kernel_exponent":
+        ("kernel exponent", -1.0, lambda v: QuadratureSpec("abs", kernel_exponent=v)),
+    "QuadratureSpec-gegenbauer-lam":
+        ("Gegenbauer parameter", -0.5, lambda v: QuadratureSpec("abs", gegenbauer=(v, 1.0))),
+    "QuadratureSpec-gegenbauer-mu":
+        ("Gegenbauer parameter", -0.5, lambda v: QuadratureSpec("abs", gegenbauer=(1.0, v))),
+    "QuadratureSpec-extra_axis-alpha":
+        ("extra_axis exponent", -1.0, lambda v: QuadratureSpec("abs", extra_axis=(v, 0.0))),
+    "QuadratureSpec-extra_axis-beta":
+        ("extra_axis exponent", -1.0, lambda v: QuadratureSpec("abs", extra_axis=(0.0, v))),
+    "refine_until-target": ("target", 0.0, lambda v: refine_until(_SPEC, v)),
+    "integrate_hermite_2d-nu": ("nu", 0.0, lambda v: integrate_hermite_2d(v, 0.5, 0, 0, 1e-6)),
+    "integrate_hermite_2d-x":
+        ("x", -math.inf, lambda v: integrate_hermite_2d(1.0, v, 0, 0, 1e-6)),
+    "integrate_hermite_2d-target":
+        ("target", 0.0, lambda v: integrate_hermite_2d(1.0, 0.5, 0, 0, v)),
+    "regularized_inverse_square-exp_s":
+        ("exp_s", -1.0, lambda v: regularized_inverse_square(v, 0.9, 1e-4)),
+    "regularized_inverse_square-exp_t":
+        ("exp_t", -1.0, lambda v: regularized_inverse_square(0.9, v, 1e-4)),
+    "regularized_inverse_square-target":
+        ("target", 0.0, lambda v: regularized_inverse_square(0.8, 0.9, v)),
+    "hyp2f1-a": ("a", -math.inf, lambda v: hyp2f1(v, 1.0, 2.0, 0.5)),
+    "hyp2f1-b": ("b", -math.inf, lambda v: hyp2f1(1.0, v, 2.0, 0.5)),
+    "hyp2f1-c": ("c", -math.inf, lambda v: hyp2f1(1.0, 1.0, v, 0.5)),
+    "hyp2f1_half-a": ("argument", -math.inf, lambda v: hyp2f1_half(v, 2.0)),
+    "hyp2f1_half-c": ("argument", -math.inf, lambda v: hyp2f1_half(0.3, v)),
+    "pochhammer-y": ("y", -math.inf, lambda v: pochhammer(v, 2)),
+    "gamma": ("argument", -math.inf, gamma),
+    "rgamma": ("argument", -math.inf, rgamma),
+    "beta-a": ("argument", -math.inf, lambda v: beta(v, 1.0)),
+    "beta-b": ("argument", -math.inf, lambda v: beta(1.0, v)),
+    "run_suite-tol": ("tol", 0.0, lambda v: run_suite("mehta", tol=v, cases=0)),
+}
+
+
+@pytest.mark.parametrize("name, floor, call", REAL_ENTRIES.values(), ids=REAL_ENTRIES.keys())
+def test_real_parameter_is_finite_and_above_its_floor(name, floor, call):
+    # the floor itself is refused too, except the -inf of an unbounded parameter
+    for bad in (math.nan, math.inf, -math.inf) + ((floor,) if floor > -math.inf else ()):
+        message = f"{name} must be finite and exceed {floor}, got {bad!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             call(bad)

@@ -1,7 +1,7 @@
 """Package rules read from the source: the oracle stays independent of the
-closed forms, no module reads the environment, log-gamma is taken in
-specfun alone, and every export has a caller, a README mention or a test
-that compares against it."""
+closed forms, no module reads the environment, log-gamma is taken and a
+real argument checked for finiteness in specfun alone, and every export
+has a caller, a README mention or a test that compares against it."""
 
 import ast
 import re
@@ -16,6 +16,7 @@ TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACK
 #: Exports that no module reads and the README does not name, each mapped to
 #: a test that compares a computed value against it.
 REFERENCE_ONLY = {
+    "beta": "tests/test_oracle.py::test_tensor_moments_match_beta",
     "gamma": "tests/test_orthopoly.py::TestGegenbauer::test_endpoint_value",
     "hyp2f1_half": "tests/test_specfun.py::TestHyp2f1Half::test_matches_series",
     "moment_of_plus_integral":
@@ -87,15 +88,53 @@ def test_log_gamma_is_taken_in_specfun_alone():
     assert [name for name, tree in TREES.items() if _uses_lgamma(tree)] == ["specfun"]
 
 
+def _finiteness_checks(tree) -> set:
+    """Functions (module level: None) that compare against math.inf or
+    np.inf with <, <=, > or >=, or call isfinite."""
+    found = set()
+
+    def is_inf(node):
+        node = node.operand if isinstance(node, ast.UnaryOp) else node
+        return isinstance(node, ast.Attribute) and node.attr == "inf"
+
+    def visit(node, func):
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        if isinstance(node, ast.Compare):
+            ordered = any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
+            if ordered and any(map(is_inf, [node.left, *node.comparators])):
+                found.add(func)
+        elif isinstance(node, ast.Call):
+            if getattr(node.func, "attr", getattr(node.func, "id", None)) == "isfinite":
+                found.add(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_real_arguments_are_checked_in_specfun_alone():
+    # every other module asks specfun.check_above whether a real argument is
+    # finite and above its floor; cli._jsonable, which writes a non-finite
+    # result as null, decides nothing about an argument
+    sites = {f"{name}.{func}" for name, tree in TREES.items() if name != "specfun"
+             for func in _finiteness_checks(tree)}
+    assert sorted(sites - {"cli._jsonable"}) == []
+
+
 def _reads(tree) -> set:
     """Names that a module reads, as an ast.Name or an ast.Attribute, outside
-    the def or class of the same name.  The match is by name alone, so a
-    local variable that shares an export's name counts as a read."""
+    the def or class of the same name and outside a function whose parameter
+    has that name.  Otherwise the match is by name alone, so a local
+    variable that shares an export's name counts as a read."""
     found = set()
 
     def visit(node, inside):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             inside = inside | {node.name}
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            inside = inside | {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
         elif isinstance(node, ast.Name):
             found.update({node.id} - inside)
         elif isinstance(node, ast.Attribute):
@@ -108,11 +147,18 @@ def _reads(tree) -> set:
 
 
 def _readme_code_names() -> set:
-    """Identifiers inside the README's code blocks and inline code spans."""
+    """Names that the README shows as code: a whole inline code span, a name
+    followed by ( in a code block or span, or a name that a
+    `from gegenexp import` line imports."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```.*?```", text, flags=re.S)
     spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
-    return set(re.findall(r"\w+", " ".join(blocks + spans)))
+    imports = re.findall(r"^from gegenexp import (.*)$", text, flags=re.M)
+    return (
+        {span for span in spans if span.isidentifier()}
+        | set(re.findall(r"(\w+)\(", " ".join(blocks + spans)))
+        | set(re.findall(r"\w+", " ".join(imports)))
+    )
 
 
 def _test_reads(test_id: str) -> set:

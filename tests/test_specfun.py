@@ -101,10 +101,17 @@ class TestGammaFamily:
             lambda: rgamma(math.nan),
             lambda: gamma(math.nan),
             lambda: nonpositive_int(-math.inf),
+            lambda: gamma_ratio((math.inf,), (math.inf,)),
+            lambda: beta(math.inf, 1.0),
+            lambda: gamma(math.inf),
+            lambda: nonpositive_int(math.inf),
         ],
-        ids=["ratio-nan", "ratio-minus-inf", "rgamma-nan", "gamma-nan", "minus-inf"],
+        ids=["ratio-nan", "ratio-minus-inf", "rgamma-nan", "gamma-nan", "minus-inf",
+             "ratio-inf-over-inf", "beta-inf", "gamma-inf", "plus-inf"],
     )
     def test_non_finite_arguments_raise(self, call):
+        # +inf once passed the pole test's x > 1/2 shortcut, and
+        # lgamma(inf) - lgamma(inf) gave nan
         with pytest.raises(DomainError):
             call()
 

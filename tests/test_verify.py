@@ -7,17 +7,29 @@ import pytest
 from gegenexp import verify as vf
 from gegenexp.specfun import ConvergenceError, DomainError
 
-ORACLE_SUITES = (
-    "main", "stz", "projection", "selberg", "warnaar", "tv", "df", "mehta", "hermite",
-)
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_two_d_suites_pass_at_default_tolerances(seed):
-    for suite in ORACLE_SUITES:
+    # every suite, the cosine expansion and the 3D cc suite among them
+    for suite in vf.SUITE_TABLE:
         report = vf.run_suite(suite, seed=seed)
         assert report.overall_pass, (suite, [c.rel_err for c in report.cases])
         assert len(report.cases) == vf.SUITE_TABLE[suite].cases
+
+
+def test_all_runs_every_suite_in_table_order():
+    report = vf.run_suite("all", cases=1)
+    assert report.overall_pass
+    assert [c.identity for c in report.cases] == [r.identity for r in vf.SUITE_TABLE.values()]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_drawn_hermite_case_has_even_degree_sum(seed):
+    # hermite's three fixed cases come first; the fourth is drawn, and at
+    # seed 2 the draw is (ell, m) = (0, 1), which _even lifts to (0, 2)
+    report = vf.run_suite("hermite", seed=seed, cases=4)
+    assert report.overall_pass, [c.rel_err for c in report.cases]
+    drawn = report.cases[-1].params
+    assert (drawn["ell"] + drawn["m"]) % 2 == 0
 
 
 def test_zero_cases_do_not_pass():
@@ -62,7 +74,7 @@ class TestUsageErrors:
     def test_nonpositive_tol_runs_no_case(self, tol, monkeypatch):
         calls = []
         monkeypatch.setitem(vf.SUITE_TABLE, "mehta", _recording_row(calls))
-        with pytest.raises(DomainError, match="tol must be positive"):
+        with pytest.raises(DomainError, match=f"^tol must be finite and exceed 0.0, got {tol!r}$"):
             vf.run_suite("mehta", tol=tol)
         assert calls == []
 
