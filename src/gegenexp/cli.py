@@ -87,12 +87,11 @@ def _parse_order(text: str) -> tuple:
 
 def _cmd_eval(args) -> int:
     params = ExpansionParams(args.lam, args.mu, args.nu, args.eps)
-    params.require_hypothesis(args.force)
     L, M = _parse_order(args.order)
     if args.grid < 1:
         raise DomainError("--grid must be >= 1")
     pts = np.linspace(-1.0, 1.0, args.grid)
-    series = ex.series_eval_grid(params, pts, pts, L, M, force=True)
+    series = ex.series_eval_grid(params, pts, pts, L, M, force=args.force)
     kernel = ex.kernel_value(params, pts[:, None], pts[None, :])
     lines = ["s,t,series,kernel,abs_err"]
     for i, s in enumerate(pts):
@@ -194,7 +193,7 @@ def main(argv=None) -> int:
     except (OracleConvergenceError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DomainError, PoleError, OSError) as exc:
+    except (DomainError, PoleError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

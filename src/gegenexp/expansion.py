@@ -135,18 +135,19 @@ def _reciprocal_gammas(*lattices):
     return log, sign
 
 
-def coeff_table(params: ExpansionParams, L: int, M: int) -> np.ndarray:
-    """Dense (L+1) x (M+1) coefficient table, entries with l+m of the wrong
-    parity zeroed.
+def _lattice(log_s, sign_s, log_d, sign_d, n: int):
+    """exp of the l+m (Hankel) and l-m (Toeplitz) gathers of two 1-D logs,
+    a (len - n + 1) x n grid, and the same gathers of their signs."""
+    vals = _hankel(log_s, n) + _toeplitz(log_d, n)
+    np.exp(vals, out=vals)
+    return vals, _hankel(sign_s, n), _toeplitz(sign_d, n)
 
-    Vectorized counterpart of expansion_coeff with the same lattice pairs
-    and pole zeros.  The gammas are taken on the s = l+m and d = l-m vectors
-    (O(L+M) values), the numerator and the parity mask are folded into the
-    s vector, and both are gathered onto the grid as Hankel and Toeplitz
-    views; one exp follows.
-    """
-    check_degree("L", L)
-    check_degree("M", M)
+
+def _coeff_magnitudes(params: ExpansionParams, L: int, M: int):
+    """|b_{l,m}| on the (L+1) x (M+1) grid, zero where l+m has the wrong
+    parity, and the lattice's sign views.  The gammas are taken on the
+    s = l+m and d = l-m vectors (O(L+M) values), with the numerator and the
+    parity mask folded into the s vector."""
     lam, mu, nu = params.lam, params.mu, params.nu
     s = np.arange(L + M + 1)
     s_pairs, d_pairs = _denominator_lattices(lam, mu, nu, s, np.arange(-M, L + 1))
@@ -154,13 +155,21 @@ def coeff_table(params: ExpansionParams, L: int, M: int) -> np.ndarray:
     log_d, sign_d = _reciprocal_gammas(*d_pairs)
     log_s += _log_numerator(lam, mu, nu)
     log_s[s % 2 != params.eps] = -np.inf
-    vals = _hankel(log_s, M + 1) + _toeplitz(log_d, M + 1)
-    np.exp(vals, out=vals)
-    vals *= _hankel(sign_s, M + 1)
-    vals *= _toeplitz(sign_d, M + 1)
-    m = np.arange(M + 1)
+    vals, sign_h, sign_t = _lattice(log_s, sign_s, log_d, sign_d, M + 1)
     vals *= (lam + np.arange(L + 1))[:, None]
-    vals *= np.where(m % 2, -1.0, 1.0) * (mu + m)
+    vals *= mu + np.arange(M + 1)
+    return vals, sign_h, sign_t
+
+
+def coeff_table(params: ExpansionParams, L: int, M: int) -> np.ndarray:
+    """Dense (L+1) x (M+1) coefficient table, entries with l+m of the wrong
+    parity zeroed: expansion_coeff on a grid, with the same lattice pairs and
+    pole zeros, as the magnitudes times the lattice's sign views and (-1)^m,
+    exact factors of +-1 that keep every product's rounding."""
+    check_degree("L", L)
+    check_degree("M", M)
+    vals, sign_h, sign_t = _coeff_magnitudes(params, L, M)
+    vals *= sign_h * sign_t * np.where(np.arange(M + 1) % 2, -1.0, 1.0)
     vals += 0.0  # a masked entry's or a pole's zero is +0.0, whatever its sign
     return vals
 
@@ -214,10 +223,10 @@ def _endpoint_values(lam: float, n: int) -> np.ndarray:
 
 
 def _term_sup_grid(params: ExpansionParams, L: int, M: int) -> np.ndarray:
-    """|b_{l,m}| C_l(1) C_m(1) with the parity mask applied: the magnitude of
-    coeff_table times the endpoint values of both polynomials."""
-    T = coeff_table(params, L, M)
-    np.abs(T, out=T)
+    """|b_{l,m}| C_l(1) C_m(1) with the parity mask applied: coeff_table's
+    magnitudes, before any sign is taken, times the endpoint values of both
+    polynomials."""
+    T = _coeff_magnitudes(params, L, M)[0]
     T *= _endpoint_values(params.lam, L)[:, None]
     T *= _endpoint_values(params.mu, M)
     return T
@@ -451,25 +460,6 @@ def shear_averaged_projection(
     )
 
 
-def _cosine_matrix(rho: float, parity: int, K: int) -> np.ndarray:
-    """Reciprocal gamma products over the lattice [-K, K]^2 with the
-    parity mask applied.
-
-    The four arguments 1 + (rho +- (l+m))/2 and 1 + (rho +- (l-m))/2 share
-    one 1-D vector over k = -2K..2K, taken once and gathered onto the
-    lattice by l+m (Hankel) and l-m (Toeplitz, parity-masked) views.
-    """
-    k = np.arange(-2 * K, 2 * K + 1)
-    log_k, sign_k = _reciprocal_gammas((1.0 + 0.5 * rho, k), (1.0 + 0.5 * rho, -k))
-    log_d = np.where((k - parity) % 2 == 0, log_k, -np.inf)
-    n = 2 * K + 1
-    vals = _hankel(log_k, n) + _toeplitz(log_d, n)
-    np.exp(vals, out=vals)
-    vals *= _hankel(sign_k, n)
-    vals *= _toeplitz(sign_k, n)
-    return vals
-
-
 def cosine_expansion(rho: float, parity: int, phi, psi, K: int) -> np.ndarray:
     """Truncated bilateral expansion of |cos(phi) + cos(psi)|^rho
     sgn^parity(cos(phi) + cos(psi)) on the angle grid phi x psi.
@@ -477,17 +467,24 @@ def cosine_expansion(rho: float, parity: int, phi, psi, K: int) -> np.ndarray:
     Entry (i, j) sums 2^(-rho) Gamma(rho+1)^2 cos(l phi_i) cos(m psi_j) over
     the four-gamma reciprocal products for all integer |l|, |m| <= K with
     l = m + parity mod 2, without folding the lattice; the result has shape
-    (len(phi), len(psi)), a scalar angle counting as one.
+    (len(phi), len(psi)), a scalar angle counting as one.  The products are
+    the coefficient lattice at lam = mu = 0, nu = rho/2, where the l-m pairs
+    are the l+m pairs: one gamma vector serves both, masked on l-m parity.
     """
     check_above("rho", rho, 0.0)
     if parity not in (0, 1):
         raise DomainError("parity must be 0 or 1")
     check_degree("K", K)
+    k = np.arange(-2 * K, 2 * K + 1)
+    log_k, sign_k = _reciprocal_gammas(*_denominator_lattices(0.0, 0.0, 0.5 * rho, k, k)[0])
+    log_d = np.where((k - parity) % 2 == 0, log_k, -np.inf)
+    vals, sign_h, sign_t = _lattice(log_k, sign_k, log_d, sign_k, 2 * K + 1)
+    vals *= sign_h * sign_t
     idx = np.arange(-K, K + 1)
     cl = np.cos(np.multiply.outer(np.atleast_1d(phi), idx))
     cm = np.cos(np.multiply.outer(idx, np.atleast_1d(psi)))
     pref = gamma_ratio((rho + 1.0, rho + 1.0), (), scale_log=-rho * LN2)
-    return pref * (cl @ _cosine_matrix(rho, parity, K) @ cm)
+    return pref * (cl @ vals @ cm)
 
 
 def hermite_kernel_integral(nu: float, ell: int, m: int, x: float) -> float:
@@ -503,15 +500,18 @@ def hermite_kernel_integral(nu: float, ell: int, m: int, x: float) -> float:
     check_above("nu", nu, 0.0)
     check_above("x", x, -math.inf)
     half = (ell + m) // 2
-    return (
-        pochhammer(-nu, half)
-        * (-1.0) ** ((ell - m) // 2)
-        * 2.0 ** (ell + m)
-        * math.sqrt(math.pi)
-        * gamma_ratio((nu + 0.5,), ())
-        * (x * x + 1.0) ** (nu - half)
-        * x**m
-    )
+    try:
+        return (
+            pochhammer(-nu, half)
+            * (-1.0) ** ((ell - m) // 2)
+            * 2.0 ** (ell + m)
+            * math.sqrt(math.pi)
+            * gamma_ratio((nu + 0.5,), ())
+            * (x * x + 1.0) ** (nu - half)
+            * x**m
+        )
+    except OverflowError:
+        raise DomainError(f"value overflows at nu={nu!r}, ell={ell}, m={m}, x={x!r}") from None
 
 
 def weighted_power_mass(lam: float, mu: float, nu: float) -> float:

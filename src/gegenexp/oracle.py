@@ -307,39 +307,39 @@ def convolution_profile(exp_s: float, exp_t: float, u, size: tuple):
     return out, a.size * v.size
 
 
-def regularized_inverse_square(exp_s: float, exp_t: float, target: float) -> QuadResult:
+def regularized_inverse_square(lam: float, mu: float, target: float) -> QuadResult:
     """Finite-part value of the inverse-square diagonal-kernel integral.
 
     Analytic continuation to kernel exponent -2 of
-    int int |s-t|^p (1-s^2)^exp_s (1-t^2)^exp_t ds dt, which diverges for
+    int int |s-t|^p (1-s^2)^(lam-1/2) (1-t^2)^(mu-1/2) ds dt, which diverges for
     every parameter choice, computed through the (even) convolution profile
     G, zero from u = 2 on, with Taylor subtraction at u = 0; since
     FP int_0^2 u^-2 du = -1/2,
 
         FP = 2 int_0^2 (G(u) - G(0)) / u^2 du  -  G(0).
 
-    Requires exp_s, exp_t > -1 and exp_s + exp_t > 0 so the subtracted
+    Requires lam, mu > -1/2 and lam + mu > 1 so the subtracted
     remainder is integrable.  Refined until two consecutive rungs agree to
     target.  Those rungs share the rounding noise of G(u) - G(0), which u^-2
     amplifies, so est_error is the larger of their difference and the
     stopping rung's noise floor 4 * 2 eps sum w (|G(u)| + |G(0)|) / u^2 over
     the rule: eps per value under the sum's front factor 2, with a safety
-    factor 4.  That estimate is tested for lam, mu in [0.9, 2], where
-    exp = lam - 1/2; below lam or mu = 1/2 it can miss the error.
+    factor 4.  That estimate is tested for lam, mu in [0.9, 2]; below lam
+    or mu = 1/2 it can miss the error.
     """
-    check_above("exp_s", exp_s, -1.0)
-    check_above("exp_t", exp_t, -1.0)
-    sigma = exp_s + exp_t
-    if not sigma > 0.0:
-        raise DomainError(f"finite part needs exp_s + exp_t > 0, got {sigma!r}")
+    check_above("lam", lam, -0.5)
+    check_above("mu", mu, -0.5)
+    if not lam + mu > 1.0:
+        raise DomainError("requires lam + mu > 1")
+    exp_s, exp_t = lam - 0.5, mu - 0.5
     floors = []  # noise floor of each rung, by level
 
     def rung(level: int):
         size = _ladder(level + 2)
-        # Grading depth near u = 0 trades the |u|^(sigma-1) remainder, whose
-        # error falls only like 2^-sigma per level, against u^-2 amplification
-        # of cancellation noise in G(u) - G(0); toward u = 2 the same grading
-        # resolves G's (2-u)^(1+sigma) end.
+        # Grading depth near u = 0 trades the |u|^(lam+mu-2) remainder, whose
+        # error falls only like 2^(1-lam-mu) per level, against u^-2
+        # amplification of cancellation noise in G(u) - G(0); toward u = 2 the
+        # same grading resolves G's (2-u)^(lam+mu) end.
         u, w = _interval_rule(0.0, 2.0, 0.0, 0.0, 13 + 2 * level, size[0])
         g, evals = convolution_profile(exp_s, exp_t, np.concatenate(([0.0], u)), size)
         g0, g = g[0], g[1:]

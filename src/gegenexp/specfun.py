@@ -100,14 +100,22 @@ def _lgamma_at(c: float, j: int) -> tuple:
     the rounded x: near a pole that rounding would cost |psi(x)| ulp(x) of
     relative accuracy.  The sine's log is numpy's, not math's: the two
     differ in the last bit on ~1% of arguments, and numpy's keeps
-    coeff_table bit-identical to the tables of earlier versions.
+    coeff_table bit-identical to the tables of earlier versions.  Past
+    x ~ 2.6e305, where log|Gamma| overflows, it raises DomainError.
     """
     x = c + 0.5 * j
     if x >= 0.5:
-        return math.lgamma(x), 1.0
+        try:
+            return math.lgamma(x), 1.0
+        except OverflowError:
+            raise _lgamma_overflow(x) from None
     if nonpositive_int(x) is not None:
         return math.inf, 1.0
     return _log_pi_over_sin(c, j % 2) - math.lgamma(1.0 - x), gamma_sign(x)
+
+
+def _lgamma_overflow(x: float) -> DomainError:
+    return DomainError(f"gamma argument {x!r} is past the double range of log-gamma")
 
 
 @lru_cache(maxsize=128)
@@ -189,20 +197,23 @@ def _log_gamma_ratio(num=(), den=(), scale_log: float = 0.0, sign: float = 1.0):
 
     A pole in a numerator factor raises PoleError, also when a denominator
     has one too; otherwise a pole in a denominator factor gives (-inf, 1).
+    A factor past x ~ 2.6e305, where log|Gamma| overflows, raises DomainError.
     """
-    total = scale_log
-    s = sign
-    for x in den:
-        if nonpositive_int(x) is not None:
-            _log_gamma_ratio(num)  # raises if a numerator has a pole too
-            return -math.inf, 1.0
-        total -= math.lgamma(x)
-        s *= gamma_sign(x)
-    for x in num:
-        if nonpositive_int(x) is not None:
-            raise PoleError(f"gamma pole at x={x!r}")
-        total += math.lgamma(x)
-        s *= gamma_sign(x)
+    total, s = scale_log, sign
+    try:
+        for x in den:
+            if nonpositive_int(x) is not None:
+                _log_gamma_ratio(num)  # raises if a numerator has a pole too
+                return -math.inf, 1.0
+            total -= math.lgamma(x)
+            s *= gamma_sign(x)
+        for x in num:
+            if nonpositive_int(x) is not None:
+                raise PoleError(f"gamma pole at x={x!r}")
+            total += math.lgamma(x)
+            s *= gamma_sign(x)
+    except OverflowError:
+        raise _lgamma_overflow(x) from None
     return total, s
 
 

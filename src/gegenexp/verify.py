@@ -232,9 +232,7 @@ SUITE_TABLE = {
                     lambda rng: _draw(rng, {"lambda": (0.9, 2.0), "mu": (0.9, 2.0)})),
         lambda p: ex.dotsenko_fateev(p["lambda"], p["mu"]),
         # target tol/10: G(u) - G(0) cancellation puts a ~1e-7 floor under it
-        lambda p, tol: orc.regularized_inverse_square(
-            p["lambda"] - 0.5, p["mu"] - 0.5, tol * 1e-1
-        ).value,
+        lambda p, tol: orc.regularized_inverse_square(p["lambda"], p["mu"], tol * 1e-1).value,
     ),
     "mehta": SuiteRow(
         "gaussian-pair-kernel", 1e-8, 2,

@@ -224,6 +224,30 @@ class TestBx:
         val = float(capsys.readouterr().out.strip())
         assert val == pytest.approx(2.45401338388946e-20, rel=1e-12, abs=0.0)
 
+    def test_huge_parameter_exits_2(self, capsys):
+        code = main(
+            ["bx", "--lambda", "1e308", "--mu", "1", "--nu", "1",
+             "--ell", "0", "--m", "0", "--x", "0.5"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma argument 1e+308") and err.count("\n") == 1
+
+    def test_overflow_exits_2(self, monkeypatch, capsys):
+        # any OverflowError that escapes a closed form is a domain error
+        from gegenexp import expansion as ex
+
+        def boom(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(ex, "sheared_integral", boom)
+        code = main(
+            ["bx", "--lambda", "1", "--mu", "1", "--nu", "1.2",
+             "--ell", "1", "--m", "2", "--x", "0.6"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: math range error\n"
+
     @pytest.mark.parametrize("flag", ["--lambda", "--mu", "--nu"])
     def test_nan_parameter_exits_2(self, flag, capsys):
         argv = ["bx", "--lambda", "0.7", "--mu", "1.3", "--nu", "0.9",

@@ -279,6 +279,26 @@ def grid_sizes(monkeypatch):
 
 
 class TestTruncationGrid:
+    @pytest.mark.parametrize(
+        "lam, mu, nu, eps",
+        [
+            (0.8, 1.7, 4.6, 0),
+            (0.8, 1.7, 4.6, 1),
+            (1.0, 1.0, 3.0, 0),  # polynomial kernels: pole zeros past l + m = 6
+            (0.6, 1.9, 2.5, 1),
+            (0.4, 2.2, 2.5 + 1e-9, 0),  # next to a half-integer
+            (2.3, 0.3, 3.5 - 1e-12, 1),
+        ],
+    )
+    def test_term_grid_is_bitwise_coeff_magnitude(self, lam, mu, nu, eps):
+        # the grid takes coeff_table's magnitudes before any sign, so it
+        # equals |coeff_table| C_l(1) C_m(1) to the bit
+        p, N = ExpansionParams(lam, mu, nu, eps), 90
+        ref = np.abs(coeff_table(p, N, N))
+        ref *= ex._endpoint_values(lam, N)[:, None]
+        ref *= ex._endpoint_values(mu, N)
+        assert np.array_equal(ex._term_sup_grid(p, N, N), ref)
+
     def test_matches_tail_bound_scan(self):
         for p, tol in _sweep_params():
             scan = next(
@@ -570,9 +590,33 @@ class TestCosine:
                 assert abs(grid[i, j] - math.fsum(terms)) <= 1e-13 * scale
 
     def test_returned_matrix_is_not_shared(self):
-        before = cosine_expansion(7.0, 1, 0.3, 0.4, 40)
-        ex._cosine_matrix(7.0, 1, 40)[...] *= 2.0
-        np.testing.assert_array_equal(cosine_expansion(7.0, 1, 0.3, 0.4, 40), before)
+        # changing a returned grid in place leaves the next call's untouched
+        first = cosine_expansion(7.0, 1, [0.3, 1.2], [0.4, 2.0], 40)
+        before = first.copy()
+        first[...] *= 2.0
+        np.testing.assert_array_equal(
+            cosine_expansion(7.0, 1, [0.3, 1.2], [0.4, 2.0], 40), before
+        )
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: mehta2(1e308), "gamma argument 1e+308"),
+        (lambda: plus_part_integral(1e308, 1.0, 1.0, 0, 0, 0.5), "gamma argument 1e+308"),
+        (lambda: sheared_integral("abs", 1e308, 1.0, 1.0, 0, 0, 0.5), "gamma argument 1e+308"),
+        (lambda: expansion_coeff(1e306, 1.0, 1.0, 0, 0), "gamma argument 1e+306"),
+        (lambda: coeff_table(ExpansionParams(1e306, 1.0, 1.0), 2, 2), "gamma argument 1e+306"),
+        (lambda: hermite_kernel_integral(1.0, 0, 2, 1e200), "x=1e+200"),
+        (lambda: hermite_kernel_integral(1.5, 600, 600, 0.5), "ell=600, m=600"),
+    ],
+    ids=["mehta2", "plus_part_integral", "sheared_integral", "expansion_coeff",
+         "coeff_table", "hermite-x", "hermite-degree"],
+)
+def test_huge_finite_argument_is_a_domain_error(call, match):
+    # math.lgamma, x**m or 2.0**(ell+m) overflows here; none may escape as OverflowError
+    with pytest.raises(DomainError, match=re.escape(match)):
+        call()
 
 
 class TestHermiteIntegral:
@@ -774,12 +818,12 @@ REAL_ENTRIES = {
         ("x", -math.inf, lambda v: integrate_hermite_2d(1.0, v, 0, 0, 1e-6)),
     "integrate_hermite_2d-target":
         ("target", 0.0, lambda v: integrate_hermite_2d(1.0, 0.5, 0, 0, v)),
-    "regularized_inverse_square-exp_s":
-        ("exp_s", -1.0, lambda v: regularized_inverse_square(v, 0.9, 1e-4)),
-    "regularized_inverse_square-exp_t":
-        ("exp_t", -1.0, lambda v: regularized_inverse_square(0.9, v, 1e-4)),
+    "regularized_inverse_square-lam":
+        ("lam", -0.5, lambda v: regularized_inverse_square(v, 1.4, 1e-4)),
+    "regularized_inverse_square-mu":
+        ("mu", -0.5, lambda v: regularized_inverse_square(1.4, v, 1e-4)),
     "regularized_inverse_square-target":
-        ("target", 0.0, lambda v: regularized_inverse_square(0.8, 0.9, v)),
+        ("target", 0.0, lambda v: regularized_inverse_square(1.3, 1.4, v)),
     "hyp2f1-a": ("a", -math.inf, lambda v: hyp2f1(v, 1.0, 2.0, 0.5)),
     "hyp2f1-b": ("b", -math.inf, lambda v: hyp2f1(1.0, v, 2.0, 0.5)),
     "hyp2f1-c": ("c", -math.inf, lambda v: hyp2f1(1.0, 1.0, v, 0.5)),

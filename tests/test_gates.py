@@ -1,7 +1,8 @@
 """Package rules read from the source: the oracle stays independent of the
 closed forms, no module reads the environment, log-gamma is taken and a
-real argument checked for finiteness in specfun alone, and every export
-has a caller, a README mention or a test that compares against it."""
+real argument checked for finiteness in specfun alone, one function gathers
+the coefficient lattice, and every export has a caller, a README mention or
+a test that compares against it."""
 
 import ast
 import re
@@ -121,6 +122,19 @@ def test_real_arguments_are_checked_in_specfun_alone():
     sites = {f"{name}.{func}" for name, tree in TREES.items() if name != "specfun"
              for func in _finiteness_checks(tree)}
     assert sorted(sites - {"cli._jsonable"}) == []
+
+
+def test_one_function_gathers_the_lattice():
+    # coeff_table, the tail's term grid and the cosine limit all gather the
+    # (l, m) gamma lattice through _lattice, the one reader of the Hankel and
+    # Toeplitz views; the term grid takes no signs, so it needs no abs
+    gathers = {"_hankel", "_toeplitz"}
+    functions = {f"{name}.{node.name}": node for name, tree in TREES.items()
+                 for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    readers = {name: _reads(node) & gathers for name, node in functions.items()}
+    readers = {name: read for name, read in readers.items() if read}
+    assert readers == {"expansion._lattice": gathers}
+    assert not _reads(functions["expansion._term_sup_grid"]) & {"coeff_table", "abs"}
 
 
 def _reads(tree) -> set:

@@ -299,29 +299,33 @@ class TestRegularizedKernel:
 
     def test_matches_continuation_closed_form(self):
         for lam, mu in [(1.3, 1.4), (2.0, 0.8)]:
-            r = regularized_inverse_square(lam - 0.5, mu - 0.5, 1e-6)
+            r = regularized_inverse_square(lam, mu, 1e-6)
             ref = dotsenko_fateev(lam, mu)
             assert r.value == pytest.approx(ref, rel=1e-5)
 
     def test_domain_guard(self):
-        for exp_s, exp_t in [(0.2, -0.3), (math.nan, 0.5)]:
-            with pytest.raises(DomainError):
-                regularized_inverse_square(exp_s, exp_t, 1e-6)
-        # each exponent is checked before any rule is built, under its own name
-        for exp_s, exp_t, name in [
-            (-1.5, 2.0, "exp_s"),
-            (2.0, -1.2, "exp_t"),
-            (math.inf, 0.5, "exp_s"),
+        # lam + mu > 1 is refused with the closed form's own message
+        for lam, mu in [(0.7, 0.2), (0.5, 0.5)]:
+            with pytest.raises(DomainError, match=r"^requires lam \+ mu > 1$"):
+                regularized_inverse_square(lam, mu, 1e-6)
+            with pytest.raises(DomainError, match=r"^requires lam \+ mu > 1$"):
+                dotsenko_fateev(lam, mu)
+        # each parameter is checked before any rule is built, under its own name
+        for lam, mu, name in [
+            (-1.0, 2.5, "lam"),
+            (2.5, -0.7, "mu"),
+            (math.inf, 1.0, "lam"),
+            (math.nan, 1.0, "lam"),
         ]:
-            with pytest.raises(DomainError, match=name):
-                regularized_inverse_square(exp_s, exp_t, 1e-4)
+            with pytest.raises(DomainError, match=f"^{name} must be finite and exceed -0.5"):
+                regularized_inverse_square(lam, mu, 1e-4)
 
     def test_evaluation_counts(self):
         # (1 + u-nodes) x v-width per rung.  Rung 0: _ladder(2) = (14, 16),
         # u on 13 levels each way, 2 * 14 * 14 = 392; v width 2 * 17 * 14 = 476.
         # Rung 1: _ladder(3) = (17, 21), u on 15 levels, 2 * 16 * 17 = 544;
         # v width 2 * 22 * 17 = 748.  393 * 476 + 545 * 748 = 594_728.
-        r = regularized_inverse_square(0.8, 0.9, 1e-6)
+        r = regularized_inverse_square(1.3, 1.4, 1e-6)
         assert r.level == 1
         assert r.evaluations == 594_728
 
@@ -329,7 +333,7 @@ class TestRegularizedKernel:
         # consecutive rungs share the G(u) - G(0) rounding noise, so their
         # difference alone understates the error; the noise floor covers it
         for lam, mu in itertools.product(np.linspace(0.9, 2.0, 6), repeat=2):
-            r = regularized_inverse_square(lam - 0.5, mu - 0.5, 1e-6)
+            r = regularized_inverse_square(lam, mu, 1e-6)
             ref = dotsenko_fateev(lam, mu)
             assert abs(r.value - ref) <= r.est_error
 
@@ -341,7 +345,7 @@ class TestRegularizedKernel:
     def test_estimate_covers_error_below_half(self):
         # (lam, mu) = (0.2, 1.1): the value lies ~1.0e-3 from the closed form
         # while est_error is ~6.5e-4
-        r = regularized_inverse_square(-0.3, 0.6, 6.6e-4)
+        r = regularized_inverse_square(0.2, 1.1, 6.6e-4)
         assert abs(r.value - dotsenko_fateev(0.2, 1.1)) <= r.est_error
 
 
@@ -540,7 +544,7 @@ BACKENDS = {
         target,
     ),
     "hermite": lambda target: integrate_hermite_2d(0.8, 0.6, 1, 1, target),
-    "finite_part": lambda target: regularized_inverse_square(0.8, 0.9, target),
+    "finite_part": lambda target: regularized_inverse_square(1.3, 1.4, target),
 }
 
 

@@ -1,6 +1,7 @@
 """Scalar special-function kernels: values, identities, and branch logic."""
 
 import math
+import re
 import threading
 
 import mpmath as mp
@@ -114,6 +115,33 @@ class TestGammaFamily:
         # lgamma(inf) - lgamma(inf) gave nan
         with pytest.raises(DomainError):
             call()
+
+
+class TestHugeArguments:
+    """math.lgamma overflows above ~2.6e305: a finite argument past that is a
+    DomainError that names it, not an OverflowError."""
+
+    @pytest.mark.parametrize(
+        "call, arg",
+        [
+            (lambda: gamma(1e306), "1e+306"),
+            (lambda: rgamma(3e305), "3e+305"),
+            (lambda: beta(1e308, 1.0), "1e+308"),
+            (lambda: gamma_ratio((2.0,), (0.5, 1e307)), "1e+307"),
+            (lambda: _lgamma_at(1e306, 3), "1e+306"),
+            (lambda: _lgamma_at(0.5, 6e305), "3e+305"),
+        ],
+        ids=["gamma", "rgamma", "beta", "ratio-den", "lattice", "lattice-j"],
+    )
+    def test_domain_error_names_argument(self, call, arg):
+        with pytest.raises(DomainError, match=f"^gamma argument {re.escape(arg)} is past"):
+            call()
+
+    def test_below_the_overflow(self):
+        # the largest arguments log-gamma takes still give +inf and 0
+        assert gamma(2.5e305) == math.inf
+        assert rgamma(2.5e305) == 0.0
+        assert _lgamma_at(2.5e305, 0)[0] == math.lgamma(2.5e305)
 
 
 class TestLgammaAt:
