@@ -7,9 +7,11 @@ projection identity linking the two, classical specializations (Selberg,
 Warnaar, Tarasov-Varchenko, Dotsenko-Fateev, Mehta), the trigonometric and
 Hermite limit forms, and the sup-norm tail machinery used to pick
 truncation orders.  All gamma ratios run in log space with separate sign
-tracking; a gamma pole in a denominator produces an exact zero.  A gamma
-at a lattice point c + j/2 (the coefficient's four denominators, on a grid
-or at one entry, and the cosine lattice) is taken by specfun._lgamma_at.
+tracking; a gamma pole in a denominator produces an exact zero.  Every
+gamma is taken by specfun._lgamma_at: at a lattice point c + j/2 (the
+coefficient's four denominators, on a grid or at one entry, the cosine
+lattice and the Hermite form's denominator) directly, and elsewhere as a
+factor of specfun.gamma_ratio.
 """
 
 from __future__ import annotations
@@ -22,12 +24,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .orthopoly import gegenbauer_all, gegenbauer_norm_sq
 from .specfun import (
-    DomainError, _lgamma_at, _log_gamma_ratio, check_above, check_degree, gamma_ratio, hyp2f1,
-    pochhammer,
+    LN2, LNPI, DomainError, _lgamma_at, _log_gamma_ratio, check_above, check_degree,
+    check_points, gamma_ratio, hyp2f1,
 )
-
-LN2 = math.log(2.0)
-LNPI = math.log(math.pi)
 
 #: Search cap for truncation orders.
 MAX_ORDER = 2000
@@ -175,7 +174,9 @@ def coeff_table(params: ExpansionParams, L: int, M: int) -> np.ndarray:
 
 
 def kernel_value(params: ExpansionParams, s, t):
-    """|s-t|^(2 nu) sgn^eps(s-t) evaluated pointwise, with sgn(0) = 0."""
+    """|s-t|^(2 nu) sgn^eps(s-t) at finite points s and t, with sgn(0) = 0."""
+    check_points("s", s)
+    check_points("t", t)
     d = np.asarray(s, dtype=float) - np.asarray(t, dtype=float)
     val = np.abs(d) ** (2.0 * params.nu)
     if params.eps:
@@ -190,10 +191,8 @@ def series_eval_grid(
     [-1, 1], the square that the tail estimate's sup runs over."""
     check_degree("L", L)
     check_degree("M", M)
-    for name, x in (("s", s), ("t", t)):
-        outside = np.asarray(x, dtype=float)[~(np.abs(x) <= 1.0)]  # NaN included
-        if outside.size:
-            raise DomainError(f"{name} must lie in [-1, 1], got {float(outside[0])!r}")
+    check_points("s", s, 1.0)
+    check_points("t", t, 1.0)
     params.require_hypothesis(force)
     cs = gegenbauer_all(params.lam, L, np.atleast_1d(s))
     ct = gegenbauer_all(params.mu, M, np.atleast_1d(t))
@@ -462,7 +461,7 @@ def shear_averaged_projection(
 
 def cosine_expansion(rho: float, parity: int, phi, psi, K: int) -> np.ndarray:
     """Truncated bilateral expansion of |cos(phi) + cos(psi)|^rho
-    sgn^parity(cos(phi) + cos(psi)) on the angle grid phi x psi.
+    sgn^parity(cos(phi) + cos(psi)) on the grid phi x psi of finite angles.
 
     Entry (i, j) sums 2^(-rho) Gamma(rho+1)^2 cos(l phi_i) cos(m psi_j) over
     the four-gamma reciprocal products for all integer |l|, |m| <= K with
@@ -475,6 +474,8 @@ def cosine_expansion(rho: float, parity: int, phi, psi, K: int) -> np.ndarray:
     if parity not in (0, 1):
         raise DomainError("parity must be 0 or 1")
     check_degree("K", K)
+    check_points("phi", phi)
+    check_points("psi", psi)
     k = np.arange(-2 * K, 2 * K + 1)
     log_k, sign_k = _reciprocal_gammas(*_denominator_lattices(0.0, 0.0, 0.5 * rho, k, k)[0])
     log_d = np.where((k - parity) % 2 == 0, log_k, -np.inf)
@@ -491,7 +492,10 @@ def hermite_kernel_integral(nu: float, ell: int, m: int, x: float) -> float:
     """Closed form of int int |s - x t|^(2 nu) e^(-s^2-t^2) H_ell(s) H_m(t).
 
     (-nu)_((ell+m)/2) (-1)^((ell-m)/2) 2^(ell+m) sqrt(pi) Gamma(nu+1/2)
-    (x^2+1)^(nu-(ell+m)/2) x^m, for even ell + m.
+    (x^2+1)^(nu-(ell+m)/2) x^m, for even ell + m, in log space with
+    (-nu)_half = (-1)^half Gamma(nu+1) / Gamma(nu+1-half).  That last gamma
+    is the lattice point nu + (2 - 2 half)/2, whose pole is the exact zero
+    at integer nu < half.
     """
     check_degree("ell", ell)
     check_degree("m", m)
@@ -500,18 +504,19 @@ def hermite_kernel_integral(nu: float, ell: int, m: int, x: float) -> float:
     check_above("nu", nu, 0.0)
     check_above("x", x, -math.inf)
     half = (ell + m) // 2
-    try:
-        return (
-            pochhammer(-nu, half)
-            * (-1.0) ** ((ell - m) // 2)
-            * 2.0 ** (ell + m)
-            * math.sqrt(math.pi)
-            * gamma_ratio((nu + 0.5,), ())
-            * (x * x + 1.0) ** (nu - half)
-            * x**m
-        )
-    except OverflowError:
-        raise DomainError(f"value overflows at nu={nu!r}, ell={ell}, m={m}, x={x!r}") from None
+    lg, sg = _lgamma_at(nu, 2 - 2 * half)
+    if lg == math.inf or (m and x == 0.0):
+        return 0.0
+    value = gamma_ratio(
+        (nu + 1.0, nu + 0.5),
+        scale_log=(ell + m) * LN2 + 0.5 * LNPI - lg
+        + 2.0 * (nu - half) * math.log(math.hypot(1.0, x))
+        + (m * math.log(abs(x)) if m else 0.0),
+        sign=sg * (-1.0) ** ell * (-1.0 if x < 0.0 and m % 2 else 1.0),
+    )
+    if abs(value) == math.inf:
+        raise DomainError(f"value overflows at nu={nu!r}, ell={ell}, m={m}, x={x!r}")
+    return value
 
 
 def weighted_power_mass(lam: float, mu: float, nu: float) -> float:

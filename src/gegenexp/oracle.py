@@ -36,7 +36,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .orthopoly import gauss_hermite_rule, gauss_jacobi_rule, gegenbauer, hermite
-from .specfun import DomainError, check_above, check_degree
+from .specfun import DomainError, check_above, check_degree, check_points
 
 KERNELS = ("plus", "minus", "abs", "abssgn")
 
@@ -88,8 +88,7 @@ class QuadratureSpec:
         if self.extra_axis is not None:
             for a in self.extra_axis:
                 check_above("extra_axis exponent", a, -1.0)
-        if not -1.0 <= self.x_shear <= 1.0:
-            raise DomainError(f"x_shear must lie in [-1, 1], got {self.x_shear!r}")
+        check_points("x_shear", self.x_shear, 1.0)
         if self.extra_axis is not None and self.x_shear != 0.0:
             raise DomainError("extra_axis sets the shear: it takes no x_shear")
 

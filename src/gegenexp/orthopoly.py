@@ -7,16 +7,12 @@ built on the Jacobi-weight recurrence coefficients.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .specfun import DomainError, check_above, check_degree, gamma_ratio
-
-LN2 = math.log(2.0)
-LNPI = math.log(math.pi)
+from .specfun import LN2, LNPI, DomainError, check_above, check_degree, gamma_ratio
 
 
 def _check_lambda(lam: float) -> None:
@@ -29,7 +25,8 @@ def gegenbauer(lam: float, n: int, x):
     """Ultraspherical polynomial C_n^lam(x) for scalar or array x.
 
     Recurrence: n C_n = 2 (n + lam - 1) x C_{n-1} - (n + 2 lam - 2) C_{n-2},
-    seeded with C_0 = 1 and C_1 = 2 lam x.
+    seeded with C_0 = 1 and C_1 = 2 lam x.  The points x are not checked:
+    the oracle calls this once per row block, and a NaN point gives NaN.
     """
     _check_lambda(lam)
     check_degree("n", n)

@@ -1,17 +1,17 @@
 """Scalar special-function kernels.
 
 The rule that a degree or order is a nonnegative integer, check_above
-(the one rule that a real argument is finite and exceeds its floor), the
-gamma pole test and sign, log|Gamma| at a lattice point c + j/2
-(_lgamma_at, the one way the closed forms take a gamma whose argument is a
-parameter plus a half-integer), gamma ratios in log space, a reciprocal
+(the one rule that a real argument is finite and exceeds its floor) and
+check_points (the one rule for arrays of evaluation points), the gamma pole
+test, log|Gamma| and its sign at a lattice point c + j/2 (_lgamma_at, the
+one function that calls math.lgamma: every gamma the package takes, each
+factor of a log-space gamma ratio included, goes through it), a reciprocal
 gamma that is exactly zero at the poles, rising factorials, the beta
 function, an in-house digamma (reflection, recurrence and the asymptotic
 series), and a real-argument Gauss hypergeometric function with
 termination detection, a z -> 1-z connection formula (including the
 logarithmic case for integer c-a-b) and exact Gauss summation at z = 1.
-Everything runs on math and numpy alone; no other module of the package
-calls math.lgamma.
+Everything runs on math and numpy alone.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ MAX_TERMS = 10_000
 #: |z| above which evaluation routes through a connection formula.
 Z_SWITCH = 0.75
 
-_LOG_PI = math.log(math.pi)
+LN2 = math.log(2.0)
+LNPI = math.log(math.pi)
 
 
 class PoleError(ValueError):
@@ -82,12 +83,14 @@ def check_above(name: str, value, floor: float) -> None:
         raise DomainError(f"{name} must be finite and exceed {floor}, got {value!r}")
 
 
-def gamma_sign(x: float) -> float:
-    """Sign of Gamma(x) for x away from the poles."""
-    if x > 0:
-        return 1.0
-    # Gamma alternates sign on the intervals (-k-1, -k).
-    return -1.0 if math.floor(-x) % 2 == 0 else 1.0
+def check_points(name: str, x, bound: float = math.inf) -> None:
+    """Raise DomainError unless every point of x, an array-like called name,
+    is finite and lies in [-bound, bound]."""
+    x = np.asarray(x, dtype=float)
+    bad = x[~(np.isfinite(x) & (np.abs(x) <= bound))]
+    if bad.size:
+        rule = f"lie in [-{bound:g}, {bound:g}]" if bound < math.inf else "be finite"
+        raise DomainError(f"{name} must {rule}, got {float(bad[0])!r}")
 
 
 def _lgamma_at(c: float, j: int) -> tuple:
@@ -101,21 +104,23 @@ def _lgamma_at(c: float, j: int) -> tuple:
     relative accuracy.  The sine's log is numpy's, not math's: the two
     differ in the last bit on ~1% of arguments, and numpy's keeps
     coeff_table bit-identical to the tables of earlier versions.  Past
-    x ~ 2.6e305, where log|Gamma| overflows, it raises DomainError.
+    x ~ 2.6e305, where log|Gamma| overflows, it raises DomainError, as it
+    does for NaN and +-inf.  This is the one reader of math.lgamma.
     """
     x = c + 0.5 * j
     if x >= 0.5:
         try:
-            return math.lgamma(x), 1.0
+            lg = math.lgamma(x)
         except OverflowError:
-            raise _lgamma_overflow(x) from None
+            message = f"gamma argument {x!r} is past the double range of log-gamma"
+            raise DomainError(message) from None
+        if lg < math.inf:
+            return lg, 1.0
+        check_above("argument", x, -math.inf)  # x = +inf
     if nonpositive_int(x) is not None:
         return math.inf, 1.0
-    return _log_pi_over_sin(c, j % 2) - math.lgamma(1.0 - x), gamma_sign(x)
-
-
-def _lgamma_overflow(x: float) -> DomainError:
-    return DomainError(f"gamma argument {x!r} is past the double range of log-gamma")
+    sign = -1.0 if math.floor(-x) % 2 == 0 else 1.0  # alternates on (-k-1, -k)
+    return _log_pi_over_sin(c, j % 2) - math.lgamma(1.0 - x), sign
 
 
 @lru_cache(maxsize=128)
@@ -124,7 +129,7 @@ def _log_pi_over_sin(c: float, odd: int) -> float:
     c's offset from the nearest integer (even j) or half-integer (odd j).
     It depends on c and the parity alone: a lattice computes it at most twice."""
     offset = c - (math.floor(c) + 0.5) if odd else c - round(c)
-    return _LOG_PI - float(np.log(abs(math.sin(math.pi * offset))))
+    return LNPI - float(np.log(abs(math.sin(math.pi * offset))))
 
 
 #: Coefficients B_2k / (2k) of the digamma asymptotic series, k = 1..7.
@@ -195,26 +200,20 @@ def _log_gamma_ratio(num=(), den=(), scale_log: float = 0.0, sign: float = 1.0):
     """(log|prod Gamma(num_i) / prod Gamma(den_j)| + scale_log, its sign
     times sign).
 
-    A pole in a numerator factor raises PoleError, also when a denominator
-    has one too; otherwise a pole in a denominator factor gives (-inf, 1).
-    A factor past x ~ 2.6e305, where log|Gamma| overflows, raises DomainError.
+    Each factor is the lattice point _lgamma_at(x, 0).  A pole in a
+    numerator factor raises PoleError, also when a denominator has one too;
+    otherwise a pole in a denominator factor gives (-inf, 1).
     """
     total, s = scale_log, sign
-    try:
-        for x in den:
-            if nonpositive_int(x) is not None:
-                _log_gamma_ratio(num)  # raises if a numerator has a pole too
-                return -math.inf, 1.0
-            total -= math.lgamma(x)
-            s *= gamma_sign(x)
-        for x in num:
-            if nonpositive_int(x) is not None:
-                raise PoleError(f"gamma pole at x={x!r}")
-            total += math.lgamma(x)
-            s *= gamma_sign(x)
-    except OverflowError:
-        raise _lgamma_overflow(x) from None
-    return total, s
+    for x in den:
+        lg, sg = _lgamma_at(x, 0)
+        total, s = total - lg, s * sg
+    for x in num:
+        lg, sg = _lgamma_at(x, 0)
+        if lg == math.inf:
+            raise PoleError(f"gamma pole at x={x!r}")
+        total, s = total + lg, s * sg
+    return (-math.inf, 1.0) if total == -math.inf else (total, s)
 
 
 def gamma_ratio(num=(), den=(), scale_log: float = 0.0, sign: float = 1.0) -> float:
@@ -279,13 +278,8 @@ def _series(a: float, b: float, c: float, z: float, nterms: int | None = None):
 
 def _termination_index(a: float, b: float) -> int | None:
     """Smallest n with a or b snapping to -n, i.e. series length n+1."""
-    na = nonpositive_int(a)
-    nb = nonpositive_int(b)
-    if na is None:
-        return nb
-    if nb is None:
-        return na
-    return min(na, nb)
+    found = [n for n in (nonpositive_int(a), nonpositive_int(b)) if n is not None]
+    return min(found, default=None)
 
 
 def _gauss_sum(a: float, b: float, c: float) -> HypResult:
@@ -446,10 +440,8 @@ def hyp2f1_half(a: float, c: float) -> float:
     Equals 2^(1-c) sqrt(pi) Gamma(c) / (Gamma((a+c)/2) Gamma((c-a+1)/2));
     pole factors in the denominator give an exact zero.
     """
-    if nonpositive_int(c) is not None:
-        raise PoleError(f"hyp2f1_half pole: c={c!r}")
     return gamma_ratio(
         (c,),
         ((a + c) / 2.0, (c - a + 1.0) / 2.0),
-        scale_log=(1.0 - c) * math.log(2.0) + 0.5 * math.log(math.pi),
+        scale_log=(1.0 - c) * LN2 + 0.5 * LNPI,
     )

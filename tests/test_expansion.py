@@ -633,6 +633,27 @@ class TestHermiteIntegral:
         with pytest.raises(DomainError):
             hermite_kernel_integral(1.0, 1, 2, 0.5)
 
+    def test_matches_the_linear_product(self):
+        # the log-space product against the rising factorial times powers of
+        # x, at integer, half-integer and random nu, both signs of x and x = 0
+        rng = np.random.default_rng(23)
+        nus = [1.0, 2.0, 3.0, 0.5, 1.5, 2.5] + rng.uniform(0.05, 6.0, 24).tolist()
+        for nu in nus:
+            for ell, m in [(0, 0), (1, 1), (2, 0), (0, 4), (3, 5), (6, 2), (7, 7)]:
+                for x in (0.0, 0.3, -0.7, 1.0, -2.5, 6.0):
+                    half = (ell + m) // 2
+                    ref = (pochhammer(-nu, half) * (-1.0) ** ((ell - m) // 2) * 2.0 ** (ell + m)
+                           * math.sqrt(math.pi) * gamma(nu + 0.5)
+                           * (x * x + 1.0) ** (nu - half) * x**m)
+                    got = hermite_kernel_integral(nu, ell, m, x)
+                    assert got == pytest.approx(ref, rel=1e-13, abs=0.0), (nu, ell, m, x)
+
+    def test_finite_past_the_linear_products_range(self):
+        # (-nu)_171 overflows and (x^2 + 1)^(nu - 171) underflows: their
+        # product was nan; the value is mpmath's at 40 digits
+        got = hermite_kernel_integral(1.5, 171, 171, 20.0)
+        assert got == pytest.approx(3.8596362597692949e+187, rel=1e-12)
+
     def test_limit_bridge_from_projection(self):
         # rescaled projections converge to the Gaussian-kernel closed form
         ell = m = 1
@@ -696,6 +717,29 @@ class TestNonFiniteInputs:
     def test_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: kernel_value(ExpansionParams(1, 1, 1), 7.0, math.nan),
+             "t must be finite, got nan"),
+            (lambda: kernel_value(ExpansionParams(1, 1, 1), [0.2, -math.inf], 0.1),
+             "s must be finite, got -inf"),
+            (lambda: cosine_expansion(2.0, 0, math.nan, 0.2, 4), "phi must be finite, got nan"),
+            (lambda: cosine_expansion(2.0, 0, 0.1, [0.2, math.inf], 4),
+             "psi must be finite, got inf"),
+        ],
+        ids=["kernel-t-nan", "kernel-s-minus-inf", "cosine-phi-nan", "cosine-psi-inf"],
+    )
+    def test_non_finite_point_is_named(self, call, message):
+        # these points were evaluated: nan and [[nan]] came back
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_finite_points_outside_the_square_evaluate(self):
+        # only the series needs [-1, 1]; the kernel and the angles are any finite reals
+        assert kernel_value(ExpansionParams(1, 1, 1), 7.0, 2.0) == 25.0
+        assert cosine_expansion(2.0, 0, 7.0, -4.0, 4).shape == (1, 1)
 
 
 _PARAMS = ExpansionParams(1.0, 1.0, 3.5, 0)

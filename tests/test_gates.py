@@ -22,6 +22,7 @@ REFERENCE_ONLY = {
     "hyp2f1_half": "tests/test_specfun.py::TestHyp2f1Half::test_matches_series",
     "moment_of_plus_integral":
         "tests/test_expansion.py::TestMomentAndTriple::test_moment_matches_quadrature",
+    "pochhammer": "tests/test_expansion.py::TestHermiteIntegral::test_matches_the_linear_product",
     "rgamma": "tests/test_specfun.py::TestGammaFamily::test_rgamma_inverts_gamma",
     "weighted_power_mass":
         "tests/test_oracle.py::TestBasics::test_weighted_mass_matches_closed_form",
@@ -73,7 +74,8 @@ def test_oracle_is_independent_and_environment_unread():
 
 
 def _uses_lgamma(tree) -> bool:
-    """Whether a module reads math.lgamma, as an attribute or by import."""
+    """Whether a module or function reads math.lgamma, as an attribute or by
+    import."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr == "lgamma":
             return True
@@ -84,9 +86,14 @@ def _uses_lgamma(tree) -> bool:
 
 
 def test_log_gamma_is_taken_in_specfun_alone():
-    # every other module reaches a gamma through specfun's lattice rule
-    # (_lgamma_at) or its log-space ratio, so there is one way to take it
+    # one function reads math.lgamma: gamma_ratio takes each factor, and every
+    # other module each gamma, through specfun's lattice rule _lgamma_at, so
+    # the pole test, the sign and the overflow rule live there alone
     assert [name for name, tree in TREES.items() if _uses_lgamma(tree)] == ["specfun"]
+    readers = {f"{name}.{node.name}" for name, tree in TREES.items()
+               for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               and _uses_lgamma(node)}
+    assert readers == {"specfun._lgamma_at"}
 
 
 def _finiteness_checks(tree) -> set:

@@ -22,7 +22,6 @@ from gegenexp.specfun import (
     beta,
     gamma,
     gamma_ratio,
-    gamma_sign,
     hyp2f1,
     hyp2f1_half,
     nonpositive_int,
@@ -41,10 +40,27 @@ class TestGammaFamily:
                 gamma_ratio((x,))
 
     def test_gamma_sign_alternates(self):
-        assert gamma_sign(2.3) == 1.0
-        assert gamma_sign(-0.5) == -1.0
-        assert gamma_sign(-1.5) == 1.0
-        assert gamma_sign(-2.5) == -1.0
+        assert _lgamma_at(2.3, 0)[1] == 1.0
+        assert _lgamma_at(0.3, 0)[1] == 1.0
+        assert _lgamma_at(-0.5, 0)[1] == -1.0
+        assert _lgamma_at(-1.5, 0)[1] == 1.0
+        assert _lgamma_at(-2.5, 0)[1] == -1.0
+
+    def test_ratio_below_one_half_matches_mpmath(self):
+        # every factor goes through _lgamma_at, so below 1/2 through the
+        # reflection: uniform draws on (-200, 1/2) and points 1e-7, 1e-3, a
+        # quarter and a half away from a pole
+        rng = np.random.default_rng(19)
+        offsets = rng.choice([1e-7, -1e-7, 1e-3, -1e-3, 0.25, 0.5], 1000)
+        poles = offsets - rng.integers(0, 200, 1000)
+        xs = np.where(rng.random(1000) < 0.5, rng.uniform(-200.0, 0.5, 1000), poles)
+        for num, den in zip(xs[0::2].tolist(), xs[1::2].tolist()):
+            ref = mp.gamma(mp.mpf(num)) / mp.gamma(mp.mpf(den))
+            log, sign = sf._log_gamma_ratio((num,), (den,))
+            assert sign == (1.0 if ref > 0 else -1.0)
+            assert abs(log - float(mp.log(abs(ref)))) <= 5e-13, (num, den)
+            if abs(log) < 700.0:
+                assert abs(gamma_ratio((num,), (den,)) / float(ref) - 1.0) <= 5e-13
 
     def test_rgamma_total(self):
         assert rgamma(0.0) == 0.0
@@ -384,6 +400,12 @@ class TestHyp2f1Half:
         assert hyp2f1_half(0.3, 1.7) == pytest.approx(
             hyp2f1(0.3, 0.7, 1.7, 0.5).value, rel=1e-12
         )
+
+    def test_pole_in_c_is_the_numerator_pole(self):
+        # the pole at c is gamma_ratio's numerator pole, whatever a denominator does
+        for a in (0.3, 3.0):
+            with pytest.raises(PoleError, match=r"^gamma pole at x=-2\.0$"):
+                hyp2f1_half(a, -2.0)
 
     def test_random_points(self):
         rng = np.random.default_rng(37)
