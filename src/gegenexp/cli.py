@@ -4,10 +4,10 @@ Subcommands: coeffs (coefficient tables), eval (expansion vs kernel on a
 grid), bx (one sheared integral, optionally cross-checked), verify
 (closed-form vs oracle suites).
 
-Exit codes: 0 success, 2 usage or domain error or an --out file that
-cannot be written, 3 series-hypothesis violation, 4 oracle or 2F1
-non-convergence outside the suites.  A failing verify suite, or one that
-ran no cases, exits 1.  All file output is UTF-8 with LF line endings;
+Exit codes: 0 success, 2 usage or domain error (a gamma pole is one) or an
+--out file that cannot be written, 3 series-hypothesis violation, 4 oracle
+or 2F1 non-convergence outside the suites.  A failing verify suite, or one
+that ran no cases, exits 1.  All file output is UTF-8 with LF line endings;
 floats are serialized with repr, Python's shortest round-trip
 representation.
 """
@@ -24,8 +24,7 @@ import numpy as np
 from . import expansion as ex
 from . import verify as vf
 from .expansion import ExpansionParams, HypothesisError
-from .oracle import OracleConvergenceError
-from .specfun import ConvergenceError, DomainError, PoleError
+from .specfun import ConvergenceError, DomainError
 
 
 def _jsonable(x):
@@ -190,10 +189,10 @@ def main(argv=None) -> int:
     except HypothesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OracleConvergenceError, ConvergenceError) as exc:
+    except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DomainError, PoleError, OSError, OverflowError) as exc:
+    except (DomainError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

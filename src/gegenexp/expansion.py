@@ -311,8 +311,7 @@ def _check_plus_part(lam: float, mu: float, nu: float, x: float = 0.0) -> None:
     check_above("lam", lam, -0.5)
     check_above("mu", mu, -0.5)
     check_above("nu", nu, 0.0)
-    if not -1.0 <= x <= 1.0:
-        raise DomainError("requires -1 <= x <= 1")
+    check_points("x", x, 1.0)
 
 
 def plus_part_integral(
@@ -340,33 +339,28 @@ def plus_part_integral(
     return coef * x**m * f.value
 
 
-SHEAR_KINDS = ("plus", "minus", "abs", "abssgn")
+#: Each variant's weights (w_plus, w_minus) on (s - x t)_+ and (x t - s)_+.
+SHEAR_KINDS = {"plus": (1, 0), "minus": (0, 1), "abs": (1, 1), "abssgn": (1, -1)}
 
 
 def sheared_integral(
     kind: str, lam: float, mu: float, nu: float, ell: int, m: int, x: float
 ) -> float:
-    """Sign variants of the sheared kernel integral.
-
-    minus flips by (-1)^(ell+m); abs keeps only even ell+m (factor
-    1+(-1)^(ell+m)); abssgn keeps only odd (factor 1-(-1)^(ell+m)).  The
-    arguments are checked as plus_part_integral checks them, also where the
-    variant vanishes by parity.
+    """Sign variants of the sheared kernel integral: w_plus + w_minus
+    (-1)^(ell+m) times plus_part_integral, the minus part being the plus part
+    reflected through (s, t) -> (-s, -t).  A zero factor is the parity zero,
+    returned once the arguments pass plus_part_integral's checks.
     """
-    if kind not in SHEAR_KINDS:
+    if not isinstance(kind, str) or kind not in SHEAR_KINDS:  # a list is no key
         raise DomainError(f"unknown variant {kind!r}")
     check_degree("ell", ell)
     check_degree("m", m)
-    parity = -1.0 if (ell + m) % 2 else 1.0
-    if (kind == "abs" and parity < 0) or (kind == "abssgn" and parity > 0):
+    w_plus, w_minus = SHEAR_KINDS[kind]
+    factor = w_plus - w_minus if (ell + m) % 2 else w_plus + w_minus
+    if factor == 0:
         _check_plus_part(lam, mu, nu, x)  # plus_part_integral checks the others
         return 0.0
-    base = plus_part_integral(lam, mu, nu, ell, m, x)
-    if kind == "plus":
-        return base
-    if kind == "minus":
-        return parity * base
-    return 2.0 * base
+    return factor * plus_part_integral(lam, mu, nu, ell, m, x)
 
 
 def projection_integral(params: ExpansionParams, ell: int, m: int) -> float:
@@ -385,22 +379,16 @@ def projection_integral(params: ExpansionParams, ell: int, m: int) -> float:
 
 
 def plus_base_integral(a: float, b: float, c: float, x: float) -> float:
-    """Closed form of int int (s - x t)_+^(2c-1) (1-s^2)^(a-1) (1-t^2)^(b-1).
-
-    sqrt(pi) Gamma(a) Gamma(b) Gamma(c) / (2 Gamma(a+c) Gamma(b+1/2)) times
-    2F1(-c+1/2, -a-c+1; b+1/2; x^2).
-    """
+    """Closed form of int int (s - x t)_+^(2c-1) (1-s^2)^(a-1) (1-t^2)^(b-1):
+    plus_part_integral at ell = m = 0 and lam, mu, nu = a - 1/2, b - 1/2,
+    c - 1/2, without its normalizations u_0 = sqrt(pi) / Gamma(a), sqrt(pi)
+    / Gamma(b).  That is sqrt(pi) Gamma(a) Gamma(b) Gamma(c) / (2 Gamma(a+c)
+    Gamma(b+1/2)) times 2F1(-c+1/2, -a-c+1; b+1/2; x^2)."""
     check_above("a", a, 0.0)
     check_above("b", b, 0.0)
     check_above("c", c, 0.5)
-    if not -1.0 <= x <= 1.0:
-        raise DomainError("requires -1 <= x <= 1")
-    coef = gamma_ratio(
-        (a, b, c),
-        (a + c, b + 0.5),
-        scale_log=0.5 * LNPI - LN2,
-    )
-    return coef * hyp2f1(0.5 - c, 1.0 - a - c, b + 0.5, x * x).value
+    base = plus_part_integral(a - 0.5, b - 0.5, c - 0.5, 0, 0, x)
+    return gamma_ratio((a, b), scale_log=-LNPI) * base
 
 
 def moment_of_plus_integral(
@@ -440,10 +428,10 @@ def shear_averaged_projection(
     """
     check_degree("ell", ell)
     check_degree("m", m)
-    if (ell + m) % 2:
-        raise DomainError("requires ell + m even")
     _check_plus_part(lam, mu, nu)
     check_above("b", b, -1.0)
+    if (ell + m) % 2:
+        raise DomainError("requires ell + m even")
     # (2 lam)_ell / ell!, (2 mu)_m / m! and (-nu)_half / (big)_half as
     # running products of factors near 1, the gammas left in one ratio
     half = (ell + m) // 2
@@ -499,10 +487,10 @@ def hermite_kernel_integral(nu: float, ell: int, m: int, x: float) -> float:
     """
     check_degree("ell", ell)
     check_degree("m", m)
-    if (ell + m) % 2:
-        raise DomainError("requires ell + m even")
     check_above("nu", nu, 0.0)
     check_above("x", x, -math.inf)
+    if (ell + m) % 2:
+        raise DomainError("requires ell + m even")
     half = (ell + m) // 2
     lg, sg = _lgamma_at(nu, 2 - 2 * half)
     if lg == math.inf or (m and x == 0.0):

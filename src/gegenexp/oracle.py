@@ -36,12 +36,12 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .orthopoly import gauss_hermite_rule, gauss_jacobi_rule, gegenbauer, hermite
-from .specfun import DomainError, check_above, check_degree, check_points
+from .specfun import ConvergenceError, DomainError, check_above, check_degree, check_points
 
 KERNELS = ("plus", "minus", "abs", "abssgn")
 
 
-class OracleConvergenceError(RuntimeError):
+class OracleConvergenceError(ConvergenceError):
     """Refinement exhausted without meeting the requested target; value is
     the last rung's, est_error its distance from the rung before."""
 

@@ -71,9 +71,12 @@ def gegenbauer_norm_sq(lam: float, n: int) -> float:
 def u_prefactor(lam: float, n: int) -> float:
     """Normalization 2^(2 lam - 1) n! Gamma(lam) / Gamma(2 lam + n) of the
     weighted polynomial u_n^lam(s) = u_prefactor (1-s^2)^(lam-1/2) C_n^lam(s)
-    that the sheared integrals take."""
+    that the sheared integrals take, and its limit 1 at lam = n = 0, where
+    the ratio reads Gamma(1) Gamma(0) / Gamma(0) and u_0^0 = (1-s^2)^(-1/2)."""
     check_above("lam", lam, -0.5)
     check_degree("n", n)
+    if lam == 0.0 and n == 0:
+        return 1.0
     return gamma_ratio((n + 1.0, lam), (2.0 * lam + n,), scale_log=(2.0 * lam - 1.0) * LN2)
 
 

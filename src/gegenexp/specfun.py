@@ -42,16 +42,16 @@ LN2 = math.log(2.0)
 LNPI = math.log(math.pi)
 
 
-class PoleError(ValueError):
-    """Evaluation at (or within snapping distance of) a gamma pole."""
-
-
 class DomainError(ValueError):
     """Arguments outside the supported evaluation domain."""
 
 
+class PoleError(DomainError):
+    """Evaluation at (or within snapping distance of) a gamma pole."""
+
+
 class ConvergenceError(RuntimeError):
-    """A series failed to meet its stopping rule within MAX_TERMS."""
+    """A series, or the oracle's refinement, failed to meet its stopping rule."""
 
 
 def nonpositive_int(x: float) -> int | None:
@@ -85,7 +85,10 @@ def check_above(name: str, value, floor: float) -> None:
 
 def check_points(name: str, x, bound: float = math.inf) -> None:
     """Raise DomainError unless every point of x, an array-like called name,
-    is finite and lies in [-bound, bound]."""
+    is finite and lies in [-bound, bound].  One float that passes returns
+    before any array is built; the rest take the array path and its message."""
+    if isinstance(x, float) and abs(x) <= bound and math.isfinite(x):
+        return
     x = np.asarray(x, dtype=float)
     bad = x[~(np.isfinite(x) & (np.abs(x) <= bound))]
     if bad.size:

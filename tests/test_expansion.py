@@ -388,8 +388,8 @@ class TestShearedIntegral:
             (1.0, math.inf, 1.0, 0.5, "mu must be finite and exceed -0.5, got inf"),
             (1.0, 1.0, 0.0, 0.5, "nu must be finite and exceed 0.0, got 0.0"),
             (1.0, 1.0, math.nan, 0.5, "nu must be finite and exceed 0.0, got nan"),
-            (1.0, 1.0, 1.0, 7.0, "requires -1 <= x <= 1"),
-            (1.0, 1.0, 1.0, math.nan, "requires -1 <= x <= 1"),
+            (1.0, 1.0, 1.0, 7.0, "x must lie in [-1, 1], got 7.0"),
+            (1.0, 1.0, 1.0, math.nan, "x must lie in [-1, 1], got nan"),
         ],
         ids=["lam", "lam-nan", "mu", "mu-inf", "nu", "nu-nan", "x", "x-nan"],
     )
@@ -408,6 +408,21 @@ class TestShearedIntegral:
             2 * base, rel=1e-15
         )
 
+    @pytest.mark.parametrize("ell, m", [(1, 2), (2, 2), (0, 3), (4, 0)])
+    def test_variants_are_the_plus_part_times_their_factor(self, ell, m):
+        # written out here, not read from SHEAR_KINDS, so a wrong weight shows
+        even = (ell + m) % 2 == 0
+        factors = {"plus": 1.0, "minus": 1.0 if even else -1.0,
+                   "abs": 2.0 if even else 0.0, "abssgn": 0.0 if even else 2.0}
+        base = plus_part_integral(1.1, 0.7, 1.2, ell, m, 0.6)
+        for kind, factor in factors.items():
+            assert sheared_integral(kind, 1.1, 0.7, 1.2, ell, m, 0.6) == factor * base, kind
+
+    @pytest.mark.parametrize("kind", ["absolute", ["abs"], None])
+    def test_unknown_variant(self, kind):
+        with pytest.raises(DomainError, match=f"^unknown variant {re.escape(repr(kind))}$"):
+            sheared_integral(kind, 1.0, 1.0, 1.0, 0, 0, 0.5)
+
     def test_base_integral_and_reduction(self):
         assert plus_base_integral(1.0, 1.0, 1.0, 0.0) == pytest.approx(1.0, rel=1e-14)
         # degree-zero reduction: the weighted pair integral is the base one
@@ -420,6 +435,20 @@ class TestShearedIntegral:
             * plus_base_integral(lam + 0.5, mu + 0.5, nu + 0.5, x)
         )
         assert lhs == pytest.approx(rhs, rel=1e-13)
+
+    def test_base_integral_against_mpmath(self):
+        # the paper's base formula, which the package no longer spells:
+        # sqrt(pi) G(a) G(b) G(c) / (2 G(a+c) G(b+1/2)) 2F1(1/2-c, 1-a-c; b+1/2; x^2)
+        rng = np.random.default_rng(20)
+        points = [(rng.uniform(0.01, 3.0), rng.uniform(0.01, 3.0), rng.uniform(0.51, 3.0),
+                   x) for x in [-1.0, 0.0, 1.0] + list(rng.uniform(-1.0, 1.0, 21))]
+        for a, b, c, x in points:
+            a_, b_, c_, x_ = map(mp.mpf, (a, b, c, x))
+            ref = (mp.sqrt(mp.pi) * mp.gamma(a_) * mp.gamma(b_) * mp.gamma(c_)
+                   / (2 * mp.gamma(a_ + c_) * mp.gamma(b_ + 0.5))
+                   * mp.hyp2f1(0.5 - c_, 1 - a_ - c_, b_ + 0.5, x_**2))
+            assert plus_base_integral(a, b, c, x) == pytest.approx(float(ref), rel=1e-13), (
+                a, b, c, x)
 
     def test_base_integral_oracle(self):
         a, b, c, x = 1.4, 0.9, 1.1, 0.5
@@ -733,6 +762,21 @@ class TestNonFiniteInputs:
     )
     def test_non_finite_point_is_named(self, call, message):
         # these points were evaluated: nan and [[nan]] came back
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: shear_averaged_projection(math.nan, 1.0, 1.0, 0.0, 1, 2),
+             "lam must be finite and exceed -0.5, got nan"),
+            (lambda: hermite_kernel_integral(math.nan, 1, 2, 0.5),
+             "nu must be finite and exceed 0.0, got nan"),
+        ],
+        ids=["triple", "hermite"],
+    )
+    def test_parameters_are_checked_before_parity(self, call, message):
+        # an odd ell + m with a bad parameter raised "requires ell + m even"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             call()
 

@@ -1,8 +1,8 @@
 """Package rules read from the source: the oracle stays independent of the
 closed forms, no module reads the environment, log-gamma is taken and a
-real argument checked for finiteness in specfun alone, one function gathers
-the coefficient lattice, and every export has a caller, a README mention or
-a test that compares against it."""
+real argument or a point in [-1, 1] checked in specfun alone, one function
+gathers the coefficient lattice, one sums the sheared 2F1, and every export
+has a caller, a README mention or a test that compares against it."""
 
 import ast
 import re
@@ -13,6 +13,8 @@ import gegenexp
 PACKAGE = Path(gegenexp.__file__).parent
 ROOT = PACKAGE.parents[1]
 TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+FUNCTIONS = {f"{name}.{node.name}": node for name, tree in TREES.items()
+             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
 
 #: Exports that no module reads and the README does not name, each mapped to
 #: a test that compares a computed value against it.
@@ -136,12 +138,34 @@ def test_one_function_gathers_the_lattice():
     # (l, m) gamma lattice through _lattice, the one reader of the Hankel and
     # Toeplitz views; the term grid takes no signs, so it needs no abs
     gathers = {"_hankel", "_toeplitz"}
-    functions = {f"{name}.{node.name}": node for name, tree in TREES.items()
-                 for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    readers = {name: _reads(node) & gathers for name, node in functions.items()}
+    readers = {name: _reads(node) & gathers for name, node in FUNCTIONS.items()}
     readers = {name: read for name, read in readers.items() if read}
     assert readers == {"expansion._lattice": gathers}
-    assert not _reads(functions["expansion._term_sup_grid"]) & {"coeff_table", "abs"}
+    assert not _reads(FUNCTIONS["expansion._term_sup_grid"]) & {"coeff_table", "abs"}
+
+
+def test_one_sheared_closed_form_sums_a_2f1():
+    # plus_base_integral is plus_part_integral at degree 0, and
+    # sheared_integral scales plus_part_integral by SHEAR_KINDS' weights
+    readers = [name for name, node in FUNCTIONS.items()
+               if not name.startswith("specfun.") and "hyp2f1" in _reads(node)]
+    assert readers == ["expansion.plus_part_integral"]
+
+
+def _unit_interval_tests(tree) -> list:
+    """Chained comparisons with -1 at one end and 1 at the other."""
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and len(node.ops) > 1
+            and {ast.unparse(node.left), ast.unparse(node.comparators[-1])}
+            in ({"-1.0", "1.0"}, {"-1", "1"})]
+
+
+def test_points_in_the_square_are_checked_in_specfun_alone():
+    # a shear or a point in [-1, 1] goes through specfun.check_points, whose
+    # message names the value
+    found = {name: _unit_interval_tests(tree) for name, tree in TREES.items()
+             if name != "specfun"}
+    assert {name: tests for name, tests in found.items() if tests} == {}
 
 
 def _reads(tree) -> set:

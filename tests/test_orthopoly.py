@@ -103,6 +103,13 @@ class TestWeighted:
         assert u_value(1.0, 0, 0.0) == pytest.approx(2.0, rel=1e-14)
         assert u_value(3.0, 1, 0.0) == 0.0
 
+    def test_lambda_zero_degree_zero_is_the_limit(self):
+        # Gamma(1) Gamma(0) / Gamma(0) raised a pole; u_0^0 = (1-s^2)^(-1/2)
+        assert u_prefactor(0.0, 0) == 1.0
+        assert u_prefactor(1e-9, 0) == pytest.approx(1.0, rel=1e-8)
+        with pytest.raises(DomainError, match="^gamma pole at x=0.0$"):
+            u_prefactor(0.0, 1)
+
     def test_odd_parity(self):
         assert u_value(1.2, 3, 0.4) == pytest.approx(-u_value(1.2, 3, -0.4), rel=1e-13)
 

@@ -160,6 +160,34 @@ class TestHugeArguments:
         assert _lgamma_at(2.5e305, 0)[0] == math.lgamma(2.5e305)
 
 
+class TestCheckPoints:
+    @pytest.mark.parametrize(
+        "x, bound, message",
+        [
+            (math.nan, 1.0, "x must lie in [-1, 1], got nan"),
+            (math.inf, 1.0, "x must lie in [-1, 1], got inf"),
+            (-math.inf, 1.0, "x must lie in [-1, 1], got -inf"),
+            (1.5, 1.0, "x must lie in [-1, 1], got 1.5"),
+            (np.float64(-1.5), 1.0, "x must lie in [-1, 1], got -1.5"),
+            (2, 1.0, "x must lie in [-1, 1], got 2.0"),
+            (math.nan, math.inf, "x must be finite, got nan"),
+            (-math.inf, math.inf, "x must be finite, got -inf"),
+            (np.float64(math.inf), math.inf, "x must be finite, got inf"),
+        ],
+        ids=["nan", "inf", "minus-inf", "outside", "float64", "int", "nan-unbounded",
+             "minus-inf-unbounded", "float64-inf-unbounded"],
+    )
+    def test_one_point_message(self, x, bound, message):
+        # one float that passes returns before the array path; every other
+        # point gets that path's message
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            sf.check_points("x", x, bound)
+
+    @pytest.mark.parametrize("x", [1.0, -1.0, 0.0, np.float64(0.5), 1, [0.5, -1.0]])
+    def test_points_in_bound_pass(self, x):
+        assert sf.check_points("x", x, 1.0) is None
+
+
 class TestLgammaAt:
     def test_matches_mpmath_on_a_half_lattice(self):
         # c + j/2 over both signs, including points 1e-4 and 1e-9 from poles

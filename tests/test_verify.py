@@ -5,7 +5,7 @@ import math
 import pytest
 
 from gegenexp import verify as vf
-from gegenexp.specfun import ConvergenceError, DomainError
+from gegenexp.specfun import ConvergenceError, DomainError, PoleError
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_two_d_suites_pass_at_default_tolerances(seed):
@@ -54,7 +54,8 @@ def _recording_row(calls, error=None):
 
 class TestCaseErrors:
     @pytest.mark.parametrize(
-        "error", [DomainError("bad point"), ConvergenceError("2F1 stalled")]
+        "error", [DomainError("bad point"), ConvergenceError("2F1 stalled"),
+                  PoleError("gamma pole at x=0.0")]
     )
     def test_closed_form_error_fails_only_its_case(self, error, monkeypatch):
         calls = []
