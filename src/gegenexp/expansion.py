@@ -305,9 +305,8 @@ def truncation_order(params: ExpansionParams, tol: float) -> tuple:
 
 
 def _check_plus_part(lam: float, mu: float, nu: float, x: float = 0.0) -> None:
-    """Raise DomainError outside plus_part_integral's domain: lam, mu > -1/2
-    and nu > 0, all finite, and -1 <= x <= 1 (a closed form with no shear
-    leaves x at 0)."""
+    """Raise DomainError unless lam, mu > -1/2 and nu > 0 are finite and x
+    lies in [-1, 1] (a closed form with no shear leaves x at 0)."""
     check_above("lam", lam, -0.5)
     check_above("mu", mu, -0.5)
     check_above("nu", nu, 0.0)
@@ -327,10 +326,15 @@ def plus_part_integral(
     _check_plus_part(lam, mu, nu, x)
     check_degree("ell", ell)
     check_degree("m", m)
+    return _plus_part(lam, mu, nu, ell, m, x)
+
+
+def _plus_part(lam, mu, nu, ell, m, x, num=(), scale_log=0.0) -> float:
+    """Unchecked plus_part_integral, its gamma ratio times prod Gamma(num) e^scale_log."""
     coef = gamma_ratio(
-        (2.0 * nu + 1.0,),
+        (2.0 * nu + 1.0, *num),
         (nu - (ell + m) / 2.0 + 1.0, mu + m + 1.0, lam + nu + (ell - m) / 2.0 + 1.0),
-        scale_log=2.0 * LNPI - (2.0 * nu + 1.0) * LN2,
+        scale_log=2.0 * LNPI - (2.0 * nu + 1.0) * LN2 + scale_log,
         sign=-1.0 if m % 2 else 1.0,
     )
     if coef == 0.0:
@@ -380,15 +384,14 @@ def projection_integral(params: ExpansionParams, ell: int, m: int) -> float:
 
 def plus_base_integral(a: float, b: float, c: float, x: float) -> float:
     """Closed form of int int (s - x t)_+^(2c-1) (1-s^2)^(a-1) (1-t^2)^(b-1):
-    plus_part_integral at ell = m = 0 and lam, mu, nu = a - 1/2, b - 1/2,
-    c - 1/2, without its normalizations u_0 = sqrt(pi) / Gamma(a), sqrt(pi)
-    / Gamma(b).  That is sqrt(pi) Gamma(a) Gamma(b) Gamma(c) / (2 Gamma(a+c)
-    Gamma(b+1/2)) times 2F1(-c+1/2, -a-c+1; b+1/2; x^2)."""
+    plus_part_integral at ell = m = 0, (lam, mu, nu) = (a, b, c) - 1/2, its
+    gamma ratio times Gamma(a) Gamma(b) / pi for the u_0 normalizations, or
+    sqrt(pi) G(a) G(b) G(c) / (2 G(a+c) G(b+1/2)) 2F1(1/2-c, 1-a-c; b+1/2; x^2)."""
     check_above("a", a, 0.0)
     check_above("b", b, 0.0)
     check_above("c", c, 0.5)
-    base = plus_part_integral(a - 0.5, b - 0.5, c - 0.5, 0, 0, x)
-    return gamma_ratio((a, b), scale_log=-LNPI) * base
+    check_points("x", x, 1.0)
+    return _plus_part(a - 0.5, b - 0.5, c - 0.5, 0, 0, x, (a, b), -LNPI)
 
 
 def moment_of_plus_integral(

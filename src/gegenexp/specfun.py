@@ -85,8 +85,7 @@ def check_above(name: str, value, floor: float) -> None:
 
 def check_points(name: str, x, bound: float = math.inf) -> None:
     """Raise DomainError unless every point of x, an array-like called name,
-    is finite and lies in [-bound, bound].  One float that passes returns
-    before any array is built; the rest take the array path and its message."""
+    is finite and lies in [-bound, bound]; one float that passes builds no array."""
     if isinstance(x, float) and abs(x) <= bound and math.isfinite(x):
         return
     x = np.asarray(x, dtype=float)

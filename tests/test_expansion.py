@@ -48,7 +48,7 @@ from gegenexp.orthopoly import (
     u_prefactor,
 )
 from gegenexp.specfun import (
-    DomainError, beta, gamma, hyp2f1, hyp2f1_half, pochhammer, rgamma,
+    DomainError, PoleError, beta, gamma, hyp2f1, hyp2f1_half, pochhammer, rgamma,
 )
 from gegenexp.verify import run_suite, sheared_oracle
 
@@ -400,23 +400,15 @@ class TestShearedIntegral:
             sheared_integral(kind, lam, mu, nu, ell, m, x)
 
     def test_variant_relations(self):
-        base = plus_part_integral(1, 1, 1.2, 1, 2, 0.6)
-        assert sheared_integral("minus", 1, 1, 1.2, 1, 2, 0.6) == pytest.approx(
-            -base, rel=1e-15
-        )
-        assert sheared_integral("abssgn", 1, 1, 1.2, 1, 2, 0.6) == pytest.approx(
-            2 * base, rel=1e-15
-        )
-
-    @pytest.mark.parametrize("ell, m", [(1, 2), (2, 2), (0, 3), (4, 0)])
-    def test_variants_are_the_plus_part_times_their_factor(self, ell, m):
-        # written out here, not read from SHEAR_KINDS, so a wrong weight shows
-        even = (ell + m) % 2 == 0
-        factors = {"plus": 1.0, "minus": 1.0 if even else -1.0,
-                   "abs": 2.0 if even else 0.0, "abssgn": 0.0 if even else 2.0}
-        base = plus_part_integral(1.1, 0.7, 1.2, ell, m, 0.6)
-        for kind, factor in factors.items():
-            assert sheared_integral(kind, 1.1, 0.7, 1.2, ell, m, 0.6) == factor * base, kind
+        # the factors written out, not read from SHEAR_KINDS, so a wrong weight shows
+        for ell, m in [(1, 2), (2, 2), (0, 3), (4, 0)]:
+            even = (ell + m) % 2 == 0
+            factors = {"plus": 1.0, "minus": 1.0 if even else -1.0,
+                       "abs": 2.0 if even else 0.0, "abssgn": 0.0 if even else 2.0}
+            base = plus_part_integral(1.1, 0.7, 1.2, ell, m, 0.6)
+            for kind, factor in factors.items():
+                assert sheared_integral(kind, 1.1, 0.7, 1.2, ell, m, 0.6) == factor * base, (
+                    kind, ell, m)
 
     @pytest.mark.parametrize("kind", ["absolute", ["abs"], None])
     def test_unknown_variant(self, kind):
@@ -436,19 +428,36 @@ class TestShearedIntegral:
         )
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
+    @mp.workdps(40)
     def test_base_integral_against_mpmath(self):
         # the paper's base formula, which the package no longer spells:
         # sqrt(pi) G(a) G(b) G(c) / (2 G(a+c) G(b+1/2)) 2F1(1/2-c, 1-a-c; b+1/2; x^2)
+        def ref(a, b, c, x):
+            a, b, c, x = map(mp.mpf, (a, b, c, x))
+            return float(mp.sqrt(mp.pi) * mp.gamma(a) * mp.gamma(b) * mp.gamma(c)
+                         / (2 * mp.gamma(a + c) * mp.gamma(b + 0.5))
+                         * mp.hyp2f1(0.5 - c, 1 - a - c, b + 0.5, x**2))
+
         rng = np.random.default_rng(20)
         points = [(rng.uniform(0.01, 3.0), rng.uniform(0.01, 3.0), rng.uniform(0.51, 3.0),
                    x) for x in [-1.0, 0.0, 1.0] + list(rng.uniform(-1.0, 1.0, 21))]
+        # a or b just above gamma_ratio's pole snap at 1e-10
+        points += [(3e-10, 1.0, 1.0, 0.5), (1e-9, 0.7, 1.3, -0.4), (1.5, 2e-10, 1.2, 0.3),
+                   (5e-10, 5e-10, 0.6, 1.0)]
         for a, b, c, x in points:
-            a_, b_, c_, x_ = map(mp.mpf, (a, b, c, x))
-            ref = (mp.sqrt(mp.pi) * mp.gamma(a_) * mp.gamma(b_) * mp.gamma(c_)
-                   / (2 * mp.gamma(a_ + c_) * mp.gamma(b_ + 0.5))
-                   * mp.hyp2f1(0.5 - c_, 1 - a_ - c_, b_ + 0.5, x_**2))
-            assert plus_base_integral(a, b, c, x) == pytest.approx(float(ref), rel=1e-13), (
-                a, b, c, x)
+            assert plus_base_integral(a, b, c, x) == pytest.approx(ref(a, b, c, x),
+                                                                   rel=1e-13), (a, b, c, x)
+        # Gamma(a) Gamma(b) / pi past the double range stays inside the one
+        # log-space ratio; log-gamma ~ 860 there leaves ~1e-13 of rounding
+        for a, b, c, x in [(200.0, 1.0, 1.0, 0.0), (200.0, 1.0, 1.0, 0.1),
+                           (1.0, 200.0, 1.0, 0.5), (180.0, 190.0, 2.5, -0.3)]:
+            assert plus_base_integral(a, b, c, x) == pytest.approx(ref(a, b, c, x),
+                                                                   rel=1e-12), (a, b, c, x)
+
+    def test_base_integral_below_the_pole_snap(self):
+        # a within 1e-10 of 0 is Gamma's pole, not a lam = a - 1/2 out of range
+        with pytest.raises(PoleError, match=r"^gamma pole at x=1e-20$"):
+            plus_base_integral(1e-20, 1.0, 1.0, 0.5)
 
     def test_base_integral_oracle(self):
         a, b, c, x = 1.4, 0.9, 1.1, 0.5

@@ -145,11 +145,16 @@ def test_one_function_gathers_the_lattice():
 
 
 def test_one_sheared_closed_form_sums_a_2f1():
-    # plus_base_integral is plus_part_integral at degree 0, and
-    # sheared_integral scales plus_part_integral by SHEAR_KINDS' weights
+    # plus_part_integral checks its arguments and sums through _plus_part;
+    # plus_base_integral is the same sum at degree 0, its Gamma(a) Gamma(b)
+    # joining _plus_part's one gamma ratio, and sheared_integral scales
+    # plus_part_integral by SHEAR_KINDS' weights
     readers = [name for name, node in FUNCTIONS.items()
                if not name.startswith("specfun.") and "hyp2f1" in _reads(node)]
-    assert readers == ["expansion.plus_part_integral"]
+    assert readers == ["expansion._plus_part"]
+    for name in ("plus_part_integral", "plus_base_integral"):
+        read = _reads(FUNCTIONS[f"expansion.{name}"])
+        assert "_plus_part" in read and not read & {"gamma_ratio", "hyp2f1"}, name
 
 
 def _unit_interval_tests(tree) -> list:
