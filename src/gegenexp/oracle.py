@@ -115,22 +115,24 @@ def _unit_rule(a0: float, a1: float, levels: int, order: int):
     is accurate because panel width never exceeds its distance to the other
     singular endpoint.
     """
-    cuts = [0.5 * 2.0**-k for k in range(levels, -1, -1)]
+    cuts = np.array([0.5 * 2.0**-k for k in range(levels, -1, -1)])
     legendre = gauss_jacobi_rule(0.0, 0.0, order)
+    # Every interior panel [lo, hi] takes the same Legendre rule, so both
+    # sides share one (panel x node) grid of its nodes and weights.
+    lo = cuts[:-1, None]
+    half = 0.5 * (cuts[1:, None] - lo)
+    u_in = lo + half * (1.0 + legendre.nodes)
+    w_in = legendre.weights * half
+    h = cuts[0]  # the endpoint panel [0, h]
     pieces = []
     for a_here, a_far, flip in ((a0, a1, False), (a1, a0, True)):
-        lo = 0.0
-        for hi in cuts:
-            h = hi - lo
-            if lo == 0.0:
-                base = gauss_jacobi_rule(0.0, a_here, order)
-                u = lo + h * 0.5 * (1.0 + base.nodes)
-                w = base.weights * (0.5 * h) ** (1.0 + a_here) * (1.0 - u) ** a_far
-            else:
-                u = lo + h * 0.5 * (1.0 + legendre.nodes)
-                w = legendre.weights * (0.5 * h) * u**a_here * (1.0 - u) ** a_far
-            pieces.append((1.0 - u, w) if flip else (u, w))
-            lo = hi
+        base = gauss_jacobi_rule(0.0, a_here, order)
+        u = np.concatenate((h * 0.5 * (1.0 + base.nodes), u_in.ravel()))
+        w = np.concatenate(
+            (base.weights * (0.5 * h) ** (1.0 + a_here), (w_in * u_in**a_here).ravel())
+        )
+        w *= (1.0 - u) ** a_far
+        pieces.append((1.0 - u, w) if flip else (u, w))
     nodes = np.concatenate([p[0] for p in pieces])
     weights = np.concatenate([p[1] for p in pieces])
     nodes.setflags(write=False)
