@@ -12,12 +12,15 @@ so agreement with the expansion module is a genuine cross-check.
 The 2D kernel takes a vector of shears and sums one row per (shear, t-node):
 an inner piece of length h is (smooth @ uw) times the row factor
 h^(1+p+ws), so the 3D backend is one 2D call on all its outer shear nodes.
-Rows are summed in blocks of at most _CHUNK entries.  A block holds about
-seven temporaries of that size at once, most of them from the polynomial
-recurrence: ~220 KB in all, under glibc malloc's default trim threshold
-plus top pad (128 KB + 128 KB), and each under the 128 KB mmap threshold.
-So consecutive blocks reuse the same heap pages instead of trimming them
-away and faulting them back in.
+Rows are summed in blocks of at most _CHUNK entries, each computed in
+place.  A block builds its points s, takes the polynomial of s, then turns
+s's own buffer into the weight factor and multiplies.  So it holds four
+temporaries of _CHUNK entries at once, s and the three buffers the
+polynomial recurrence rotates through: at most 252 KB (248 KB measured by
+tracemalloc), under glibc malloc's default trim threshold plus top pad
+(128 KB + 128 KB), and each under the 128 KB mmap threshold.  So
+consecutive blocks reuse the same heap pages instead of trimming them away
+and faulting them back in.
 
 Every backend is a rung function, rung k sized from _ladder(k) (panel order
 8 + 3k, 6 + 5k dyadic grading levels), and _refine applies one stopping rule
@@ -177,7 +180,10 @@ def _refine(rung, target: float, max_level: int) -> QuadResult:
     )
 
 
-_CHUNK = 1 << 12  # float64 entries per row block temporary: 32 KB; see the module docstring
+# float64 entries per row block temporary: 63 KB, four of them 252 KB, which
+# leaves 4 KB of the 256 KB for the block's row-sized arrays; see the module
+# docstring
+_CHUNK = 8064
 
 
 def _chunked_rows(n: int, width: int, block):
@@ -215,11 +221,15 @@ def _eval_2d(spec: QuadratureSpec, xs, size: tuple):
         h = 1.0 - sign * s0  # s = s0 + sign h u sweeps from the split to sign 1
 
         def block(r):
-            s = s0[r, None] + (sign * h[r, None]) * u
-            f = (1.0 + sign * s) ** ws
+            s = (sign * h[r, None]) * u
+            s += s0[r, None]
+            poly = gegenbauer(lam, ell, s) if ell else None
+            s *= sign  # s's buffer becomes (1 + sign s)^ws
+            s += 1.0
+            s **= ws
             if ell:
-                f *= gegenbauer(lam, ell, s)
-            return f @ uw
+                s *= poly
+            return s @ uw
 
         part = _chunked_rows(s0.size, u.size, block) * h ** (1.0 + p + ws)
         rows += -part if sign < 0.0 and spec.kernel == "abssgn" else part
@@ -280,8 +290,14 @@ def integrate_hermite_2d(nu: float, x: float, ell: int, m: int, target: float) -
         for sgn in (+1.0, -1.0):
 
             def block(r):
-                s = s0[r, None] + (sgn * reach[r, None]) * u
-                return (np.exp(-s * s) * hermite(ell, s)) @ uw
+                s = (sgn * reach[r, None]) * u
+                s += s0[r, None]
+                poly = hermite(ell, s)
+                s *= s  # s's buffer becomes exp(-s^2)
+                np.negative(s, out=s)
+                np.exp(s, out=s)
+                s *= poly
+                return s @ uw
 
             part = _chunked_rows(s0.size, u.size, block) * reach ** (1.0 + 2.0 * nu)
             total += float(outer @ part)
@@ -302,7 +318,12 @@ def convolution_profile(exp_s: float, exp_t: float, u, size: tuple):
 
     def block(r):
         hv = (2.0 - a[r, None]) * v  # overlap length 2 - a; s = a - 1 + h v
-        return ((a[r, None] + hv) ** exp_s * (2.0 - hv) ** exp_t) @ wv
+        f = a[r, None] + hv
+        f **= exp_s
+        np.subtract(2.0, hv, out=hv)
+        hv **= exp_t
+        f *= hv
+        return f @ wv
 
     out = _chunked_rows(a.size, v.size, block) * (2.0 - a) ** (1.0 + exp_s + exp_t)
     return out, a.size * v.size

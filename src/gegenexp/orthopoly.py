@@ -25,8 +25,11 @@ def gegenbauer(lam: float, n: int, x):
     """Ultraspherical polynomial C_n^lam(x) for scalar or array x.
 
     Recurrence: n C_n = 2 (n + lam - 1) x C_{n-1} - (n + 2 lam - 2) C_{n-2},
-    seeded with C_0 = 1 and C_1 = 2 lam x.  The points x are not checked:
-    the oracle calls this once per row block, and a NaN point gives NaN.
+    seeded with C_0 = 1 and C_1 = 2 lam x.  It runs in place on three
+    rotating buffers of x's shape, so a call holds three such arrays at its
+    peak, and x is only read: the oracle's row block keeps using its points
+    after this call.  The points x are not checked: the oracle calls this
+    once per row block, and a NaN point gives NaN.
     """
     _check_lambda(lam)
     check_degree("n", n)
@@ -34,9 +37,15 @@ def gegenbauer(lam: float, n: int, x):
     prev = np.ones_like(x)
     if n == 0:
         return prev if prev.ndim else float(prev)
-    cur = 2.0 * lam * x
+    cur = np.multiply(2.0 * lam, x, out=np.empty_like(x))
+    nxt = np.empty_like(x)
     for k in range(2, n + 1):
-        prev, cur = cur, (2.0 * (k + lam - 1.0) * x * cur - (k + 2.0 * lam - 2.0) * prev) / k
+        np.multiply(2.0 * (k + lam - 1.0), x, out=nxt)
+        nxt *= cur
+        prev *= k + 2.0 * lam - 2.0
+        nxt -= prev
+        nxt /= k
+        prev, cur, nxt = cur, nxt, prev
     return cur if cur.ndim else float(cur)
 
 
@@ -83,16 +92,22 @@ def u_prefactor(lam: float, n: int) -> float:
 def hermite(n: int, x):
     """Physicists' Hermite polynomial H_n(x).
 
-    H_{n+1} = 2 x H_n - 2 n H_{n-1}, with H_0 = 1 and H_1 = 2x.
+    H_{n+1} = 2 x H_n - 2 n H_{n-1}, with H_0 = 1 and H_1 = 2x, run in place
+    on three rotating buffers like gegenbauer's; x is only read.
     """
     check_degree("n", n)
     x = np.asarray(x, dtype=float)
     prev = np.ones_like(x)
     if n == 0:
         return prev if prev.ndim else float(prev)
-    cur = 2.0 * x
+    cur = np.multiply(2.0, x, out=np.empty_like(x))
+    nxt = np.empty_like(x)
     for k in range(1, n):
-        prev, cur = cur, 2.0 * x * cur - 2.0 * k * prev
+        np.multiply(2.0, x, out=nxt)
+        nxt *= cur
+        prev *= 2.0 * k
+        nxt -= prev
+        prev, cur, nxt = cur, nxt, prev
     return cur if cur.ndim else float(cur)
 
 

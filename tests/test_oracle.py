@@ -99,6 +99,16 @@ class TestBasics:
         _, w = orc._interval_rule(-1.0, 1.0, -0.5, -0.5, levels, order)
         assert w.sum() == pytest.approx(math.pi, abs=1e-12)
 
+    @pytest.mark.parametrize("a0,a1", [(0.4, -0.3), (1.7, 0.0)])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_asymmetric_rule_moments(self, a0, a1, level):
+        # int_0^1 u^a0 (1-u)^a1 u^j du = B(a0 + 1 + j, a1 + 1): a panel the
+        # rule misplaced or misscaled, on either side, would break these
+        order, levels = orc._ladder(level)
+        u, w = orc._unit_rule(a0, a1, levels, order)
+        assert w.sum() == pytest.approx(beta(a0 + 1.0, a1 + 1.0), rel=1e-13)
+        assert w @ u == pytest.approx(beta(a0 + 2.0, a1 + 1.0), rel=1e-13)
+
     def test_square_area(self):
         r = refine_until(QuadratureSpec(kernel="abs"), 1e-8)
         assert r.value == pytest.approx(4.0, abs=1e-11)

@@ -1,6 +1,7 @@
 """Polynomial evaluation, norms, the u normalization, and Gaussian rules."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -69,6 +70,19 @@ class TestGegenbauer:
                 fd = (gegenbauer(lam, n, xs + h) - gegenbauer(lam, n, xs - h)) / (2 * h)
                 exact = 2.0 * lam * gegenbauer(lam + 1.0, n - 1, xs)
                 np.testing.assert_allclose(fd, exact, rtol=1e-6, atol=1e-8)
+
+    def test_array_call_matches_pointwise(self):
+        # the recurrences run in place: an array call must give each point's
+        # own value bit for bit and leave x untouched, since the oracle's row
+        # block reuses its points after the call
+        xs = np.random.default_rng(3).uniform(-1.2, 1.2, (5, 9))
+        orig = xs.copy()
+        for n in range(13):
+            for poly in (partial(gegenbauer, 0.7, n), partial(hermite, n)):
+                values = poly(xs)
+                assert np.array_equal(xs, orig)
+                points = [[poly(float(v)) for v in row] for row in xs]
+                assert np.array_equal(values, points), (poly.func.__name__, n)
 
     def test_all_matches_single(self):
         xs = np.linspace(-1, 1, 7)
