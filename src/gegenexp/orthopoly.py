@@ -126,6 +126,13 @@ class QuadratureRule:
             object.__setattr__(self, name, view)
 
 
+def _check_order(order) -> None:
+    """Raise DomainError unless a rule's order is an integer >= 1."""
+    check_degree("order", order)
+    if order < 1:
+        raise DomainError(f"order must be >= 1, got {order!r}")
+
+
 def _jacobi_coefficients(alpha: float, beta: float, n: int):
     """Recurrence coefficients of monic polynomials orthogonal under
     (1-x)^alpha (1+x)^beta on [-1, 1], plus the total weight mass mu0."""
@@ -157,8 +164,7 @@ def gauss_jacobi_rule(alpha: float, beta: float, order: int) -> QuadratureRule:
     """
     check_above("alpha", alpha, -1.0)
     check_above("beta", beta, -1.0)
-    if order < 1:
-        raise DomainError("order must be >= 1")
+    _check_order(order)
     a, b, mu0 = _jacobi_coefficients(alpha, beta, order)
     if order == 1:
         return QuadratureRule(np.array([a[0]]), np.array([mu0]))
@@ -171,5 +177,6 @@ def gauss_jacobi_rule(alpha: float, beta: float, order: int) -> QuadratureRule:
 @lru_cache(maxsize=64)
 def gauss_hermite_rule(order: int) -> QuadratureRule:
     """Gaussian rule for int f(x) exp(-x^2) dx over the real line."""
+    _check_order(order)
     nodes, weights = np.polynomial.hermite.hermgauss(order)
     return QuadratureRule(nodes, weights)

@@ -241,8 +241,21 @@ class TestRules:
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             gauss_jacobi_rule(-1.0, 0.0, 4)
-        with pytest.raises(DomainError):
-            gauss_jacobi_rule(0.0, 0.0, 0)
+
+    @pytest.mark.parametrize(
+        "make,order",
+        [
+            (lambda n: gauss_jacobi_rule(0.0, 0.0, n), 0),
+            (lambda n: gauss_jacobi_rule(0.0, 0.0, n), 2.5),
+            (gauss_hermite_rule, 0),
+            (gauss_hermite_rule, 2.5),
+        ],
+    )
+    def test_order_must_be_a_positive_integer(self, make, order):
+        # 2.5 once failed inside numpy with TypeError, and a Hermite order 0
+        # with numpy's bare ValueError
+        with pytest.raises(DomainError, match="^order must be"):
+            make(order)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_jacobi_exponents(self, bad):
