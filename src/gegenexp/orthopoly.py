@@ -37,6 +37,7 @@ def gegenbauer(lam: float, n: int, x):
     prev = np.ones_like(x)
     if n == 0:
         return prev if prev.ndim else float(prev)
+    # out= keeps a 0-d result an array, not a numpy scalar, for the steps below to write into
     cur = np.multiply(2.0 * lam, x, out=np.empty_like(x))
     nxt = np.empty_like(x)
     for k in range(2, n + 1):
