@@ -252,8 +252,8 @@ class TestRules:
         ],
     )
     def test_order_must_be_a_positive_integer(self, make, order):
-        # 2.5 once failed inside numpy with TypeError, and a Hermite order 0
-        # with numpy's bare ValueError
+        # refused by name before numpy sees it, whose own errors (TypeError,
+        # a bare ValueError) do not say which argument is wrong
         with pytest.raises(DomainError, match="^order must be"):
             make(order)
 
