@@ -53,12 +53,7 @@ from .specfun import (
     HypResult,
     HypStatus,
     PoleError,
-    beta,
-    gamma,
     hyp2f1,
-    hyp2f1_half,
-    pochhammer,
-    rgamma,
 )
 from .verify import VerifyReport, run_suite
 

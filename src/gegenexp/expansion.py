@@ -10,8 +10,8 @@ truncation orders.  All gamma ratios run in log space with separate sign
 tracking; a gamma pole in a denominator produces an exact zero.  Every
 gamma is taken by specfun._lgamma_at: at a lattice point c + j/2 (the
 coefficient's four denominators, on a grid or at one entry, the cosine
-lattice and the Hermite form's denominator) directly, and elsewhere as a
-factor of specfun.gamma_ratio.
+lattice, the moment's four denominators and the Hermite form's
+denominator) directly, and elsewhere as a factor of specfun.gamma_ratio.
 """
 
 from __future__ import annotations
@@ -104,13 +104,17 @@ def expansion_coeff(lam: float, mu: float, nu: float, ell: int, m: int) -> float
     check_degree("m", m)
     log, sign = _log_numerator(lam, mu, nu), -1.0 if m % 2 else 1.0
     s_pairs, d_pairs = _denominator_lattices(lam, mu, nu, ell + m, ell - m)
-    for c, j in s_pairs + d_pairs:
+    return (lam + ell) * (mu + m) * _over_lattice(log, sign, s_pairs + d_pairs)
+
+
+def _over_lattice(log: float, sign: float, pairs) -> float:
+    """sign * exp(log) / prod Gamma(c + j/2) over the (c, j) pairs, each
+    gamma taken at its lattice point: an exact 0.0 at a pole, +-inf past
+    the double range."""
+    for c, j in pairs:
         lg, sg = _lgamma_at(c, j)
         log, sign = log - lg, sign * sg
-    if log == -math.inf:
-        return 0.0
-    # sign * exp(log), +-inf past the double range
-    return (lam + ell) * (mu + m) * gamma_ratio(scale_log=log, sign=sign)
+    return 0.0 if log == -math.inf else gamma_ratio(scale_log=log, sign=sign)
 
 
 def _hankel(v: np.ndarray, n: int) -> np.ndarray:
@@ -398,22 +402,29 @@ def moment_of_plus_integral(
     lam: float, mu: float, nu: float, beta: float, ell: int, m: int
 ) -> float:
     """Closed form of int_0^1 x^(2 mu + m + 1) (1-x^2)^beta B(x) dx where
-    B(x) is plus_part_integral at shear x."""
+    B(x) is plus_part_integral at shear x.
+
+    With y = x^2, the 3-D oracle integral QuadratureSpec("plus", 2 nu,
+    gegenbauer=(lam, mu), degrees=(ell, m), extra_axis=(mu + m/2, beta)) is
+    2 / (u_prefactor(lam, ell) u_prefactor(mu, m)) times it; the moment
+    suite compares the two.  The four denominator gammas are taken at their
+    lattice points c + j/2, j = +-(ell + m) or +-(ell - m).
+    """
     _check_plus_part(lam, mu, nu)
     check_above("beta", beta, -1.0)
     check_degree("ell", ell)
     check_degree("m", m)
-    return gamma_ratio(
+    log, sign = _log_gamma_ratio(
         (2.0 * nu + 1.0, beta + 1.0, lam + mu + 2.0 * nu + beta + 2.0),
-        (
-            nu - (ell + m) / 2.0 + 1.0,
-            lam + nu + (ell - m) / 2.0 + 1.0,
-            mu + nu + beta + (m - ell) / 2.0 + 2.0,
-            lam + mu + nu + beta + (m + ell) / 2.0 + 2.0,
-        ),
         scale_log=2.0 * LNPI - (2.0 * nu + 2.0) * LN2,
         sign=-1.0 if m % 2 else 1.0,
     )
+    return _over_lattice(log, sign, (
+        (nu + 1.0, -(ell + m)),
+        (lam + nu + 1.0, ell - m),
+        (mu + nu + beta + 2.0, m - ell),
+        (lam + mu + nu + beta + 2.0, ell + m),
+    ))
 
 
 def _rising_ratio(a: float, b: float, n: int) -> float:

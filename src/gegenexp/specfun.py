@@ -5,12 +5,11 @@ The rule that a degree or order is a nonnegative integer, check_above
 check_points (the one rule for arrays of evaluation points), the gamma pole
 test, log|Gamma| and its sign at a lattice point c + j/2 (_lgamma_at, the
 one function that calls math.lgamma: every gamma the package takes, each
-factor of a log-space gamma ratio included, goes through it), a reciprocal
-gamma that is exactly zero at the poles, rising factorials, the beta
-function, an in-house digamma (reflection, recurrence and the asymptotic
-series), and a real-argument Gauss hypergeometric function with
-termination detection, a z -> 1-z connection formula (including the
-logarithmic case for integer c-a-b) and exact Gauss summation at z = 1.
+factor of a log-space gamma ratio included, goes through it), an in-house
+digamma (reflection, recurrence and the asymptotic series), and a
+real-argument Gauss hypergeometric function with termination detection, a
+z -> 1-z connection formula (including the logarithmic case for integer
+c-a-b) and exact Gauss summation at z = 1.
 Everything runs on math and numpy alone.
 """
 
@@ -171,31 +170,6 @@ def _digamma(x: float) -> float:
     for c in reversed(_DIGAMMA_ASYMPTOTIC):
         series = (series + c) * inv2
     return acc + math.log(x) - 0.5 / x - series
-
-
-def gamma(x: float) -> float:
-    """Gamma(x): PoleError at the poles, +-inf past the double range."""
-    return gamma_ratio((x,))
-
-
-def rgamma(x: float) -> float:
-    """1/Gamma(x): exactly 0 at the poles, +-inf past the double range."""
-    return gamma_ratio((), (x,))
-
-
-def pochhammer(y: float, n: int) -> float:
-    """Rising factorial (y)_n = y (y+1) ... (y+n-1), with (y)_0 = 1."""
-    check_above("y", y, -math.inf)
-    check_degree("n", n)
-    out = 1.0
-    for k in range(n):
-        out *= y + k
-    return out
-
-
-def beta(a: float, b: float) -> float:
-    """Euler beta function B(a, b)."""
-    return gamma_ratio((a, b), (a + b,))
 
 
 def _log_gamma_ratio(num=(), den=(), scale_log: float = 0.0, sign: float = 1.0):
@@ -435,15 +409,3 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> HypResult:
     value, terms = _series(a, b, c, z)
     return HypResult(value, HypStatus.SERIES_CONVERGED, terms)
 
-
-def hyp2f1_half(a: float, c: float) -> float:
-    """Closed form of 2F1(a, 1-a; c; 1/2).
-
-    Equals 2^(1-c) sqrt(pi) Gamma(c) / (Gamma((a+c)/2) Gamma((c-a+1)/2));
-    pole factors in the denominator give an exact zero.
-    """
-    return gamma_ratio(
-        (c,),
-        ((a + c) / 2.0, (c - a + 1.0) / 2.0),
-        scale_log=(1.0 - c) * LN2 + 0.5 * LNPI,
-    )

@@ -21,7 +21,7 @@ import numpy as np
 from . import expansion as ex
 from . import oracle as orc
 from .orthopoly import u_prefactor
-from .specfun import ConvergenceError, DomainError, check_above
+from .specfun import ConvergenceError, DomainError, check_above, check_degree
 
 DEFAULT_SEED = 20240401
 
@@ -112,16 +112,27 @@ def cosine_sup_error(rho: float, parity: int, K: int) -> float:
     return float(np.abs(ex.cosine_expansion(rho, parity, angles, angles, K) - ref).max())
 
 
-def _cc_oracle(p: dict, tol: float) -> float:
+def _shear_averaged_oracle(kernel: str, p: dict, target: float) -> float:
+    """Oracle value of the kernel integral against C_ell C_m at shear
+    sqrt(y), averaged over y in [0, 1] under y^(mu+m/2) (1-y)^b, refined
+    until two levels agree to target."""
     lam, mu, m = p["lambda"], p["mu"], p["m"]
     spec = orc.QuadratureSpec(
-        kernel="abs",
+        kernel=kernel,
         kernel_exponent=2.0 * p["nu"],
         gegenbauer=(lam, mu),
         degrees=(p["ell"], m),
         extra_axis=(mu + m / 2.0, p["b"]),
     )
-    return orc.refine_until(spec, tol * 1e-1).value
+    return orc.refine_until(spec, target).value
+
+
+def _moment_oracle(p: dict, tol: float) -> float:
+    """The plus part's moment: the shear-averaged plus kernel integral
+    times u_prefactor(lam, ell) u_prefactor(mu, m) / 2, refined to
+    tol / 100 / |that factor| as sheared_oracle refines."""
+    scale = u_prefactor(p["lambda"], p["ell"]) * u_prefactor(p["mu"], p["m"]) / 2.0
+    return scale * _shear_averaged_oracle("plus", p, tol * 1e-2 / abs(scale))
 
 
 def _draw(rng, ranges: dict) -> dict:
@@ -270,7 +281,17 @@ SUITE_TABLE = {
         lambda p: ex.shear_averaged_projection(
             p["lambda"], p["mu"], p["nu"], p["b"], p["ell"], p["m"]
         ),
-        _cc_oracle,
+        lambda p, tol: _shear_averaged_oracle("abs", p, tol * 1e-1),
+    ),
+    "moment": SuiteRow(
+        "plus-part-moment", 1e-7, 3,
+        lambda rng, i: _draw(rng, {
+            "lambda": (0.5, 1.8), "mu": (0.5, 1.8), "nu": (0.6, 2.2),
+            "b": (0.0, 1.5), "ell": range(4), "m": range(4)}),
+        lambda p: ex.moment_of_plus_integral(
+            p["lambda"], p["mu"], p["nu"], p["b"], p["ell"], p["m"]
+        ),
+        _moment_oracle,
     ),
 }
 
@@ -310,10 +331,9 @@ def run_suite(
         raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
     if tol is not None:
         check_above("tol", tol, 0.0)
-    if cases is not None and cases < 0:
-        raise DomainError(f"cases must be nonnegative, got {cases!r}")
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed!r}")
+    if cases is not None:
+        check_degree("cases", cases)
+    check_degree("seed", seed)
     rows = list(SUITE_TABLE.values()) if suite == "all" else [SUITE_TABLE[suite]]
     rng = np.random.default_rng(seed)
     results = []

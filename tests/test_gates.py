@@ -1,14 +1,16 @@
 """Package rules read from the source: the oracle stays independent of the
 closed forms, no module reads the environment, log-gamma is taken and a
 real argument or a point in [-1, 1] checked in specfun alone, one function
-gathers the coefficient lattice, one sums the sheared 2F1, and every export
-has a caller, a README mention or a test that compares against it."""
+gathers the coefficient lattice, one sums the sheared 2F1, every export
+has a caller, a README mention or a test that compares against it, and the
+README's suite table is SUITE_TABLE."""
 
 import ast
 import re
 from pathlib import Path
 
 import gegenexp
+from gegenexp.verify import SUITE_TABLE
 
 PACKAGE = Path(gegenexp.__file__).parent
 ROOT = PACKAGE.parents[1]
@@ -19,13 +21,6 @@ FUNCTIONS = {f"{name}.{node.name}": node for name, tree in TREES.items()
 #: Exports that no module reads and the README does not name, each mapped to
 #: a test that compares a computed value against it.
 REFERENCE_ONLY = {
-    "beta": "tests/test_oracle.py::test_tensor_moments_match_beta",
-    "gamma": "tests/test_orthopoly.py::TestGegenbauer::test_endpoint_value",
-    "hyp2f1_half": "tests/test_specfun.py::TestHyp2f1Half::test_matches_series",
-    "moment_of_plus_integral":
-        "tests/test_expansion.py::TestMomentAndTriple::test_moment_matches_quadrature",
-    "pochhammer": "tests/test_expansion.py::TestHermiteIntegral::test_matches_the_linear_product",
-    "rgamma": "tests/test_specfun.py::TestGammaFamily::test_rgamma_inverts_gamma",
     "weighted_power_mass":
         "tests/test_oracle.py::TestBasics::test_weighted_mass_matches_closed_form",
 }
@@ -232,3 +227,12 @@ def test_every_export_has_a_reader():
     assert sorted(unread) == sorted(REFERENCE_ONLY)
     for name, test_id in REFERENCE_ONLY.items():
         assert name in _test_reads(test_id), (name, test_id)
+
+
+def test_readme_suite_table_is_the_suite_table():
+    # one row per suite, in run order, with its default tolerance and case count
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| [^|]+ \| `([^`]+)` \| (\d+) \|$", text, flags=re.M)
+    assert [(name, float(tol), int(cases)) for name, tol, cases in rows] == [
+        (name, row.tol, row.cases) for name, row in SUITE_TABLE.items()
+    ]

@@ -15,7 +15,7 @@ from gegenexp.orthopoly import (
     hermite,
     u_prefactor,
 )
-from gegenexp.specfun import DomainError, beta, gamma
+from gegenexp.specfun import DomainError, gamma_ratio
 
 
 def gegenbauer_rule(lam, order):
@@ -37,7 +37,7 @@ class TestGegenbauer:
         # C_n(1) = Gamma(n + 2 lam) / (n! Gamma(2 lam))
         assert gegenbauer(2.0, 3, 1.0) == pytest.approx(20.0, rel=1e-14)
         assert gegenbauer(0.8, 40, 1.0) == pytest.approx(
-            gamma(40 + 1.6) / (math.factorial(40) * gamma(1.6)), rel=1e-12
+            math.gamma(40 + 1.6) / (math.factorial(40) * math.gamma(1.6)), rel=1e-12
         )
 
     def test_lambda_domain(self):
@@ -145,7 +145,7 @@ class TestWeighted:
             offs, coefs = stencils[n]
             for s in (-0.4, 0.1, 0.55):
                 deriv = sum(c * w(n, s + o * h) for o, c in zip(offs, coefs)) / h**n
-                pref = (-1.0) ** n * 2.0**-n * math.sqrt(math.pi) / gamma(lam + n + 0.5)
+                pref = (-1.0) ** n * 2.0**-n * math.sqrt(math.pi) / math.gamma(lam + n + 0.5)
                 assert u_value(lam, n, s) == pytest.approx(pref * deriv, rel=1e-4)
 
 
@@ -192,7 +192,7 @@ class TestRules:
         for lam, order in ((1.0, 9), (0.7, 33), (2.4, 16)):
             r = gegenbauer_rule(lam, order)
             assert float(r.weights.sum()) == pytest.approx(
-                beta(0.5, lam + 0.5), rel=1e-13
+                gamma_ratio((0.5, lam + 0.5), (lam + 1.0,)), rel=1e-13
             )
         assert float(gauss_jacobi_rule(-0.5, -0.5, 12).weights.sum()) == pytest.approx(
             math.pi, rel=1e-13
@@ -219,7 +219,7 @@ class TestRules:
         rule = gegenbauer_rule(lam, q)
         for k in range(0, 2 * q, 2):
             quad = float(rule.weights @ rule.nodes**k)
-            exact = beta((k + 1) / 2.0, lam + 0.5)
+            exact = gamma_ratio(((k + 1) / 2.0, lam + 0.5), ((k + 1) / 2.0 + lam + 0.5,))
             assert quad == pytest.approx(exact, rel=1e-12)
         for k in range(1, 2 * q, 2):
             assert float(rule.weights @ rule.nodes**k) == pytest.approx(0.0, abs=1e-14)

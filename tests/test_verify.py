@@ -32,6 +32,14 @@ def test_drawn_hermite_case_has_even_degree_sum(seed):
     assert (drawn["ell"] + drawn["m"]) % 2 == 0
 
 
+def test_moment_suite_reaches_odd_degree_sums():
+    # cc lifts its draws to even ell + m; the moment suite keeps the odd sums
+    # that its closed form and the plus-kernel oracle both allow
+    report = vf.run_suite("moment")
+    assert report.overall_pass, [c.rel_err for c in report.cases]
+    assert any((c.params["ell"] + c.params["m"]) % 2 for c in report.cases)
+
+
 def test_zero_cases_do_not_pass():
     report = vf.run_suite("stz", cases=0)
     assert report.cases == []
@@ -80,13 +88,18 @@ class TestUsageErrors:
         assert calls == []
 
     def test_negative_cases(self):
-        with pytest.raises(DomainError, match="cases must be nonnegative"):
-            vf.run_suite("stz", cases=-1)
+        # a fractional count is refused too, not left to range() as a TypeError
+        for cases in (-1, 2.5):
+            message = f"^cases must be a nonnegative integer, got {cases!r}$"
+            with pytest.raises(DomainError, match=message):
+                vf.run_suite("stz", cases=cases)
 
     def test_negative_seed_runs_no_case(self, monkeypatch):
         calls = []
         monkeypatch.setitem(vf.SUITE_TABLE, "mehta", _recording_row(calls))
-        with pytest.raises(DomainError, match="seed must be nonnegative"):
-            vf.run_suite("mehta", seed=-1)
+        for seed in (-1, 1.5):
+            message = f"^seed must be a nonnegative integer, got {seed!r}$"
+            with pytest.raises(DomainError, match=message):
+                vf.run_suite("mehta", seed=seed)
         assert calls == []
 
