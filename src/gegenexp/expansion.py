@@ -32,6 +32,11 @@ from .specfun import (
 MAX_ORDER = 2000
 #: Tail estimates sum terms exactly up to order max(L, M) + _WINDOW.
 _WINDOW = 32
+#: A lattice gamma vector takes _lgamma_at at every _ANCHOR-th point of each
+#: parity chain and the recurrence between them.
+_ANCHOR = 32
+#: Rows per block of the tail's one pass over a term grid.
+_SHELL_ROWS = 64
 
 
 class HypothesisError(DomainError):
@@ -104,17 +109,18 @@ def expansion_coeff(lam: float, mu: float, nu: float, ell: int, m: int) -> float
     check_degree("m", m)
     log, sign = _log_numerator(lam, mu, nu), -1.0 if m % 2 else 1.0
     s_pairs, d_pairs = _denominator_lattices(lam, mu, nu, ell + m, ell - m)
-    return (lam + ell) * (mu + m) * _over_lattice(log, sign, s_pairs + d_pairs)
+    return (lam + ell) * (mu + m) * _over_lattice(s_pairs + d_pairs, scale_log=log, sign=sign)
 
 
-def _over_lattice(log: float, sign: float, pairs) -> float:
-    """sign * exp(log) / prod Gamma(c + j/2) over the (c, j) pairs, each
-    gamma taken at its lattice point: an exact 0.0 at a pole, +-inf past
-    the double range."""
+def _over_lattice(pairs, num=(), den=(), scale_log: float = 0.0, sign: float = 1.0) -> float:
+    """gamma_ratio(num, den, scale_log, sign) / prod Gamma(c + j/2) over the
+    (c, j) pairs, each of those gammas taken at its lattice point and, as
+    gamma_ratio takes its denominators, before the numerators: an exact 0.0
+    at a pole of one, +-inf past the double range."""
     for c, j in pairs:
         lg, sg = _lgamma_at(c, j)
-        log, sign = log - lg, sign * sg
-    return 0.0 if log == -math.inf else gamma_ratio(scale_log=log, sign=sign)
+        scale_log, sign = scale_log - lg, sign * sg
+    return gamma_ratio(num, den, scale_log=scale_log, sign=sign)
 
 
 def _hankel(v: np.ndarray, n: int) -> np.ndarray:
@@ -129,36 +135,108 @@ def _toeplitz(v: np.ndarray, n: int) -> np.ndarray:
 
 def _reciprocal_gammas(*lattices):
     """log|1 / prod Gamma(c + j/2)| and its sign over (c, j) pairs of a
-    scalar and a 1-D integer vector, all j of equal length; the log is -inf
-    where any argument is a pole."""
+    scalar and a 1-D vector of consecutive integers, ascending or
+    descending, all j of equal length; the log is -inf where any argument
+    is a pole."""
     log, sign = 0.0, 1.0
-    for c, j in lattices:
-        lg, sg = np.array([_lgamma_at(c, k) for k in j.tolist()]).T
+    for lg, sg in _lattice_gammas(*lattices):
         log, sign = log - lg, sign * sg
     return log, sign
 
 
-def _lattice(log_s, sign_s, log_d, sign_d, n: int):
-    """exp of the l+m (Hankel) and l-m (Toeplitz) gathers of two 1-D logs,
-    a (len - n + 1) x n grid, and the same gathers of their signs."""
-    vals = _hankel(log_s, n) + _toeplitz(log_d, n)
-    np.exp(vals, out=vals)
+def _half_crossing(c: float, odd: int) -> int:
+    """The smallest j of parity odd with c + j/2 >= 1/2 in floating point,
+    where _lgamma_at stops reflecting.  Past |c| = 2^50 a chain stays on one
+    side of 1/2 over any j a grid can hold, so j = odd serves."""
+    if abs(c) > 2.0**50:
+        return odd
+    j = math.ceil(1.0 - 2.0 * c)
+    j += (j - odd) % 2
+    while c + 0.5 * (j - 2) >= 0.5:
+        j -= 2
+    while c + 0.5 * j < 0.5:
+        j += 2
+    return j
+
+
+def _lattice_gammas(*lattices) -> list:
+    """(log|Gamma(c + j/2)|, sign) for each (c, j) pair of a scalar and a
+    1-D vector of consecutive integers, ascending or descending, with
+    (+inf, 1.0) at a pole.
+
+    Each parity chain of j steps x = c + j/2 by 1, so Gamma(x + 1) =
+    x Gamma(x) (DLMF 5.5.1) carries _lgamma_at's value at an anchor through
+    the _ANCHOR - 1 points above it: a cumulative sum of log|x| and a
+    cumulative product of sign(x), the sum added to the anchor's log last.
+    x is c + j/2 rounded once, so next to a pole, where it is c's offset from
+    that pole, it is exact.  Anchors sit every _ANCHOR points from the
+    chain's crossing of 1/2, reaching past the ends of j where needed: no
+    block straddles x = 1/2, and an entry depends on c and its own j alone,
+    not on the range of j.  A block below 1/2 has poles at all its points
+    or at none, and its anchor says which, so _lgamma_at stays the one rule
+    for poles, signs and the reflection.  The blocks of all pairs run as
+    one array.
+    """
+    B = _ANCHOR
+    anchors, chains = [], []  # each block's (c, first j); where each chain's points lie
+    for c, j in lattices:
+        lo, n = int(j.min()), len(j)
+        chains.append([n, j[0] > j[-1]])
+        for odd in (0, 1):
+            first = lo + (lo - odd) % 2
+            count = len(range(first, lo + n, 2))
+            if count:
+                start = first - 2 * ((first - _half_crossing(c, odd)) // 2 % B)
+                skip = len(anchors) * B + (first - start) // 2
+                chains[-1].append((first - lo, slice(skip, skip + count)))
+                anchors += [(c, k) for k in range(start, first + 2 * count - 1, 2 * B)]
+    c, start = np.array(anchors).T
+    x = c[:, None] + 0.5 * (start[:, None] + np.arange(0, 2 * B, 2))
+    at = np.array([_lgamma_at(c, int(k)) for c, k in anchors])
+    lg, sg = np.zeros(x.shape), np.ones(x.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 at a pole, overwritten
+        np.cumsum(np.log(np.abs(x[:, :-1])), axis=1, out=lg[:, 1:])
+        lg += at[:, :1]
+    np.cumprod(np.where(x[:, :-1] < 0.0, -1.0, 1.0), axis=1, out=sg[:, 1:])
+    sg *= at[:, 1:]
+    pole = at[:, 0] == math.inf
+    lg[pole], sg[pole] = math.inf, 1.0
+    lg, sg = lg.ravel(), sg.ravel()
+    out = []
+    for n, descending, *parts in chains:
+        log, sign = np.empty(n), np.empty(n)
+        for offset, points in parts:
+            log[offset::2], sign[offset::2] = lg[points], sg[points]
+        out.append((log[::-1], sign[::-1]) if descending else (log, sign))
+    return out
+
+
+def _lattice(log_s, sign_s, log_d, sign_d, n: int, odd: int):
+    """exp of the l+m (Hankel) and l-m (Toeplitz) gathers of two 1-D logs at
+    the entries (i, j) of a (len - n + 1) x n grid with i + j of parity odd,
+    zero at the others, and the same gathers of their signs."""
+    H, T = _hankel(log_s, n), _toeplitz(log_d, n)
+    vals = np.zeros(H.shape)
+    for r in (0, 1):  # the rows of parity r, at their columns of parity odd - r
+        cols = slice((odd - r) % 2, None, 2)
+        out = vals[r::2, cols]
+        np.add(H[r::2, cols], T[r::2, cols], out=out)
+        np.exp(out, out=out)
     return vals, _hankel(sign_s, n), _toeplitz(sign_d, n)
 
 
 def _coeff_magnitudes(params: ExpansionParams, L: int, M: int):
     """|b_{l,m}| on the (L+1) x (M+1) grid, zero where l+m has the wrong
     parity, and the lattice's sign views.  The gammas are taken on the
-    s = l+m and d = l-m vectors (O(L+M) values), with the numerator and the
-    parity mask folded into the s vector."""
+    s = l+m and d = l-m vectors (O(L+M) values), with the numerator folded
+    into the s vector, and exponentiated where l+m has parity eps alone."""
     lam, mu, nu = params.lam, params.mu, params.nu
-    s = np.arange(L + M + 1)
-    s_pairs, d_pairs = _denominator_lattices(lam, mu, nu, s, np.arange(-M, L + 1))
+    s, d = np.arange(L + M + 1), np.arange(-M, L + 1)
+    s_pairs, d_pairs = _denominator_lattices(lam, mu, nu, s, d)
     log_s, sign_s = _reciprocal_gammas(*s_pairs)
     log_d, sign_d = _reciprocal_gammas(*d_pairs)
     log_s += _log_numerator(lam, mu, nu)
-    log_s[s % 2 != params.eps] = -np.inf
-    vals, sign_h, sign_t = _lattice(log_s, sign_s, log_d, sign_d, M + 1)
+    vals, sign_h, sign_t = _lattice(log_s, sign_s, log_d, sign_d, M + 1, params.eps)
     vals *= (lam + np.arange(L + 1))[:, None]
     vals *= mu + np.arange(M + 1)
     return vals, sign_h, sign_t
@@ -172,7 +250,9 @@ def coeff_table(params: ExpansionParams, L: int, M: int) -> np.ndarray:
     check_degree("L", L)
     check_degree("M", M)
     vals, sign_h, sign_t = _coeff_magnitudes(params, L, M)
-    vals *= sign_h * sign_t * np.where(np.arange(M + 1) % 2, -1.0, 1.0)
+    vals *= sign_h
+    vals *= sign_t
+    vals[:, 1::2] *= -1.0  # (-1)^m
     vals += 0.0  # a masked entry's or a pole's zero is +0.0, whatever its sign
     return vals
 
@@ -252,18 +332,44 @@ def tail_bound(params: ExpansionParams, L: int, M: int) -> float:
     return _tail_from_grid(_term_sup_grid(params, W, W), params, L, M)
 
 
-def _tail_from_grid(T: np.ndarray, params: ExpansionParams, L: int, M: int) -> float:
+def _shell_sums(T: np.ndarray) -> np.ndarray:
+    """shell[k], the sum of a square grid T over its entries with
+    max(l, m) = k, in one pass over blocks of _SHELL_ROWS rows with
+    O(len(T)) extra memory.  Row k is summed pairwise up to its block's
+    diagonal square, then in order across it; column k is summed down
+    each block above that square, block by block, then in order down it.
+    Blocks start at multiples of _SHELL_ROWS, so shell[k] reads
+    T[:k+1, :k+1] alone, the same way in every grid that holds that block,
+    and is the same to the bit."""
+    n = len(T)
+    shell, above = np.empty(n), np.zeros(n)
+    for i in range(0, n, _SHELL_ROWS):
+        j = min(i + _SHELL_ROWS, n)
+        square = T[i:j, i:j]
+        shell[i:j] = T[i:j, :i].sum(axis=1) + np.cumsum(square, axis=1).diagonal()
+        above[i + 1 : j] += np.cumsum(square, axis=0).diagonal(1)
+        above[j:] += T[i:j, j:].sum(axis=0)
+    shell += above
+    return shell
+
+
+def _tail_from_grid(T: np.ndarray, params: ExpansionParams, L: int, M: int, shell=None) -> float:
     """tail_bound read from the leading (W+1) x (W+1) block of a term grid
     T = _term_sup_grid(params, N, N) with N >= W = max(L, M) + _WINDOW.
 
-    Grid entries do not depend on the grid's size, so the result is
-    bit-identical to tail_bound for every N >= W.
+    The discarded part of the block is the shells max(l, m) = K+1..W, with
+    K = max(L, M), summed directly, and for L != M the one rectangle of
+    rows past L or columns past M inside the K block.  shell, the
+    _shell_sums of T if given, makes the read O(W); truncation_order takes
+    it once per grid.  Grid entries and shells do not depend on the grid's
+    size, so the result is bit-identical to tail_bound for every N >= W.
     """
-    W = max(L, M) + _WINDOW
+    W, K = max(L, M) + _WINDOW, max(L, M)
     T = T[: W + 1, : W + 1]
-    ell = np.arange(W + 1)
-    discard = (ell[:, None] > L) | (ell[None, :] > M)
-    finite = float(T[discard].sum())
+    if shell is None:
+        shell = _shell_sums(T)
+    finite = float(shell[K + 1 : W + 1].sum())
+    finite += float(T[L + 1 : K + 1, : K + 1].sum() + T[: K + 1, M + 1 : K + 1].sum())
 
     s_hi = W if (W - params.eps) % 2 == 0 else W - 1
     s_lo = s_hi - 2
@@ -303,7 +409,8 @@ def truncation_order(params: ExpansionParams, tol: float) -> tuple:
             size = min(max(W, 2 * size), MAX_ORDER + _WINDOW)
             T = None  # release the old grid before building the larger one
             T = _term_sup_grid(params, size, size)
-        if _tail_from_grid(T, params, L, M) < tol:
+            shell = _shell_sums(T)
+        if _tail_from_grid(T, params, L, M, shell) < tol:
             return (L, M)
     raise DomainError(f"tail estimate cannot reach {tol} by order {MAX_ORDER}")
 
@@ -334,10 +441,12 @@ def plus_part_integral(
 
 
 def _plus_part(lam, mu, nu, ell, m, x, num=(), scale_log=0.0) -> float:
-    """Unchecked plus_part_integral, its gamma ratio times prod Gamma(num) e^scale_log."""
-    coef = gamma_ratio(
+    """Unchecked plus_part_integral, its gamma ratio times prod Gamma(num)
+    e^scale_log.  The three denominators that move with the degrees are the
+    lattice points nu+1 - (ell+m)/2, mu+1 + m and lam+nu+1 + (ell-m)/2."""
+    coef = _over_lattice(
+        ((nu + 1.0, -(ell + m)), (mu + 1.0, 2 * m), (lam + nu + 1.0, ell - m)),
         (2.0 * nu + 1.0, *num),
-        (nu - (ell + m) / 2.0 + 1.0, mu + m + 1.0, lam + nu + (ell - m) / 2.0 + 1.0),
         scale_log=2.0 * LNPI - (2.0 * nu + 1.0) * LN2 + scale_log,
         sign=-1.0 if m % 2 else 1.0,
     )
@@ -356,19 +465,17 @@ def sheared_integral(
 ) -> float:
     """Sign variants of the sheared kernel integral: w_plus + w_minus
     (-1)^(ell+m) times plus_part_integral, the minus part being the plus part
-    reflected through (s, t) -> (-s, -t).  A zero factor is the parity zero,
-    returned once the arguments pass plus_part_integral's checks.
+    reflected through (s, t) -> (-s, -t).  Each argument is checked once, as
+    plus_part_integral checks it; a zero factor is the parity zero.
     """
     if not isinstance(kind, str) or kind not in SHEAR_KINDS:  # a list is no key
         raise DomainError(f"unknown variant {kind!r}")
     check_degree("ell", ell)
     check_degree("m", m)
+    _check_plus_part(lam, mu, nu, x)
     w_plus, w_minus = SHEAR_KINDS[kind]
     factor = w_plus - w_minus if (ell + m) % 2 else w_plus + w_minus
-    if factor == 0:
-        _check_plus_part(lam, mu, nu, x)  # plus_part_integral checks the others
-        return 0.0
-    return factor * plus_part_integral(lam, mu, nu, ell, m, x)
+    return factor * _plus_part(lam, mu, nu, ell, m, x) if factor else 0.0
 
 
 def projection_integral(params: ExpansionParams, ell: int, m: int) -> float:
@@ -419,12 +526,12 @@ def moment_of_plus_integral(
         scale_log=2.0 * LNPI - (2.0 * nu + 2.0) * LN2,
         sign=-1.0 if m % 2 else 1.0,
     )
-    return _over_lattice(log, sign, (
+    return _over_lattice((
         (nu + 1.0, -(ell + m)),
         (lam + nu + 1.0, ell - m),
         (mu + nu + beta + 2.0, m - ell),
         (lam + mu + nu + beta + 2.0, ell + m),
-    ))
+    ), scale_log=log, sign=sign)
 
 
 def _rising_ratio(a: float, b: float, n: int) -> float:
@@ -455,9 +562,11 @@ def shear_averaged_projection(
         * _rising_ratio(2.0 * mu, 1.0, m)
         * _rising_ratio(-nu, big, half)
     )
-    return math.sqrt(math.pi) * (-1.0) ** ((m - ell) // 2) * products * gamma_ratio(
+    # the two denominators that move with ell - m at their lattice points
+    return math.sqrt(math.pi) * (-1.0) ** ((m - ell) // 2) * products * _over_lattice(
+        ((lam + nu + 1.0, ell - m), (mu + nu + b + 2.0, m - ell)),
         (lam + 0.5, mu + 0.5, nu + 0.5, lam + mu + 2.0 * nu + b + 2.0, b + 1.0),
-        (big, lam + nu + (ell - m) / 2.0 + 1.0, mu + nu + b - (ell - m) / 2.0 + 2.0),
+        (big,),
     )
 
 
@@ -470,7 +579,8 @@ def cosine_expansion(rho: float, parity: int, phi, psi, K: int) -> np.ndarray:
     l = m + parity mod 2, without folding the lattice; the result has shape
     (len(phi), len(psi)), a scalar angle counting as one.  The products are
     the coefficient lattice at lam = mu = 0, nu = rho/2, where the l-m pairs
-    are the l+m pairs: one gamma vector serves both, masked on l-m parity.
+    are the l+m pairs: one gamma vector serves both, taken where l-m has
+    the parity of parity.
     """
     check_above("rho", rho, 0.0)
     if parity not in (0, 1):
@@ -480,9 +590,9 @@ def cosine_expansion(rho: float, parity: int, phi, psi, K: int) -> np.ndarray:
     check_points("psi", psi)
     k = np.arange(-2 * K, 2 * K + 1)
     log_k, sign_k = _reciprocal_gammas(*_denominator_lattices(0.0, 0.0, 0.5 * rho, k, k)[0])
-    log_d = np.where((k - parity) % 2 == 0, log_k, -np.inf)
-    vals, sign_h, sign_t = _lattice(log_k, sign_k, log_d, sign_k, 2 * K + 1)
-    vals *= sign_h * sign_t
+    vals, sign_h, sign_t = _lattice(log_k, sign_k, log_k, sign_k, 2 * K + 1, parity)
+    vals *= sign_h
+    vals *= sign_t
     idx = np.arange(-K, K + 1)
     cl = np.cos(np.multiply.outer(np.atleast_1d(phi), idx))
     cm = np.cos(np.multiply.outer(idx, np.atleast_1d(psi)))

@@ -252,12 +252,6 @@ def _series(a: float, b: float, c: float, z: float, nterms: int | None = None):
     return total, k + 1
 
 
-def _termination_index(a: float, b: float) -> int | None:
-    """Smallest n with a or b snapping to -n, i.e. series length n+1."""
-    found = [n for n in (nonpositive_int(a), nonpositive_int(b)) if n is not None]
-    return min(found, default=None)
-
-
 def _gauss_sum(a: float, b: float, c: float) -> HypResult:
     """2F1(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))."""
     s = c - a - b
@@ -377,7 +371,9 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> HypResult:
     check_above("b", b, -math.inf)
     check_above("c", c, -math.inf)
 
-    nterm = _termination_index(a, b)
+    # the smallest n with a or b snapping to -n: the series has n+1 terms
+    na, nb = nonpositive_int(a), nonpositive_int(b)
+    nterm = na if nb is None or (na is not None and na <= nb) else nb
     nc = nonpositive_int(c)
     if nterm is not None:
         if nc is not None and nc < nterm:
@@ -385,7 +381,7 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> HypResult:
                 f"2F1 parameter c={c!r} hits a pole before the series terminates"
             )
         # Snap the terminating parameter so the polynomial is summed exactly.
-        if nonpositive_int(a) == nterm:
+        if na == nterm:
             a = -float(nterm)
         else:
             b = -float(nterm)
