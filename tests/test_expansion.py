@@ -47,7 +47,7 @@ from gegenexp.orthopoly import (
     hermite,
     u_prefactor,
 )
-from gegenexp.specfun import DomainError, PoleError, gamma_ratio, hyp2f1
+from gegenexp.specfun import DomainError, PoleError, _lgamma_at, gamma_ratio, hyp2f1
 from gegenexp.verify import run_suite, sheared_oracle
 
 
@@ -161,6 +161,47 @@ class TestCoefficients:
                 assert table[ell, m] == pytest.approx(
                     proj, rel=1e-8, abs=1e-12
                 )
+
+
+class TestLatticeGammas:
+    """The array lattice against _lgamma_at, entry by entry."""
+
+    @pytest.mark.parametrize(
+        "c",
+        [3.0, 2.5, -3.0, -2.5, 3.0 + 1e-11, 2.5 - 1e-11, -4.0 + 1e-11,
+         3.0 + 1e-9, 2.5 - 1e-9, -4.5 - 1e-9, -7.3, 0.2, 11.37],
+    )
+    @pytest.mark.parametrize(
+        "j",
+        [np.arange(-700, 301), np.arange(700, -301, -1), np.arange(1), np.array([1, 0])],
+        ids=["ascending", "descending", "one-point", "two-points"],
+    )
+    def test_matches_lgamma_at_entry_by_entry(self, c, j):
+        # c on an integer or a half-integer, 1e-11 (a pole) and 1e-9 (not
+        # one) away, and negative; the long j cross x = 1/2 both ways, as
+        # the s and -s lattices do.  Poles and signs match to the bit.  A log
+        # lies within 16 eps of the larger of |log Gamma| and an anchor
+        # block's sum of log|x|, the two sums the recurrence rounds
+        (log, sign), = ex._lattice_gammas((c, j))
+        ref = np.array([_lgamma_at(c, k) for k in j.tolist()])
+        assert np.array_equal(sign, ref[:, 1])
+        pole = ref[:, 0] == math.inf
+        assert np.array_equal(log == math.inf, pole)
+        if len(j) > 2:
+            assert pole.any() == (abs(c - round(2.0 * c) / 2.0) < 1e-10)
+        x = c + 0.5 * j[~pole]
+        scale = np.maximum(np.abs(ref[~pole, 0]), ex._ANCHOR * np.log(2.0 + np.abs(x)))
+        assert np.all(np.abs(log[~pole] - ref[~pole, 0]) <= 16 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("c", [3.0, -2.5 + 1e-9, 7.81])
+    def test_entry_does_not_depend_on_the_range(self, c):
+        # anchors sit at fixed lattice points, so any sub-range gives the
+        # same entries to the bit, as the tail's grid reads need
+        j = np.arange(-500, 501)
+        (log, sign), = ex._lattice_gammas((c, j))
+        for lo, hi in ((0, 1001), (37, 38), (100, 333), (498, 640), (900, 1001)):
+            (sub_log, sub_sign), = ex._lattice_gammas((c, j[lo:hi]))
+            assert np.array_equal(sub_log, log[lo:hi]) and np.array_equal(sub_sign, sign[lo:hi])
 
 
 class TestSeries:
@@ -317,6 +358,17 @@ class TestTruncationGrid:
             for L, M in rungs:
                 assert ex._tail_from_grid(T, p, L, M) == tail_bound(p, L, M)
 
+    def test_shells_sum_each_ring(self):
+        # shell k sums the grid over max(l, m) = k, and a leading block of
+        # the grid gives the same shells to the bit
+        T = ex._term_sup_grid(ExpansionParams(0.8, 1.7, 4.6, 1), 150, 150)
+        k = np.arange(151)
+        ring = np.maximum.outer(k, k)
+        shell = ex._shell_sums(T)
+        np.testing.assert_allclose(shell, [T[ring == i].sum() for i in k], rtol=1e-14)
+        for n in (1, 63, 64, 65, 130):
+            assert np.array_equal(ex._shell_sums(T[:n, :n]), shell[:n])
+
     def test_one_grid_per_growth_step(self, grid_sizes):
         assert truncation_order(ExpansionParams(1, 1, 3.5, 0), 1e-8) == (416, 416)
         assert len(grid_sizes) <= 2 + math.log2(grid_sizes[-1] / 32)
@@ -371,6 +423,21 @@ class TestShearedIntegral:
         )
         val = plus_part_integral(lam, mu, nu, ell, m, 1.0)
         assert val == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+    @mp.workdps(40)
+    @pytest.mark.parametrize("lam, mu, nu, ell", [(1.2, 0.8, 1.0028, 174), (0.7, 1.1, 2.9995, 200)])
+    def test_near_pole_against_mpmath(self, lam, mu, nu, ell):
+        # at x = 0, m = 0 the plus part is its gamma ratio, whose denominator
+        # nu + 1 - ell/2 lies 2.8e-3 and 5e-4 from a pole; taken from the
+        # rounded float nu - ell/2 + 1 it was 2.2e-12 and 4.4e-12 off
+        lam_, mu_, nu_ = (mp.mpf(v) for v in (lam, mu, nu))
+        ref = (
+            mp.pi**2 * mp.gamma(2 * nu_ + 1) / mp.power(2, 2 * nu_ + 1)
+            * mp.rgamma(nu_ + 1 - mp.mpf(ell) / 2) * mp.rgamma(mu_ + 1)
+            * mp.rgamma(lam_ + nu_ + 1 + mp.mpf(ell) / 2)
+        )
+        got = plus_part_integral(lam, mu, nu, ell, 0, 0.0)
+        assert got == pytest.approx(float(ref), rel=5e-13, abs=0.0)
 
     def test_variant_parity_zeros(self):
         assert sheared_integral("abs", 1, 1, 1.2, 1, 2, 0.6) == 0.0
@@ -520,6 +587,22 @@ class TestProjection:
             assert b1 == pytest.approx(mass, rel=1e-10)
 
 
+def _triple_reference(lam, mu, nu, b, ell, m):
+    """shear_averaged_projection's closed form in mpmath at the working
+    precision."""
+    lam_, mu_, nu_, b_ = (mp.mpf(v) for v in (lam, mu, nu, b))
+    half, d = (ell + m) // 2, mp.mpf(ell - m) / 2
+    return (
+        mp.sqrt(mp.pi) * (-1) ** ((m - ell) // 2)
+        * mp.rf(2 * lam_, ell) * mp.rf(2 * mu_, m) * mp.rf(-nu_, half)
+        / (mp.factorial(ell) * mp.factorial(m))
+        * mp.gamma(lam_ + 0.5) * mp.gamma(mu_ + 0.5) * mp.gamma(nu_ + 0.5)
+        * mp.gamma(lam_ + mu_ + 2 * nu_ + b_ + 2) * mp.gamma(b_ + 1)
+        * mp.rgamma(lam_ + mu_ + nu_ + b_ + half + 2)
+        * mp.rgamma(lam_ + nu_ + d + 1) * mp.rgamma(mu_ + nu_ + b_ - d + 2)
+    )
+
+
 class TestMomentAndTriple:
     def test_moment_matches_quadrature(self):
         from gegenexp.oracle import _interval_rule
@@ -596,22 +679,23 @@ class TestMomentAndTriple:
     def test_triple_against_mpmath(self, lam, mu, nu, b, ell, m):
         # factorials and Pochhammer symbols of degree ~200 overflow a double
         # on their own, while the value does not
-        lam_, mu_, nu_, b_ = (mp.mpf(v) for v in (lam, mu, nu, b))
-        half, d = (ell + m) // 2, mp.mpf(ell - m) / 2
-        ref = (
-            mp.sqrt(mp.pi) * (-1) ** ((m - ell) // 2)
-            * mp.rf(2 * lam_, ell) * mp.rf(2 * mu_, m) * mp.rf(-nu_, half)
-            / (mp.factorial(ell) * mp.factorial(m))
-            * mp.gamma(lam_ + 0.5) * mp.gamma(mu_ + 0.5) * mp.gamma(nu_ + 0.5)
-            * mp.gamma(lam_ + mu_ + 2 * nu_ + b_ + 2) * mp.gamma(b_ + 1)
-            * mp.rgamma(lam_ + mu_ + nu_ + b_ + half + 2)
-            * mp.rgamma(lam_ + nu_ + d + 1) * mp.rgamma(mu_ + nu_ + b_ - d + 2)
-        )
+        ref = _triple_reference(lam, mu, nu, b, ell, m)
         val = shear_averaged_projection(lam, mu, nu, b, ell, m)
         if ref == 0:
             assert val == 0.0
         else:
             assert val == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+    @mp.workdps(40)
+    def test_triple_near_pole_against_mpmath(self):
+        # lam + nu + 1 + (ell - m)/2 lies 1.1e-4 from a pole.  From the
+        # rounded float it was 3.8e-11 off.  At its lattice point the error
+        # left, 2.3e-12, is the rounding of c = lam + nu + 1 itself: no
+        # double lies nearer than 2.2e-16 to it, and psi ~ 9e3 there
+        point = (1.4960538898316895, 1.9374165575072757, 1.503846110168311,
+                 0.3205308291458222, 4, 180)
+        ref = _triple_reference(*point)
+        assert shear_averaged_projection(*point) == pytest.approx(float(ref), rel=5e-12, abs=0.0)
 
     def test_triple_known_value(self):
         # hand-reduced value at the all-ones parameter point

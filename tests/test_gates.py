@@ -6,10 +6,15 @@ has a caller, a README mention or a test that compares against it, and the
 README's suite table is SUITE_TABLE."""
 
 import ast
+import math
 import re
 from pathlib import Path
 
+import numpy as np
+
 import gegenexp
+import gegenexp.expansion as ex
+import gegenexp.specfun as sf
 from gegenexp.verify import SUITE_TABLE
 
 PACKAGE = Path(gegenexp.__file__).parent
@@ -142,8 +147,8 @@ def test_one_function_gathers_the_lattice():
 def test_one_sheared_closed_form_sums_a_2f1():
     # plus_part_integral checks its arguments and sums through _plus_part;
     # plus_base_integral is the same sum at degree 0, its Gamma(a) Gamma(b)
-    # joining _plus_part's one gamma ratio, and sheared_integral scales
-    # plus_part_integral by SHEAR_KINDS' weights
+    # joining _plus_part's one gamma ratio, and sheared_integral checks its
+    # arguments once and scales _plus_part by SHEAR_KINDS' weights
     readers = [name for name, node in FUNCTIONS.items()
                if not name.startswith("specfun.") and "hyp2f1" in _reads(node)]
     assert readers == ["expansion._plus_part"]
@@ -236,3 +241,53 @@ def test_readme_suite_table_is_the_suite_table():
     assert [(name, float(tol), int(cases)) for name, tol, cases in rows] == [
         (name, row.tol, row.cases) for name, row in SUITE_TABLE.items()
     ]
+
+
+def test_a_coefficient_grid_takes_its_gammas_at_anchors(monkeypatch):
+    # the lattice takes _lgamma_at at one point in _ANCHOR of each parity
+    # chain and the recurrence between them; one call per entry of the four
+    # gamma vectors made 1,608 calls here, the numerator's four included
+    calls, lgamma_at = [], sf._lgamma_at
+
+    def counted(c, j):
+        calls.append((c, j))
+        return lgamma_at(c, j)
+
+    monkeypatch.setattr(ex, "_lgamma_at", counted)
+    monkeypatch.setattr(sf, "_lgamma_at", counted)
+    ex.coeff_table(ex.ExpansionParams(0.7, 1.3, 4.1, 1), 200, 200)
+    assert 0 < len(calls) <= 100
+
+
+def _closed_form_series_requests(seed: int):
+    """The series requests of perfbench's closed_form workload at seed, as
+    ExpansionParams and a tolerance, drawn as perfbench/workloads.py draws
+    them."""
+    rng = np.random.default_rng([seed, 1])
+    for j in range(18):
+        tol = (1e-5, 1e-6, 1e-7)[j % 3]
+        margin = (2.0, 2.75, 3.5)[(j // 3) % 3] * (1.0 + rng.uniform(-0.03, 0.03))
+        eps = j % 2
+        raw = ((1.2, 2.0, 2.8, 3.6)[j % 4] + 4.0 + margin) / 2.0
+        nu = math.ceil(raw - 0.5) + 0.5 if eps == 0 else math.ceil(raw)
+        nu += rng.uniform(-0.05, 0.05)
+        total = 2.0 * nu - 4.0 - margin
+        share = 0.5 + rng.uniform(-0.15, 0.15)
+        yield ex.ExpansionParams(total * share, total * (1.0 - share), nu, eps), tol
+
+
+#: truncation_order's square orders for those requests, as the per-entry
+#: lattice gammas and the masked window sums gave them.
+SERIES_ORDERS = {
+    20240401: [62, 88, 176, 76, 60, 132, 39, 84, 64, 47, 112, 208, 36, 84, 152, 53, 42, 84],
+    777: [62, 84, 176, 76, 60, 132, 42, 80, 68, 45, 112, 208, 36, 84, 156, 53, 36, 80],
+}
+
+
+def test_truncation_orders_are_pinned():
+    # the tail reads sum the same terms in another order, and the lattice
+    # rounds its gammas differently; neither may move an order
+    for seed, orders in SERIES_ORDERS.items():
+        got = [ex.truncation_order(p, tol) for p, tol in _closed_form_series_requests(seed)]
+        assert got == [(n, n) for n in orders], seed
+    assert ex.truncation_order(ex.ExpansionParams(1, 1, 3.5, 0), 1e-10) == (1088, 1088)
