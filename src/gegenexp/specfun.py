@@ -224,32 +224,37 @@ def _series(a: float, b: float, c: float, z: float, nterms: int | None = None):
 
     With nterms given, sums exactly that many terms (terminating case);
     otherwise runs until two consecutive terms drop below SERIES_RTOL times
-    the partial sum.
+    the partial sum.  The term index k is a float, which gives the same
+    sums and products as an integer index without converting it each time.
     """
-    total = 1.0
-    term = 1.0
-    small = 0
-    k = 0
-    cap = nterms if nterms is not None else MAX_TERMS
-    while k < cap:
-        denom = (c + k) * (k + 1)
+    total = term = 1.0
+    k = 0.0
+    if nterms is not None:
+        for _ in range(nterms):
+            denom = (c + k) * (k + 1.0)
+            if denom == 0.0:
+                raise PoleError(f"2F1 series denominator vanished at k={int(k)}")
+            term *= (a + k) * (b + k) / denom * z
+            total += term
+            k += 1.0
+        return total, nterms + 1
+    small, rtol = 0, SERIES_RTOL
+    while k < MAX_TERMS:
+        denom = (c + k) * (k + 1.0)
         if denom == 0.0:
-            raise PoleError(f"2F1 series denominator vanished at k={k}")
+            raise PoleError(f"2F1 series denominator vanished at k={int(k)}")
         term *= (a + k) * (b + k) / denom * z
         total += term
-        k += 1
-        if nterms is None:
-            if abs(term) <= SERIES_RTOL * abs(total):
-                small += 1
-                if small >= 2:
-                    return total, k + 1
-            else:
-                small = 0
-            if term == 0.0:
-                return total, k + 1
-    if nterms is None:
-        raise ConvergenceError(f"2F1 series did not converge in {MAX_TERMS} terms")
-    return total, k + 1
+        k += 1.0
+        if abs(term) <= rtol * abs(total):
+            small += 1
+            if small >= 2:
+                return total, int(k) + 1
+        else:
+            small = 0
+        if term == 0.0:
+            return total, int(k) + 1
+    raise ConvergenceError(f"2F1 series did not converge in {MAX_TERMS} terms")
 
 
 def _gauss_sum(a: float, b: float, c: float) -> HypResult:
