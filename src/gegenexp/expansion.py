@@ -37,6 +37,8 @@ _WINDOW = 32
 _ANCHOR = 32
 #: Rows per block of the tail's one pass over a term grid.
 _SHELL_ROWS = 64
+#: Entries per block of rows that the coefficient lattice exponentiates.
+_BLOCK = 2**15
 
 
 class HypothesisError(DomainError):
@@ -190,9 +192,9 @@ def _lattice_gammas(*lattices) -> list:
                 skip = len(anchors) * B + (first - start) // 2
                 chains[-1].append((first - lo, slice(skip, skip + count)))
                 anchors += [(c, k) for k in range(start, first + 2 * count - 1, 2 * B)]
-    c, start = np.array(anchors).T
-    x = c[:, None] + 0.5 * (start[:, None] + np.arange(0, 2 * B, 2))
-    at = np.array([_lgamma_at(c, int(k)) for c, k in anchors])
+    c0, j0 = np.array(anchors).T
+    x = c0[:, None] + 0.5 * (j0[:, None] + np.arange(0, 2 * B, 2))
+    at = np.array([_lgamma_at(c, k) for c, k in anchors])
     lg, sg = np.zeros(x.shape), np.ones(x.shape)
     with np.errstate(divide="ignore", invalid="ignore"):  # log 0 at a pole, overwritten
         np.cumsum(np.log(np.abs(x[:, :-1])), axis=1, out=lg[:, 1:])
@@ -211,35 +213,42 @@ def _lattice_gammas(*lattices) -> list:
     return out
 
 
-def _lattice(log_s, sign_s, log_d, sign_d, n: int, odd: int):
+def _lattice(log_s, sign_s, log_d, sign_d, n: int, odd: int, factors=()):
     """exp of the l+m (Hankel) and l-m (Toeplitz) gathers of two 1-D logs at
     the entries (i, j) of a (len - n + 1) x n grid with i + j of parity odd,
-    zero at the others, and the same gathers of their signs."""
+    times each factor in turn (a column vector scales the rows, a 1-D vector
+    the columns), zero at the other entries; and the same gathers of the
+    signs.  The kept entries of the rows of one parity in a block of rows
+    are gathered into one buffer of about _BLOCK / 2 entries, so that exp
+    and the factors run on contiguous memory that stays in cache and skip
+    the zeros."""
     H, T = _hankel(log_s, n), _toeplitz(log_d, n)
     vals = np.zeros(H.shape)
-    for r in (0, 1):  # the rows of parity r, at their columns of parity odd - r
-        cols = slice((odd - r) % 2, None, 2)
-        out = vals[r::2, cols]
-        np.add(H[r::2, cols], T[r::2, cols], out=out)
-        np.exp(out, out=out)
+    step = 2 * max(1, _BLOCK // n)
+    for i in range(0, len(vals), step):
+        for r in (i, i + 1):  # the rows of parity r, at their columns of parity odd - r
+            rows, cols = slice(r, i + step, 2), slice((odd - r) % 2, None, 2)
+            block = H[rows, cols] + T[rows, cols]
+            np.exp(block, out=block)
+            for f in factors:
+                block *= f[rows] if f.ndim == 2 else f[cols]
+            vals[rows, cols] = block
     return vals, _hankel(sign_s, n), _toeplitz(sign_d, n)
 
 
-def _coeff_magnitudes(params: ExpansionParams, L: int, M: int):
+def _coeff_magnitudes(params: ExpansionParams, L: int, M: int, *factors):
     """|b_{l,m}| on the (L+1) x (M+1) grid, zero where l+m has the wrong
-    parity, and the lattice's sign views.  The gammas are taken on the
-    s = l+m and d = l-m vectors (O(L+M) values), with the numerator folded
-    into the s vector, and exponentiated where l+m has parity eps alone."""
+    parity, times each factor in turn as _lattice takes them, and the
+    lattice's sign views.  The gammas are taken on the s = l+m and d = l-m
+    vectors (O(L+M) values), with the numerator folded into the s vector."""
     lam, mu, nu = params.lam, params.mu, params.nu
     s, d = np.arange(L + M + 1), np.arange(-M, L + 1)
     s_pairs, d_pairs = _denominator_lattices(lam, mu, nu, s, d)
     log_s, sign_s = _reciprocal_gammas(*s_pairs)
     log_d, sign_d = _reciprocal_gammas(*d_pairs)
     log_s += _log_numerator(lam, mu, nu)
-    vals, sign_h, sign_t = _lattice(log_s, sign_s, log_d, sign_d, M + 1, params.eps)
-    vals *= (lam + np.arange(L + 1))[:, None]
-    vals *= mu + np.arange(M + 1)
-    return vals, sign_h, sign_t
+    degrees = ((lam + np.arange(L + 1))[:, None], mu + np.arange(M + 1))
+    return _lattice(log_s, sign_s, log_d, sign_d, M + 1, params.eps, degrees + factors)
 
 
 def coeff_table(params: ExpansionParams, L: int, M: int) -> np.ndarray:
@@ -309,10 +318,8 @@ def _term_sup_grid(params: ExpansionParams, L: int, M: int) -> np.ndarray:
     """|b_{l,m}| C_l(1) C_m(1) with the parity mask applied: coeff_table's
     magnitudes, before any sign is taken, times the endpoint values of both
     polynomials."""
-    T = _coeff_magnitudes(params, L, M)[0]
-    T *= _endpoint_values(params.lam, L)[:, None]
-    T *= _endpoint_values(params.mu, M)
-    return T
+    ends = _endpoint_values(params.lam, L)[:, None], _endpoint_values(params.mu, M)
+    return _coeff_magnitudes(params, L, M, *ends)[0]
 
 
 def tail_bound(params: ExpansionParams, L: int, M: int) -> float:
