@@ -38,7 +38,7 @@ _ANCHOR = 32
 #: Rows per block of the tail's one pass over a term grid.
 _SHELL_ROWS = 64
 #: Entries per block of rows that the coefficient lattice exponentiates.
-_BLOCK = 2**15
+_BLOCK = 2**14
 
 
 class HypothesisError(DomainError):
@@ -219,20 +219,23 @@ def _lattice(log_s, sign_s, log_d, sign_d, n: int, odd: int, factors=()):
     times each factor in turn (a column vector scales the rows, a 1-D vector
     the columns), zero at the other entries; and the same gathers of the
     signs.  The kept entries of the rows of one parity in a block of rows
-    are gathered into one buffer of about _BLOCK / 2 entries, so that exp
+    are gathered into one reused buffer of about _BLOCK / 2 entries, so that exp
     and the factors run on contiguous memory that stays in cache and skip
     the zeros."""
     H, T = _hankel(log_s, n), _toeplitz(log_d, n)
     vals = np.zeros(H.shape)
     step = 2 * max(1, _BLOCK // n)
+    buf = np.empty(min(step, len(vals) + 1) // 2 * ((n + 1) // 2))
     for i in range(0, len(vals), step):
         for r in (i, i + 1):  # the rows of parity r, at their columns of parity odd - r
             rows, cols = slice(r, i + step, 2), slice((odd - r) % 2, None, 2)
-            block = H[rows, cols] + T[rows, cols]
+            gather = vals[rows, cols]
+            block = buf[: gather.size].reshape(gather.shape)
+            np.add(H[rows, cols], T[rows, cols], out=block)
             np.exp(block, out=block)
             for f in factors:
                 block *= f[rows] if f.ndim == 2 else f[cols]
-            vals[rows, cols] = block
+            gather[...] = block
     return vals, _hankel(sign_s, n), _toeplitz(sign_d, n)
 
 

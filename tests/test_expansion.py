@@ -425,7 +425,9 @@ class TestShearedIntegral:
         assert val == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 
     @mp.workdps(40)
-    @pytest.mark.parametrize("lam, mu, nu, ell", [(1.2, 0.8, 1.0028, 174), (0.7, 1.1, 2.9995, 200)])
+    @pytest.mark.parametrize(
+        "lam, mu, nu, ell", [(1.2, 0.8, 1.0028, 174), (0.7, 1.1, 2.9995, 200)]
+    )
     def test_near_pole_against_mpmath(self, lam, mu, nu, ell):
         # at x = 0, m = 0 the plus part is its gamma ratio, whose denominator
         # nu + 1 - ell/2 lies 2.8e-3 and 5e-4 from a pole; taken from the
