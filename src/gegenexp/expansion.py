@@ -111,10 +111,10 @@ def expansion_coeff(lam: float, mu: float, nu: float, ell: int, m: int) -> float
     check_degree("m", m)
     log, sign = _log_numerator(lam, mu, nu), -1.0 if m % 2 else 1.0
     s_pairs, d_pairs = _denominator_lattices(lam, mu, nu, ell + m, ell - m)
-    return (lam + ell) * (mu + m) * _over_lattice(s_pairs + d_pairs, scale_log=log, sign=sign)
+    return (lam + ell) * (mu + m) * _over_lattice(s_pairs + d_pairs, (), (), log, sign)
 
 
-def _over_lattice(pairs, num=(), den=(), scale_log: float = 0.0, sign: float = 1.0) -> float:
+def _over_lattice(pairs, num, den, scale_log: float, sign: float) -> float:
     """gamma_ratio(num, den, scale_log, sign) / prod Gamma(c + j/2) over the
     (c, j) pairs, each of those gammas taken at its lattice point and, as
     gamma_ratio takes its denominators, before the numerators: an exact 0.0
@@ -122,7 +122,7 @@ def _over_lattice(pairs, num=(), den=(), scale_log: float = 0.0, sign: float = 1
     for c, j in pairs:
         lg, sg = _lgamma_at(c, j)
         scale_log, sign = scale_log - lg, sign * sg
-    return gamma_ratio(num, den, scale_log=scale_log, sign=sign)
+    return gamma_ratio(num, den, scale_log, sign)
 
 
 def _hankel(v: np.ndarray, n: int) -> np.ndarray:
@@ -457,8 +457,9 @@ def _plus_part(lam, mu, nu, ell, m, x, num=(), scale_log=0.0) -> float:
     coef = _over_lattice(
         ((nu + 1.0, -(ell + m)), (mu + 1.0, 2 * m), (lam + nu + 1.0, ell - m)),
         (2.0 * nu + 1.0, *num),
-        scale_log=2.0 * LNPI - (2.0 * nu + 1.0) * LN2 + scale_log,
-        sign=-1.0 if m % 2 else 1.0,
+        (),
+        2.0 * LNPI - (2.0 * nu + 1.0) * LN2 + scale_log,
+        -1.0 if m % 2 else 1.0,
     )
     if coef == 0.0:
         return 0.0
@@ -541,7 +542,7 @@ def moment_of_plus_integral(
         (lam + nu + 1.0, ell - m),
         (mu + nu + beta + 2.0, m - ell),
         (lam + mu + nu + beta + 2.0, ell + m),
-    ), scale_log=log, sign=sign)
+    ), (), (), log, sign)
 
 
 def _rising_ratio(a: float, b: float, n: int) -> float:
@@ -577,6 +578,8 @@ def shear_averaged_projection(
         ((lam + nu + 1.0, ell - m), (mu + nu + b + 2.0, m - ell)),
         (lam + 0.5, mu + 0.5, nu + 0.5, lam + mu + 2.0 * nu + b + 2.0, b + 1.0),
         (big,),
+        0.0,
+        1.0,
     )
 
 
