@@ -8,10 +8,11 @@ Warnaar, Tarasov-Varchenko, Dotsenko-Fateev, Mehta), the trigonometric and
 Hermite limit forms, and the sup-norm tail machinery used to pick
 truncation orders.  All gamma ratios run in log space with separate sign
 tracking; a gamma pole in a denominator produces an exact zero.  Every
-gamma is taken by specfun._lgamma_at: at a lattice point c + j/2 (the
-coefficient's four denominators, on a grid or at one entry, the cosine
-lattice, the moment's four denominators and the Hermite form's
-denominator) directly, and elsewhere as a factor of specfun.gamma_ratio.
+gamma is taken by specfun._lgamma_at at a lattice point c + j/2: the
+coefficient grid's gamma vectors directly, and every other gamma as a
+factor of specfun.gamma_ratio, a real or a lattice point (c, j).  lam = 0
+(or mu = 0) is the Chebyshev point of the series: its basis there is T_n,
+and the trigonometric expansion is the series at lam = mu = 0.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ class HypothesisError(DomainError):
 @dataclass(frozen=True)
 class ExpansionParams:
     """Kernel parameters: |s-t|^(2 nu) sgn^eps(s-t) expanded in the
-    lam/mu ultraspherical bases."""
+    lam/mu ultraspherical bases; lam or mu = 0 takes the Chebyshev T_n, the
+    limit basis."""
 
     lam: float
     mu: float
@@ -56,8 +58,8 @@ class ExpansionParams:
     eps: int = 0
 
     def __post_init__(self):
-        check_above("lam", self.lam, 0.0)
-        check_above("mu", self.mu, 0.0)
+        check_above("lam", self.lam or 1.0, 0.0)  # 0 is the Chebyshev point
+        check_above("mu", self.mu or 1.0, 0.0)
         check_above("nu", self.nu, 0.0)
         if self.eps not in (0, 1):
             raise DomainError("eps must be 0 or 1")
@@ -82,9 +84,16 @@ class SeriesEvalResult:
 
 def _log_numerator(lam: float, mu: float, nu: float) -> float:
     """log Gamma(lam+mu+2nu+1) Gamma(lam) Gamma(mu) Gamma(2nu+1) - 2nu ln 2,
-    the log of b_{l,m}'s constant numerator."""
+    the log of b_{l,m}'s constant numerator, without Gamma(lam) at lam = 0
+    or Gamma(mu) at mu = 0, the limit that _degree_factor completes."""
     args = (lam + mu + 2.0 * nu + 1.0, lam, mu, 2.0 * nu + 1.0)
-    return _log_gamma_ratio(args)[0] - 2.0 * nu * LN2
+    return _log_gamma_ratio([a for a in args if a])[0] - 2.0 * nu * LN2
+
+
+def _degree_factor(lam: float, k):
+    """lam + k for a degree k or a vector of them, and at lam = 0 its limit e_k
+    (1, then 2): (lam + k) Gamma(lam) C_k^lam tends to e_k T_k (DLMF 18.7.25)."""
+    return lam + k if lam else 2.0 - (k == 0)
 
 
 def _denominator_lattices(lam: float, mu: float, nu: float, s, d):
@@ -103,7 +112,8 @@ def expansion_coeff(lam: float, mu: float, nu: float, ell: int, m: int) -> float
     (-1)^m (lam+ell)(mu+m) Gamma(lam+mu+2nu+1) Gamma(lam) Gamma(mu)
     Gamma(2nu+1) divided by 2^(2nu) and the four gammas at
     nu+1+(lam+mu)/2 +- (lam+ell)/2 +- (mu+m)/2, taken from the same lattice
-    pairs as coeff_table.  A pole in any denominator gamma gives an exact
+    pairs as coeff_table; at lam = 0 (or mu = 0) the coefficient of T_ell
+    (or T_m), its limit.  A pole in any denominator gamma gives an exact
     zero, which is what truncates polynomial kernels.
     """
     ExpansionParams(lam, mu, nu)  # checks lam, mu and nu
@@ -111,18 +121,8 @@ def expansion_coeff(lam: float, mu: float, nu: float, ell: int, m: int) -> float
     check_degree("m", m)
     log, sign = _log_numerator(lam, mu, nu), -1.0 if m % 2 else 1.0
     s_pairs, d_pairs = _denominator_lattices(lam, mu, nu, ell + m, ell - m)
-    return (lam + ell) * (mu + m) * _over_lattice(s_pairs + d_pairs, (), (), log, sign)
-
-
-def _over_lattice(pairs, num, den, scale_log: float, sign: float) -> float:
-    """gamma_ratio(num, den, scale_log, sign) / prod Gamma(c + j/2) over the
-    (c, j) pairs, each of those gammas taken at its lattice point and, as
-    gamma_ratio takes its denominators, before the numerators: an exact 0.0
-    at a pole of one, +-inf past the double range."""
-    for c, j in pairs:
-        lg, sg = _lgamma_at(c, j)
-        scale_log, sign = scale_log - lg, sign * sg
-    return gamma_ratio(num, den, scale_log, sign)
+    ratio = gamma_ratio((), s_pairs + d_pairs, log, sign)
+    return _degree_factor(lam, ell) * _degree_factor(mu, m) * ratio
 
 
 def _hankel(v: np.ndarray, n: int) -> np.ndarray:
@@ -250,7 +250,7 @@ def _coeff_magnitudes(params: ExpansionParams, L: int, M: int, *factors):
     log_s, sign_s = _reciprocal_gammas(*s_pairs)
     log_d, sign_d = _reciprocal_gammas(*d_pairs)
     log_s += _log_numerator(lam, mu, nu)
-    degrees = ((lam + np.arange(L + 1))[:, None], mu + np.arange(M + 1))
+    degrees = _degree_factor(lam, np.arange(L + 1))[:, None], _degree_factor(mu, np.arange(M + 1))
     return _lattice(log_s, sign_s, log_d, sign_d, M + 1, params.eps, degrees + factors)
 
 
@@ -312,7 +312,9 @@ def series_eval(
 
 def _endpoint_values(lam: float, n: int) -> np.ndarray:
     """C_k^lam(1) = (2 lam)_k / k! for k = 0..n, as a running product of the
-    factors (2 lam + i) / (i + 1)."""
+    factors (2 lam + i) / (i + 1), and T_k(1) = 1 at lam = 0."""
+    if lam == 0.0:
+        return np.ones(n + 1)
     i = np.arange(n)
     return np.concatenate(([1.0], np.cumprod((2.0 * lam + i) / (i + 1.0))))
 
@@ -454,10 +456,9 @@ def _plus_part(lam, mu, nu, ell, m, x, num=(), scale_log=0.0) -> float:
     """Unchecked plus_part_integral, its gamma ratio times prod Gamma(num)
     e^scale_log.  The three denominators that move with the degrees are the
     lattice points nu+1 - (ell+m)/2, mu+1 + m and lam+nu+1 + (ell-m)/2."""
-    coef = _over_lattice(
-        ((nu + 1.0, -(ell + m)), (mu + 1.0, 2 * m), (lam + nu + 1.0, ell - m)),
+    coef = gamma_ratio(
         (2.0 * nu + 1.0, *num),
-        (),
+        ((nu + 1.0, -(ell + m)), (mu + 1.0, 2 * m), (lam + nu + 1.0, ell - m)),
         2.0 * LNPI - (2.0 * nu + 1.0) * LN2 + scale_log,
         -1.0 if m % 2 else 1.0,
     )
@@ -537,12 +538,12 @@ def moment_of_plus_integral(
         scale_log=2.0 * LNPI - (2.0 * nu + 2.0) * LN2,
         sign=-1.0 if m % 2 else 1.0,
     )
-    return _over_lattice((
+    return gamma_ratio((), (
         (nu + 1.0, -(ell + m)),
         (lam + nu + 1.0, ell - m),
         (mu + nu + beta + 2.0, m - ell),
         (lam + mu + nu + beta + 2.0, ell + m),
-    ), (), (), log, sign)
+    ), log, sign)
 
 
 def _rising_ratio(a: float, b: float, n: int) -> float:
@@ -554,7 +555,8 @@ def shear_averaged_projection(
     lam: float, mu: float, nu: float, b: float, ell: int, m: int
 ) -> float:
     """Closed form of the triple integral of |s - t sqrt(y)|^(2 nu)
-    C_ell(s) C_m(t) against the y^(mu+m/2) (1-y)^b and product weights.
+    C_ell(s) C_m(t) against the y^(mu+m/2) (1-y)^b and product weights,
+    with T_ell at lam = 0 (T_m at mu = 0), as the oracle takes that point.
 
     Defined for even ell + m; the odd case is a domain error.
     """
@@ -564,36 +566,30 @@ def shear_averaged_projection(
     check_above("b", b, -1.0)
     if (ell + m) % 2:
         raise DomainError("requires ell + m even")
-    # (2 lam)_ell / ell!, (2 mu)_m / m! and (-nu)_half / (big)_half as
+    # C_ell(1) = (2 lam)_ell / ell! (1 for T_ell), C_m(1), (-nu)_half / (big)_half:
     # running products of factors near 1, the gammas left in one ratio
     half = (ell + m) // 2
     big = lam + mu + nu + b + 2.0
     products = (
-        _rising_ratio(2.0 * lam, 1.0, ell)
-        * _rising_ratio(2.0 * mu, 1.0, m)
+        (_rising_ratio(2.0 * lam, 1.0, ell) if lam else 1.0)
+        * (_rising_ratio(2.0 * mu, 1.0, m) if mu else 1.0)
         * _rising_ratio(-nu, big, half)
     )
     # the two denominators that move with ell - m at their lattice points
-    return math.sqrt(math.pi) * (-1.0) ** ((m - ell) // 2) * products * _over_lattice(
-        ((lam + nu + 1.0, ell - m), (mu + nu + b + 2.0, m - ell)),
+    return math.sqrt(math.pi) * (-1.0) ** ((m - ell) // 2) * products * gamma_ratio(
         (lam + 0.5, mu + 0.5, nu + 0.5, lam + mu + 2.0 * nu + b + 2.0, b + 1.0),
-        (big,),
-        0.0,
-        1.0,
+        ((lam + nu + 1.0, ell - m), (mu + nu + b + 2.0, m - ell), big),
     )
 
 
 def cosine_expansion(rho: float, parity: int, phi, psi, K: int) -> np.ndarray:
-    """Truncated bilateral expansion of |cos(phi) + cos(psi)|^rho
-    sgn^parity(cos(phi) + cos(psi)) on the grid phi x psi of finite angles.
+    """Truncated expansion of |cos(phi) + cos(psi)|^rho
+    sgn^parity(cos(phi) + cos(psi)) on the grid phi x psi of finite angles,
+    of shape (len(phi), len(psi)), a scalar angle counting as one.
 
-    Entry (i, j) sums 2^(-rho) Gamma(rho+1)^2 cos(l phi_i) cos(m psi_j) over
-    the four-gamma reciprocal products for all integer |l|, |m| <= K with
-    l = m + parity mod 2, without folding the lattice; the result has shape
-    (len(phi), len(psi)), a scalar angle counting as one.  The products are
-    the coefficient lattice at lam = mu = 0, nu = rho/2, where the l-m pairs
-    are the l+m pairs: one gamma vector serves both, taken where l-m has
-    the parity of parity.
+    It is the series at lam = mu = 0, nu = rho/2, eps = parity, with
+    l, m <= K, at s = cos(phi), t = -cos(psi): T_l(cos(phi)) = cos(l phi)
+    and T_m(-cos(psi)) = (-1)^m cos(m psi).
     """
     check_above("rho", rho, 0.0)
     if parity not in (0, 1):
@@ -601,16 +597,10 @@ def cosine_expansion(rho: float, parity: int, phi, psi, K: int) -> np.ndarray:
     check_degree("K", K)
     check_points("phi", phi)
     check_points("psi", psi)
-    k = np.arange(-2 * K, 2 * K + 1)
-    log_k, sign_k = _reciprocal_gammas(*_denominator_lattices(0.0, 0.0, 0.5 * rho, k, k)[0])
-    vals, sign_h, sign_t = _lattice(log_k, sign_k, log_k, sign_k, 2 * K + 1, parity)
-    vals *= sign_h
-    vals *= sign_t
-    idx = np.arange(-K, K + 1)
-    cl = np.cos(np.multiply.outer(np.atleast_1d(phi), idx))
-    cm = np.cos(np.multiply.outer(idx, np.atleast_1d(psi)))
-    pref = gamma_ratio((rho + 1.0, rho + 1.0), (), scale_log=-rho * LN2)
-    return pref * (cl @ vals @ cm)
+    b = coeff_table(ExpansionParams(0.0, 0.0, 0.5 * rho, parity), K, K)
+    b[:, 1::2] *= -1.0  # T_m(-cos(psi)) = (-1)^m cos(m psi)
+    k = np.arange(K + 1)
+    return np.cos(np.outer(phi, k)) @ b @ np.cos(np.outer(k, psi))
 
 
 def hermite_kernel_integral(nu: float, ell: int, m: int, x: float) -> float:
@@ -628,16 +618,15 @@ def hermite_kernel_integral(nu: float, ell: int, m: int, x: float) -> float:
     check_above("x", x, -math.inf)
     if (ell + m) % 2:
         raise DomainError("requires ell + m even")
-    half = (ell + m) // 2
-    lg, sg = _lgamma_at(nu, 2 - 2 * half)
-    if lg == math.inf or (m and x == 0.0):
+    if m and x == 0.0:
         return 0.0
+    half = (ell + m) // 2
     value = gamma_ratio(
         (nu + 1.0, nu + 0.5),
-        scale_log=(ell + m) * LN2 + 0.5 * LNPI - lg
-        + 2.0 * (nu - half) * math.log(math.hypot(1.0, x))
+        ((nu, 2 - 2 * half),),
+        (ell + m) * LN2 + 0.5 * LNPI + 2.0 * (nu - half) * math.log(math.hypot(1.0, x))
         + (m * math.log(abs(x)) if m else 0.0),
-        sign=sg * (-1.0) ** ell * (-1.0 if x < 0.0 and m % 2 else 1.0),
+        (-1.0) ** ell * (-1.0 if x < 0.0 and m % 2 else 1.0),
     )
     if abs(value) == math.inf:
         raise DomainError(f"value overflows at nu={nu!r}, ell={ell}, m={m}, x={x!r}")

@@ -38,7 +38,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .orthopoly import gauss_hermite_rule, gauss_jacobi_rule, gegenbauer, hermite
+from .orthopoly import chebyshev, gauss_hermite_rule, gauss_jacobi_rule, gegenbauer, hermite
 from .specfun import ConvergenceError, DomainError, check_above, check_degree, check_points
 
 KERNELS = ("plus", "minus", "abs", "abssgn")
@@ -61,8 +61,8 @@ class QuadratureSpec:
     The integrand is K(s - x t) (1-s^2)^(lam-1/2) (1-t^2)^(mu-1/2)
     C_ell^lam(s) C_m^mu(t) where K is selected by `kernel` with exponent
     `kernel_exponent`, x is x_shear in [-1, 1], (lam, mu) = gegenbauer and
-    (ell, m) = degrees; "plus" and "minus" keep s > x t and s < x t.  A
-    degree-0 factor is 1, so its parameter may be 0 (the Chebyshev weight).
+    (ell, m) = degrees; "plus" and "minus" keep s > x t and s < x t.  At a
+    parameter 0 the factor is the Chebyshev T_n under the Chebyshev weight.
     Setting extra_axis = (alpha, beta) makes the integral 3D: a third
     variable y weighted by y^alpha (1-y)^beta on [0, 1] sets the shear to
     sqrt(y), so x_shear must stay 0.
@@ -86,8 +86,6 @@ class QuadratureSpec:
         for lam, n in zip(self.gegenbauer, self.degrees):
             check_above("Gegenbauer parameter", lam, -0.5)
             check_degree("degree", n)
-            if n > 0 and lam == 0.0:
-                raise DomainError(f"degree {n} needs a nonzero Gegenbauer parameter")
         if self.extra_axis is not None:
             for a in self.extra_axis:
                 check_above("extra_axis exponent", a, -1.0)
@@ -207,7 +205,7 @@ def _eval_2d(spec: QuadratureSpec, xs, size: tuple):
 
     tn, tw = _interval_rule(-1.0, 1.0, wt, wt, levels, order)
     if m:
-        tw = tw * gegenbauer(mu, m, tn)
+        tw = tw * (gegenbauer(mu, m, tn) if mu else chebyshev(m, tn))
     evals = xs.size * tn.size
 
     p = spec.kernel_exponent
@@ -223,7 +221,7 @@ def _eval_2d(spec: QuadratureSpec, xs, size: tuple):
         def block(r):
             s = (sign * h[r, None]) * u
             s += s0[r, None]
-            poly = gegenbauer(lam, ell, s) if ell else None
+            poly = (gegenbauer(lam, ell, s) if lam else chebyshev(ell, s)) if ell else None
             s *= sign  # s's buffer becomes (1 + sign s)^ws
             s += 1.0
             s **= ws

@@ -1,12 +1,13 @@
-"""Ultraspherical and Hermite polynomials plus Gaussian quadrature rules.
+"""Ultraspherical, Chebyshev and Hermite polynomials plus Gaussian rules.
 
-Polynomial evaluation uses the stable three-term recurrences; nodes and
+Polynomials come from one in-place three-term recurrence; nodes and
 weights come from the symmetric-tridiagonal (Golub-Welsch) eigenproblem
 built on the Jacobi-weight recurrence coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -15,62 +16,85 @@ import numpy as np
 from .specfun import LN2, LNPI, DomainError, check_above, check_degree, gamma_ratio
 
 
-def _check_lambda(lam: float) -> None:
-    check_above("lam", lam, -0.5)
+def _recurrence(x, n: int, first: float, step):
+    """Yield p_0(x) = 1, p_1(x) = first x, ..., p_n(x) of the three-term
+    recurrence p_k = (a x p_(k-1) - b p_(k-2)) / c, (a, b, c) = step(k), in
+    place on three rotating buffers of x's shape: it holds three such arrays
+    at its peak and overwrites a yielded array two steps later.  x is only
+    read, so the oracle's row block keeps its points, and is not checked:
+    the oracle evaluates once per row block, and a NaN point gives NaN."""
+    prev = np.ones_like(x)
+    yield prev
+    if n == 0:
+        return
+    # out= keeps a 0-d result an array, not a numpy scalar, for the steps below to write into
+    cur = np.multiply(first, x, out=np.empty_like(x))
+    yield cur
+    nxt = np.empty_like(x)
+    for k in range(2, n + 1):
+        a, b, c = step(k)
+        np.multiply(a, x, out=nxt)
+        nxt *= cur
+        prev *= b
+        nxt -= prev
+        if c != 1.0:
+            nxt /= c
+        prev, cur, nxt = cur, nxt, prev
+        yield cur
+
+
+def _basis(lam: float, n: int, x):
+    """_recurrence for C_n^lam, n C_n = 2 (n + lam - 1) x C_(n-1) - (n + 2 lam
+    - 2) C_(n-2) with C_1 = 2 lam x, and at lam = 0 for the limit basis T_n =
+    2 x T_(n-1) - T_(n-2), T_1 = x: (lam + n) Gamma(lam) C_n^lam -> 2 T_n, n >= 1."""
+    x = np.asarray(x, dtype=float)
     if lam == 0.0:
-        raise DomainError(f"ultraspherical parameter lam must be nonzero, got {lam!r}")
+        return _recurrence(x, n, 1.0, lambda k: (2.0, 1.0, 1.0))
+    return _recurrence(x, n, 2.0 * lam, lambda k: (2.0 * (k + lam - 1.0), k + 2.0 * lam - 2.0, k))
+
+
+def _last(terms):
+    *_, p = terms
+    return p if p.ndim else float(p)
 
 
 def gegenbauer(lam: float, n: int, x):
-    """Ultraspherical polynomial C_n^lam(x) for scalar or array x.
-
-    Recurrence: n C_n = 2 (n + lam - 1) x C_{n-1} - (n + 2 lam - 2) C_{n-2},
-    seeded with C_0 = 1 and C_1 = 2 lam x.  It runs in place on three
-    rotating buffers of x's shape, so a call holds three such arrays at its
-    peak, and x is only read: the oracle's row block keeps using its points
-    after this call.  The points x are not checked: the oracle calls this
-    once per row block, and a NaN point gives NaN.
-    """
-    _check_lambda(lam)
+    """Ultraspherical polynomial C_n^lam(x) for scalar or array x.  lam = 0,
+    where C_n vanishes for n >= 1, is refused: chebyshev gives the limit."""
+    check_above("lam", lam, -0.5)
+    if lam == 0.0:
+        raise DomainError(f"ultraspherical parameter lam must be nonzero, got {lam!r}")
     check_degree("n", n)
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    # out= keeps a 0-d result an array, not a numpy scalar, for the steps below to write into
-    cur = np.multiply(2.0 * lam, x, out=np.empty_like(x))
-    nxt = np.empty_like(x)
-    for k in range(2, n + 1):
-        np.multiply(2.0 * (k + lam - 1.0), x, out=nxt)
-        nxt *= cur
-        prev *= k + 2.0 * lam - 2.0
-        nxt -= prev
-        nxt /= k
-        prev, cur, nxt = cur, nxt, prev
-    return cur if cur.ndim else float(cur)
+    return _last(_basis(lam, n, x))
+
+
+def chebyshev(n: int, x):
+    """Chebyshev polynomial T_n(x) = cos(n arccos x), for scalar or array x."""
+    check_degree("n", n)
+    return _last(_basis(0.0, n, x))
 
 
 def gegenbauer_all(lam: float, nmax: int, x) -> np.ndarray:
-    """All degrees at once: array of shape (nmax+1,) + shape(x)."""
-    _check_lambda(lam)
+    """All degrees at once, T_n at lam = 0: shape (nmax+1,) + shape(x)."""
+    check_above("lam", lam, -0.5)
     check_degree("nmax", nmax)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((nmax + 1,) + x.shape)
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = 2.0 * lam * x
-    for k in range(2, nmax + 1):
-        out[k] = (2.0 * (k + lam - 1.0) * x * out[k - 1] - (k + 2.0 * lam - 2.0) * out[k - 2]) / k
+    for k, p in enumerate(_basis(lam, nmax, x)):
+        out[k] = p
     return out
 
 
 def gegenbauer_norm_sq(lam: float, n: int) -> float:
     """Squared L2 norm of C_n^lam under the weight (1-x^2)^(lam-1/2).
 
-    Equals 2^(1-2 lam) pi Gamma(n+2 lam) / (n! (n+lam) Gamma(lam)^2).
+    Equals 2^(1-2 lam) pi Gamma(n+2 lam) / (n! (n+lam) Gamma(lam)^2), and
+    at lam = 0 that of T_n: pi at n = 0, then pi / 2.
     """
-    _check_lambda(lam)
+    check_above("lam", lam, -0.5)
     check_degree("n", n)
+    if lam == 0.0:
+        return math.pi / min(n + 1, 2)
     return gamma_ratio(
         (n + 2.0 * lam,),
         (n + 1.0, lam, lam),
@@ -81,35 +105,21 @@ def gegenbauer_norm_sq(lam: float, n: int) -> float:
 def u_prefactor(lam: float, n: int) -> float:
     """Normalization 2^(2 lam - 1) n! Gamma(lam) / Gamma(2 lam + n) of the
     weighted polynomial u_n^lam(s) = u_prefactor (1-s^2)^(lam-1/2) C_n^lam(s)
-    that the sheared integrals take, and its limit 1 at lam = n = 0, where
-    the ratio reads Gamma(1) Gamma(0) / Gamma(0) and u_0^0 = (1-s^2)^(-1/2)."""
+    that the sheared integrals take, and its limit 1 at lam = 0, where
+    u_n^0 = T_n(s) (1-s^2)^(-1/2) for every n."""
     check_above("lam", lam, -0.5)
     check_degree("n", n)
-    if lam == 0.0 and n == 0:
+    if lam == 0.0:
         return 1.0
     return gamma_ratio((n + 1.0, lam), (2.0 * lam + n,), scale_log=(2.0 * lam - 1.0) * LN2)
 
 
 def hermite(n: int, x):
-    """Physicists' Hermite polynomial H_n(x).
-
-    H_{n+1} = 2 x H_n - 2 n H_{n-1}, with H_0 = 1 and H_1 = 2x, run in place
-    on three rotating buffers like gegenbauer's; x is only read.
-    """
+    """Physicists' Hermite polynomial H_n(x), by _recurrence:
+    H_n = 2 x H_(n-1) - 2 (n - 1) H_(n-2), with H_1 = 2x."""
     check_degree("n", n)
     x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = np.multiply(2.0, x, out=np.empty_like(x))
-    nxt = np.empty_like(x)
-    for k in range(1, n):
-        np.multiply(2.0, x, out=nxt)
-        nxt *= cur
-        prev *= 2.0 * k
-        nxt -= prev
-        prev, cur, nxt = cur, nxt, prev
-    return cur if cur.ndim else float(cur)
+    return _last(_recurrence(x, n, 2.0, lambda k: (2.0, 2.0 * (k - 1), 1.0)))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ The rule that a degree or order is a nonnegative integer, check_above
 check_points (the one rule for arrays of evaluation points), the gamma pole
 test, log|Gamma| and its sign at a lattice point c + j/2 (_lgamma_at, the
 one function that calls math.lgamma: every gamma the package takes, each
-factor of a log-space gamma ratio included, goes through it), an in-house
+factor (c, j) or x of a gamma ratio included, goes through it), an in-house
 digamma (reflection, recurrence and the asymptotic series), and a
 real-argument Gauss hypergeometric function with termination detection, a
 z -> 1-z connection formula (including the logarithmic case for integer
@@ -176,16 +176,17 @@ def _log_gamma_ratio(num=(), den=(), scale_log: float = 0.0, sign: float = 1.0):
     """(log|prod Gamma(num_i) / prod Gamma(den_j)| + scale_log, its sign
     times sign).
 
-    Each factor is the lattice point _lgamma_at(x, 0).  A pole in a
-    numerator factor raises PoleError, also when a denominator has one too;
-    otherwise a pole in a denominator factor gives (-inf, 1).
+    Each factor is a lattice point, a tuple (c, j) read as _lgamma_at(c, j)
+    or a real x read as _lgamma_at(x, 0), the denominators taken first.  A
+    pole in a numerator factor raises PoleError, also when a denominator
+    has one too; otherwise a pole in a denominator factor gives (-inf, 1).
     """
     total, s = scale_log, sign
     for x in den:
-        lg, sg = _lgamma_at(x, 0)
+        lg, sg = _lgamma_at(*x) if type(x) is tuple else _lgamma_at(x, 0)
         total, s = total - lg, s * sg
     for x in num:
-        lg, sg = _lgamma_at(x, 0)
+        lg, sg = _lgamma_at(*x) if type(x) is tuple else _lgamma_at(x, 0)
         if lg == math.inf:
             raise PoleError(f"gamma pole at x={x!r}")
         total, s = total + lg, s * sg
@@ -193,7 +194,8 @@ def _log_gamma_ratio(num=(), den=(), scale_log: float = 0.0, sign: float = 1.0):
 
 
 def gamma_ratio(num=(), den=(), scale_log: float = 0.0, sign: float = 1.0) -> float:
-    """prod Gamma(num_i) / prod Gamma(den_j) * sign * exp(scale_log).
+    """prod Gamma(num_i) / prod Gamma(den_j) * sign * exp(scale_log), each
+    factor a real x or a lattice point (c, j) as _log_gamma_ratio reads it.
 
     Computed in log space.  A pole in a numerator factor raises PoleError,
     whatever the denominators; otherwise a pole in a denominator factor

@@ -68,6 +68,15 @@ class TestCoeffs:
         assert np.array_equal(got, table)
         assert payload["params"]["lambda"] == 1.7
 
+    def test_chebyshev_point_table(self, tmp_path):
+        # lambda = mu = 0 was refused; the table is the series' at the limit basis T_n
+        out = tmp_path / "t.json"
+        code = main(["coeffs", "--lambda", "0", "--mu", "0", "--nu", "3.5", "--eps", "1",
+                     "--lmax", "4", "--mmax", "3", "--format", "json", "--out", str(out)])
+        assert code == 0
+        got = np.array(json.loads(out.read_text(encoding="utf-8"))["values"]).reshape(5, 4)
+        assert np.array_equal(got, coeff_table(ExpansionParams(0.0, 0.0, 3.5, 1), 4, 3))
+
     def test_missing_flag_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main(["coeffs", "--lambda", "1", "--mu", "1", "--nu", "1"])
@@ -171,6 +180,15 @@ class TestEval:
         worst = max(
             float(line.split(",")[4]) for line in out.read_text().splitlines()[1:]
         )
+        assert worst <= 1e-6
+
+    def test_chebyshev_point_meets_tolerance(self, tmp_path):
+        # truncation_order((0, 0, 3.5, 0), 1e-6) is (22, 22)
+        out = tmp_path / "e.csv"
+        code = main(["eval", "--lambda", "0", "--mu", "0", "--nu", "3.5", "--order", "22",
+                     "--grid", "21", "--out", str(out)])
+        assert code == 0
+        worst = max(float(line.split(",")[4]) for line in out.read_text().splitlines()[1:])
         assert worst <= 1e-6
 
     @pytest.mark.parametrize("order", ["abc", "-2", "2,-3", "1,2,3"])
@@ -300,6 +318,20 @@ class TestBx:
         out = capsys.readouterr()
         value, oracle, abs_err = out.out.splitlines()
         assert oracle.startswith("oracle ") and abs_err.startswith("abs_err ")
+        assert float(abs_err.split()[1]) <= 1e-9
+        assert out.err == ""
+
+    @pytest.mark.parametrize("degrees", [("1", "0"), ("3", "2")], ids=["ell-1", "ell-3-m-2"])
+    def test_chebyshev_degree_is_checked_by_the_oracle(self, degrees, capsys):
+        # at lam = 0 and ell >= 1 the closed form was printed and the oracle
+        # then exited 2 with a gamma pole; it now integrates T_ell
+        ell, m = degrees
+        argv = ["bx", "--lambda", "0", "--mu", "1", "--nu", "1", "--ell", ell, "--m", m,
+                "--x", "0.5", "--oracle"]
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        value, oracle, abs_err = out.out.splitlines()
+        assert float(value) != 0.0 and oracle.startswith("oracle ")
         assert float(abs_err.split()[1]) <= 1e-9
         assert out.err == ""
 

@@ -48,7 +48,7 @@ from gegenexp.orthopoly import (
     u_prefactor,
 )
 from gegenexp.specfun import DomainError, PoleError, _lgamma_at, gamma_ratio, hyp2f1
-from gegenexp.verify import run_suite, sheared_oracle
+from gegenexp.verify import _shear_averaged_oracle, run_suite, sheared_oracle
 
 
 class TestCoefficients:
@@ -752,6 +752,89 @@ class TestCosine:
         )
 
 
+class TestChebyshevPoint:
+    """lam = 0 (or mu = 0): the series takes T_n, the limit of (lam + n)
+    Gamma(lam) C_n^lam / e_n, and the oracle T_n under the Chebyshev weight."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sheared_integral_against_the_oracle(self, seed):
+        rng = np.random.default_rng([seed, 24])
+        kind = ("plus", "minus", "abs", "abssgn")[seed % 4]
+        lam, mu = rng.uniform(0.2, 2.0, 2)
+        lam, mu = (0.0, mu) if seed % 3 == 0 else (lam, 0.0) if seed % 3 == 1 else (0.0, 0.0)
+        nu, x = rng.uniform(0.3, 2.5), rng.uniform(-1.0, 1.0)
+        ell, m = (int(k) for k in rng.integers(0, 6, 2))
+        closed = sheared_integral(kind, lam, mu, nu, ell, m, x)
+        oracle = sheared_oracle(kind, lam, mu, nu, ell, m, x, 1e-9)
+        assert abs(closed - oracle) <= 1e-9, (kind, lam, mu, nu, ell, m, x)
+
+    @pytest.mark.parametrize("lam, mu, nu, eps, ell, m", [
+        (0.0, 1.2, 3.3, 0, 2, 0), (0.0, 0.7, 2.1, 1, 3, 2), (1.4, 0.0, 1.6, 0, 1, 5),
+        (0.0, 0.0, 2.6, 1, 4, 1),
+    ])
+    def test_projection_against_the_oracle(self, lam, mu, nu, eps, ell, m):
+        closed = projection_integral(ExpansionParams(lam, mu, nu, eps), ell, m)
+        spec = QuadratureSpec("abssgn" if eps else "abs", 2.0 * nu, 1.0, (lam, mu), (ell, m))
+        assert closed == pytest.approx(refine_until(spec, 1e-12).value, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("lam, mu, nu, b, ell, m", [
+        (0.0, 1.0, 1.0, 0.0, 2, 0), (1.3, 0.0, 1.4, 0.6, 1, 1), (0.0, 0.0, 0.9, 1.1, 3, 1),
+    ])
+    def test_shear_averaged_projection_against_the_oracle(self, lam, mu, nu, b, ell, m):
+        # the closed form read C_ell^0 = 0 while the oracle's spec now takes T_ell
+        p = {"lambda": lam, "mu": mu, "nu": nu, "b": b, "ell": ell, "m": m}
+        closed = shear_averaged_projection(lam, mu, nu, b, ell, m)
+        assert closed != 0.0
+        assert closed == pytest.approx(_shear_averaged_oracle("abs", p, 1e-9), rel=1e-7)
+
+    def test_norm_of_t_n(self):
+        rule = gauss_jacobi_rule(-0.5, -0.5, 40)
+        for n in range(8):
+            quad = float(rule.weights @ np.cos(n * np.arccos(rule.nodes)) ** 2)
+            assert gegenbauer_norm_sq(0.0, n) == pytest.approx(quad, rel=1e-14)
+        assert gegenbauer_norm_sq(0.0, 0) == math.pi
+        assert gegenbauer_norm_sq(0.0, 9) == math.pi / 2.0
+
+    @pytest.mark.parametrize("point, tol, order", [
+        ((0.0, 0.0, 3.5, 0), 1e-6, (22, 22)), ((0.0, 0.0, 3.7, 1), 1e-6, None),
+        ((0.0, 1.1, 4.2, 0), 1e-7, None), ((0.9, 0.0, 4.6, 1), 1e-6, None),
+    ])
+    def test_series_to_tolerance(self, point, tol, order):
+        params = ExpansionParams(*point)
+        L, M = truncation_order(params, tol)
+        assert order is None or (L, M) == order
+        assert tail_bound(params, L, M) < tol
+        pts = np.linspace(-1.0, 1.0, 65)
+        series = series_eval_grid(params, pts, pts, L, M)
+        kernel = kernel_value(params, pts[:, None], pts[None, :])
+        assert np.abs(series - kernel).max() <= tol
+
+    @pytest.mark.parametrize("point", [(0.0, 0.0, 3.5, 0), (0.0, 1.1, 4.2, 1), (0.8, 0.0, 4.3, 0)])
+    def test_the_limit_of_small_parameters(self, point):
+        # coeff_table and the series at 1e-7 differ from their values at 0 by O(1e-7)
+        # relative; the table's entries at 0 are the coefficients of T_l
+        lam, mu, nu, eps = point
+        at_zero, near = ExpansionParams(*point), ExpansionParams(lam or 1e-7, mu or 1e-7, nu, eps)
+        pts = np.linspace(-1.0, 1.0, 17)
+        a = series_eval_grid(at_zero, pts, pts, 30, 30)
+        b = series_eval_grid(near, pts, pts, 30, 30)
+        assert np.abs(a - b).max() <= 1e-6 * np.abs(a).max()
+        table = coeff_table(at_zero, 12, 12)
+        for ell, m in [(0, 0), (1, 1), (2, 0), (5, 3), (12, 12), (0, 1), (7, 2), (3, 12)]:
+            if (ell + m) % 2 == eps:
+                coeff = expansion_coeff(lam, mu, nu, ell, m)
+                assert coeff == pytest.approx(table[ell, m], rel=1e-13)
+
+    @pytest.mark.parametrize("rho, parity", [(7.0, 1), (5.5, 0), (8.3, 1), (4.4, 0)])
+    def test_cosine_expansion_is_the_series(self, rho, parity):
+        # s = cos(phi), t = -cos(psi): |cos(phi) + cos(psi)|^rho is the kernel at nu = rho/2
+        phi, psi = np.linspace(0.1, 3.0, 7), np.linspace(0.2, 3.1, 5)
+        cosine = cosine_expansion(rho, parity, phi, psi, 30)
+        series = series_eval_grid(ExpansionParams(0.0, 0.0, 0.5 * rho, parity),
+                                  np.cos(phi), -np.cos(psi), 30, 30, force=True)
+        assert np.abs(cosine - series).max() <= 1e-14 * np.abs(series).max()
+
+
 @pytest.mark.parametrize(
     "call, match",
     [
@@ -1045,10 +1128,22 @@ REAL_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("name, floor, call", REAL_ENTRIES.values(), ids=REAL_ENTRIES.keys())
-def test_real_parameter_is_finite_and_above_its_floor(name, floor, call):
-    # the floor itself is refused too, except the -inf of an unbounded parameter
-    for bad in (math.nan, math.inf, -math.inf) + ((floor,) if floor > -math.inf else ()):
+#: Entries whose floor is itself admitted: lam = 0 or mu = 0 is the
+#: Chebyshev point of the series, and a negative value keeps the message.
+FLOOR_ADMITTED = {"ExpansionParams-lam", "ExpansionParams-mu", "expansion_coeff-lam",
+                  "expansion_coeff-mu"}
+
+
+@pytest.mark.parametrize("entry", REAL_ENTRIES, ids=REAL_ENTRIES.keys())
+def test_real_parameter_is_finite_and_above_its_floor(entry):
+    # the floor itself is refused too, except the -inf of an unbounded
+    # parameter and an admitted floor, where a value below it is refused
+    name, floor, call = REAL_ENTRIES[entry]
+    below = (floor - 0.5,) if entry in FLOOR_ADMITTED else (floor,) if floor > -math.inf else ()
+    for bad in (math.nan, math.inf, -math.inf) + below:
         message = f"{name} must be finite and exceed {floor}, got {bad!r}"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             call(bad)
+    if entry in FLOOR_ADMITTED:
+        call(floor)
+        call(-0.0)

@@ -1,8 +1,10 @@
 """Package rules read from the source: the oracle stays independent of the
 closed forms, no module reads the environment, log-gamma is taken and a
-real argument or a point in [-1, 1] checked in specfun alone, one function
-gathers the coefficient lattice, one sums the sheared 2F1, every export
-has a caller, a README mention or a test that compares against it, and the
+real argument or a point in [-1, 1] checked in specfun alone, a lattice
+gamma is taken by the gamma ratio or the grid's gamma vectors alone, one
+function gathers the coefficient lattice and the cosine expansion reads
+the coefficient table, one sums the sheared 2F1, every export has a
+caller, a README mention or a test that compares against it, and the
 README's suite table is SUITE_TABLE."""
 
 import ast
@@ -133,15 +135,33 @@ def test_real_arguments_are_checked_in_specfun_alone():
     assert sorted(sites - {"cli._jsonable"}) == []
 
 
+def test_lattice_gammas_are_taken_in_two_functions():
+    # gamma_ratio takes each factor, a real or a lattice point (c, j), through
+    # _log_gamma_ratio, and a coefficient grid its gamma vectors through
+    # _lattice_gammas; no closed form reads _lgamma_at itself
+    readers = {name for name, node in FUNCTIONS.items() if "_lgamma_at" in _reads(node)}
+    assert readers == {"specfun._log_gamma_ratio", "expansion._lattice_gammas"}
+
+
 def test_one_function_gathers_the_lattice():
-    # coeff_table, the tail's term grid and the cosine limit all gather the
-    # (l, m) gamma lattice through _lattice, the one reader of the Hankel and
-    # Toeplitz views; the term grid takes no signs, so it needs no abs
+    # coeff_table, the cosine expansion through it (the series at
+    # lam = mu = 0) and the tail's term grid gather the (l, m) gamma lattice
+    # through _lattice, the one reader of the Hankel and Toeplitz views; the
+    # term grid takes no signs, so it needs no abs
     gathers = {"_hankel", "_toeplitz"}
     readers = {name: _reads(node) & gathers for name, node in FUNCTIONS.items()}
     readers = {name: read for name, read in readers.items() if read}
     assert readers == {"expansion._lattice": gathers}
     assert not _reads(FUNCTIONS["expansion._term_sup_grid"]) & {"coeff_table", "abs"}
+
+
+def test_the_cosine_expansion_is_the_series():
+    # it reads coeff_table at lam = mu = 0, so a second lattice, with its own
+    # gamma vector and prefactor, cannot come back
+    read = _reads(FUNCTIONS["expansion.cosine_expansion"])
+    assert "coeff_table" in read
+    assert not read & {"_lattice", "_reciprocal_gammas", "_denominator_lattices",
+                       "_lattice_gammas", "_lgamma_at", "gamma_ratio"}
 
 
 def test_one_sheared_closed_form_sums_a_2f1():

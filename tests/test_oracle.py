@@ -60,11 +60,17 @@ class TestSpecValidation:
                 QuadratureSpec(kernel="abs", gegenbauer=(1.0, 1.0), degrees=degrees)
 
     def test_positive_degree_needs_nonzero_parameter(self):
-        # C_n^0 vanishes for n > 0; at degree 0 the factor is 1 and lam = 0
-        # is the Chebyshev weight
-        for gegenbauer, degrees in (((0.0, 1.0), (2, 0)), ((1.0, 0.0), (0, 1))):
-            with pytest.raises(DomainError, match="nonzero Gegenbauer parameter"):
-                QuadratureSpec(kernel="abs", gegenbauer=gegenbauer, degrees=degrees)
+        # C_n^0 vanishes for n > 0, and these specs were refused; at a
+        # parameter 0 the factor is now T_n under the Chebyshev weight.
+        # (s - t)^2 against T_2(s) and the Legendre weight in t is
+        # int T_2(s) s^2 (1-s^2)^(-1/2) ds * 2 = pi / 4 * 2
+        spec = QuadratureSpec(kernel="abs", kernel_exponent=2.0, x_shear=1.0,
+                              gegenbauer=(0.0, 0.5), degrees=(2, 0))
+        assert refine_until(spec, 1e-12).value == pytest.approx(math.pi / 2.0, rel=1e-12)
+        # (s - t) against (1-s^2)^(1/2) and T_1(t): -(pi / 2) int t^2 (1-t^2)^(-1/2) dt
+        spec = QuadratureSpec(kernel="abssgn", kernel_exponent=1.0, x_shear=1.0,
+                              gegenbauer=(1.0, 0.0), degrees=(0, 1))
+        assert refine_until(spec, 1e-12).value == pytest.approx(-math.pi**2 / 4.0, rel=1e-12)
         spec = QuadratureSpec(kernel="abs", gegenbauer=(0.0, 0.5))
         assert refine_until(spec, 1e-10).value == pytest.approx(2.0 * math.pi, rel=1e-10)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gegenexp.orthopoly import (
+    chebyshev,
     gauss_hermite_rule,
     gauss_jacobi_rule,
     gegenbauer,
@@ -118,11 +119,16 @@ class TestWeighted:
         assert u_value(3.0, 1, 0.0) == 0.0
 
     def test_lambda_zero_degree_zero_is_the_limit(self):
-        # Gamma(1) Gamma(0) / Gamma(0) raised a pole; u_0^0 = (1-s^2)^(-1/2)
+        # Gamma(1) Gamma(0) / Gamma(0) raised a pole; u_0^0 = (1-s^2)^(-1/2).
+        # At n >= 1 the prefactor was a pole too; it is 1 at every degree,
+        # since u_n^0 = T_n(s) (1-s^2)^(-1/2) is the limit of u_n^lam
         assert u_prefactor(0.0, 0) == 1.0
         assert u_prefactor(1e-9, 0) == pytest.approx(1.0, rel=1e-8)
-        with pytest.raises(DomainError, match="^gamma pole at x=0.0$"):
-            u_prefactor(0.0, 1)
+        xs = np.linspace(-0.95, 0.95, 9)
+        for n in range(1, 6):
+            assert u_prefactor(0.0, n) == 1.0
+            near = u_prefactor(1e-6, n) * gegenbauer(1e-6, n, xs)
+            np.testing.assert_allclose(near, chebyshev(n, xs), rtol=0, atol=1e-5)
 
     def test_odd_parity(self):
         assert u_value(1.2, 3, 0.4) == pytest.approx(-u_value(1.2, 3, -0.4), rel=1e-13)
@@ -173,6 +179,87 @@ class TestHermite:
             )
             scale = max(1.0, float(np.abs(ref).max()))
             assert np.abs(approx - ref).max() <= 1e-4 * scale
+
+
+def _old_gegenbauer(lam, n, x):
+    """gegenbauer's own in-place recurrence before the three shared one."""
+    x = np.asarray(x, dtype=float)
+    prev = np.ones_like(x)
+    if n == 0:
+        return prev if prev.ndim else float(prev)
+    cur = np.multiply(2.0 * lam, x, out=np.empty_like(x))
+    nxt = np.empty_like(x)
+    for k in range(2, n + 1):
+        np.multiply(2.0 * (k + lam - 1.0), x, out=nxt)
+        nxt *= cur
+        prev *= k + 2.0 * lam - 2.0
+        nxt -= prev
+        nxt /= k
+        prev, cur, nxt = cur, nxt, prev
+    return cur if cur.ndim else float(cur)
+
+
+def _old_gegenbauer_all(lam, nmax, x):
+    """gegenbauer_all's own recurrence, one expression per degree."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((nmax + 1,) + x.shape)
+    out[0] = 1.0
+    if nmax >= 1:
+        out[1] = 2.0 * lam * x
+    for k in range(2, nmax + 1):
+        out[k] = (2.0 * (k + lam - 1.0) * x * out[k - 1] - (k + 2.0 * lam - 2.0) * out[k - 2]) / k
+    return out
+
+
+def _old_hermite(n, x):
+    """hermite's own in-place recurrence."""
+    x = np.asarray(x, dtype=float)
+    prev = np.ones_like(x)
+    if n == 0:
+        return prev if prev.ndim else float(prev)
+    cur = np.multiply(2.0, x, out=np.empty_like(x))
+    nxt = np.empty_like(x)
+    for k in range(1, n):
+        np.multiply(2.0, x, out=nxt)
+        nxt *= cur
+        prev *= 2.0 * k
+        nxt -= prev
+        prev, cur, nxt = cur, nxt, prev
+    return cur if cur.ndim else float(cur)
+
+
+class TestOneRecurrence:
+    def test_bit_identical_to_the_three_copies(self):
+        # one shared recurrence serves gegenbauer, gegenbauer_all and hermite
+        rng = np.random.default_rng(2024)
+        for i in range(300):
+            lam, n = rng.uniform(-0.49, 5.0), int(rng.integers(0, 40))
+            x = rng.uniform(-1.2, 1.2, int(rng.integers(1, 30)))
+            x = float(x[0]) if i % 5 == 0 else x.reshape(-1, 1) if i % 7 == 0 else x
+            for new, old in ((gegenbauer(lam, n, x), _old_gegenbauer(lam, n, x)),
+                             (hermite(n, x), _old_hermite(n, x))):
+                assert type(new) is type(old)
+                assert np.array_equal(new, old)
+            new, old = gegenbauer_all(lam, n, x), _old_gegenbauer_all(lam, n, x)
+            assert new.shape == old.shape and np.array_equal(new, old)
+
+    def test_chebyshev_is_the_cosine_of_n_angles(self):
+        # T_n(x) = cos(n arccos x); rounding x moves both by up to n^2 ulp near +-1
+        xs = np.linspace(-1.0, 1.0, 201)
+        for n in range(60):
+            np.testing.assert_allclose(chebyshev(n, xs), np.cos(n * np.arccos(xs)),
+                                       rtol=0, atol=1e-15 * (n + 1) ** 2)
+        assert chebyshev(0, 0.3) == 1.0 and chebyshev(1, 0.3) == 0.3
+        assert chebyshev(2, 0.5) == -0.5
+
+    def test_gegenbauer_all_takes_chebyshev_at_zero(self):
+        # the series' limit basis; gegenbauer itself still refuses lam = 0
+        xs = np.linspace(-1.0, 1.0, 13)
+        table = gegenbauer_all(0.0, 12, xs)
+        for n in range(13):
+            assert np.array_equal(table[n], chebyshev(n, xs))
+        with pytest.raises(DomainError, match="must be nonzero"):
+            gegenbauer(0.0, 3, xs)
 
 
 class TestRules:

@@ -94,6 +94,33 @@ class TestGammaFamily:
         with pytest.raises(PoleError):
             gamma_ratio((-1.0,), (2.0,))
 
+    def test_lattice_point_factors(self):
+        # a factor (c, j) is the lattice point c + j/2, taken by _lgamma_at(c, j):
+        # (c, 0) is the same factor as c, and it mixes with reals in one ratio
+        rng = np.random.default_rng(31)
+        for c, d in rng.uniform(-30.0, 30.0, (200, 2)).tolist():
+            pairs = gamma_ratio(((c, 0),), ((d, 0),), 0.3, -1.0)
+            assert pairs == gamma_ratio((c,), (d,), 0.3, -1.0)
+        for c, j in [(0.3, 5), (-2.7 + 1e-9, -3), (4.25, -11), (0.5, 0)]:
+            ref = float(mp.gamma(mp.mpf(c) + mp.mpf(j) / 2))
+            assert gamma_ratio(((c, j),)) == pytest.approx(ref, rel=1e-12)
+            assert gamma_ratio((2.5,), ((c, j), 1.5)) == pytest.approx(
+                float(mp.gamma(2.5) / mp.gamma(1.5)) / ref, rel=1e-12)
+        # near a pole the lattice point reads c's offset, not the rounded
+        # c + j/2, whose rounding costs 1e-5 here
+        c = -3.0 + 1e-9
+        ref = float(mp.rgamma(mp.mpf(c) - 100))
+        assert gamma_ratio((), ((c, -200),)) == pytest.approx(ref, rel=1e-12)
+
+    def test_lattice_point_poles(self):
+        # a denominator pole gives 0.0, a numerator pole raises, also over a pole
+        assert gamma_ratio((1.5,), ((1.0, -4),)) == 0.0
+        assert gamma_ratio((), ((0.5, -3), (2.0, 1))) == 0.0
+        for call in (lambda: gamma_ratio(((1.0, -6),)),
+                     lambda: gamma_ratio(((1.0, -6), 2.0), ((0.5, -1),))):
+            with pytest.raises(PoleError):
+                call()
+
     @pytest.mark.parametrize(
         "call",
         [
