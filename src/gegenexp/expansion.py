@@ -92,7 +92,7 @@ def _log_numerator(lam: float, mu: float, nu: float) -> float:
 
 def _degree_factor(lam: float, k):
     """lam + k for a degree k or a vector of them, and at lam = 0 its limit e_k
-    (1, then 2): (lam + k) Gamma(lam) C_k^lam tends to e_k T_k (DLMF 18.7.25)."""
+    (1, then 2): (lam + k) Gamma(lam) C_k^lam tends to e_k T_k (DLMF 18.7(iii))."""
     return lam + k if lam else 2.0 - (k == 0)
 
 
