@@ -135,15 +135,28 @@ def _toeplitz(v: np.ndarray, n: int) -> np.ndarray:
     return sliding_window_view(v[::-1], n)[::-1]
 
 
-def _reciprocal_gammas(*lattices):
-    """log|1 / prod Gamma(c + j/2)| and its sign over (c, j) pairs of a
-    scalar and a 1-D vector of consecutive integers, ascending or
-    descending, all j of equal length; the log is -inf where any argument
-    is a pole."""
-    log, sign = 0.0, 1.0
-    for lg, sg in _lattice_gammas(*lattices):
-        log, sign = log - lg, sign * sg
-    return log, sign
+def _reciprocal_gammas(*groups) -> list:
+    """For each group of (c, j) pairs of a scalar and a 1-D vector of
+    consecutive integers, ascending or descending: log|1 / prod Gamma(c +
+    j/2)| and its sign, the log -inf where any argument is a pole.  Each
+    distinct c is taken once, over the union of its pairs' j, and sliced:
+    an entry depends on c and its own j alone (_lattice_gammas), so a slice
+    equals the pair's own vector to the bit."""
+    spans = {}
+    for c, j in (pair for group in groups for pair in group):
+        lo, hi = spans.get(c, (j.min(), j.max()))
+        spans[c] = min(lo, j.min()), max(hi, j.max())
+    union = [(c, np.arange(lo, hi + 1)) for c, (lo, hi) in spans.items()]
+    gammas = dict(zip(spans, _lattice_gammas(*union)))
+    out = []
+    for group in groups:
+        log, sign = 0.0, 1.0
+        for c, j in group:
+            at = j - spans[c][0]
+            lg, sg = gammas[c]
+            log, sign = log - lg[at], sign * sg[at]
+        out.append((log, sign))
+    return out
 
 
 def _half_crossing(c: float, odd: int) -> int:
@@ -247,8 +260,7 @@ def _coeff_magnitudes(params: ExpansionParams, L: int, M: int, *factors):
     lam, mu, nu = params.lam, params.mu, params.nu
     s, d = np.arange(L + M + 1), np.arange(-M, L + 1)
     s_pairs, d_pairs = _denominator_lattices(lam, mu, nu, s, d)
-    log_s, sign_s = _reciprocal_gammas(*s_pairs)
-    log_d, sign_d = _reciprocal_gammas(*d_pairs)
+    (log_s, sign_s), (log_d, sign_d) = _reciprocal_gammas(s_pairs, d_pairs)
     log_s += _log_numerator(lam, mu, nu)
     degrees = _degree_factor(lam, np.arange(L + 1))[:, None], _degree_factor(mu, np.arange(M + 1))
     return _lattice(log_s, sign_s, log_d, sign_d, M + 1, params.eps, degrees + factors)

@@ -22,13 +22,20 @@ tracemalloc), under glibc malloc's default trim threshold plus top pad
 consecutive blocks reuse the same heap pages instead of trimming them away
 and faulting them back in.
 
+At |x| = 1 the split line runs into two corners of the square, where the
+split point meets the far weight end.  There each half takes _corner_rule's
+four tensor Gauss-Jacobi pieces instead, the corner cut in two by a Duffy
+map, so every algebraic factor is folded and the rules converge
+exponentially in the panel order.
+
 Every backend is a rung function, rung k sized from _ladder(k) (panel order
 8 + 3k, 6 + 5k dyadic grading levels), and _refine applies one stopping rule
 to all: stop at the first rung that agrees with the one before to the target.
-A 2D integral takes ~13k nodes at rung 0 and ~2.2M at rung 5; the deeper
-grading of later rungs is for endpoint factors the rules do not fold, such as
-(1 - x t)^(1+p+ws) on the outer axis when |x| is near 1.  The finite-part
-backend evaluates its convolution profile, which is even, at |u|.
+A 2D integral takes ~13k nodes at rung 0 and ~2.2M at rung 5 on the graded
+rules, and 4 (8 + 3k)^2 per half on the corner pieces.  The deeper grading
+of later rungs is for endpoint factors the graded rules do not fold, such as
+(1 - x t)^(1+p+ws) on the outer axis when |x| is near 1 but not 1.  The
+finite-part backend evaluates its convolution profile, which is even, at |u|.
 """
 
 from __future__ import annotations
@@ -41,7 +48,15 @@ import numpy as np
 from .orthopoly import chebyshev, gauss_hermite_rule, gauss_jacobi_rule, gegenbauer, hermite
 from .specfun import ConvergenceError, DomainError, check_above, check_degree, check_points
 
-KERNELS = ("plus", "minus", "abs", "abssgn")
+#: Each kernel's halves as (sign, weight): the plus half lies above the split
+#: line s = x t (sign 1), the minus half below it (sign -1).
+_HALVES = {
+    "plus": ((1.0, 1.0),),
+    "minus": ((-1.0, 1.0),),
+    "abs": ((1.0, 1.0), (-1.0, 1.0)),
+    "abssgn": ((1.0, 1.0), (-1.0, -1.0)),
+}
+KERNELS = tuple(_HALVES)
 
 
 class OracleConvergenceError(ConvergenceError):
@@ -194,34 +209,50 @@ def _chunked_rows(n: int, width: int, block):
     return out
 
 
+def _poly(lam: float, n: int, x):
+    """C_n^lam(x), or T_n(x) at lam = 0: the factor QuadratureSpec takes."""
+    return gegenbauer(lam, n, x) if lam else chebyshev(n, x)
+
+
 def _eval_2d(spec: QuadratureSpec, xs, size: tuple):
     """(value at each shear in xs, evaluations) of the 2D kernel integral
-    with (panel order, grading levels) = size."""
-    order, levels = size
+    with (panel order, grading levels) = size: _unit_shear's corner pieces
+    at the panel order for a shear of +-1, _graded's split rules otherwise."""
     xs = np.asarray(xs, dtype=float)
+    unit = np.abs(xs) == 1.0
+    values, evals = np.empty(xs.size), 0
+    for i in np.flatnonzero(unit):
+        values[i], e = _unit_shear(spec, xs[i], size[0])
+        evals += e
+    if not unit.all():
+        values[~unit], e = _graded(spec, xs[~unit], size)
+        evals += e
+    return values, evals
+
+
+def _graded(spec: QuadratureSpec, xs, size: tuple):
+    """_eval_2d at shears inside (-1, 1) on the graded split rules."""
+    order, levels = size
     lam, mu = spec.gegenbauer
     ell, m = spec.degrees
     ws, wt = lam - 0.5, mu - 0.5
 
     tn, tw = _interval_rule(-1.0, 1.0, wt, wt, levels, order)
     if m:
-        tw = tw * (gegenbauer(mu, m, tn) if mu else chebyshev(m, tn))
+        tw = tw * _poly(mu, m, tn)
     evals = xs.size * tn.size
 
     p = spec.kernel_exponent
     u, uw = _unit_rule(p, ws, levels, order)
     s0 = np.outer(xs, tn).ravel()  # one row per (shear, t-node)
     rows = np.zeros(s0.size)
-    # The plus half lies above the split, the minus half below it.
-    for sign, other in ((1.0, "minus"), (-1.0, "plus")):
-        if spec.kernel == other:
-            continue
+    for sign, weight in _HALVES[spec.kernel]:
         h = 1.0 - sign * s0  # s = s0 + sign h u sweeps from the split to sign 1
 
         def block(r):
             s = (sign * h[r, None]) * u
             s += s0[r, None]
-            poly = (gegenbauer(lam, ell, s) if lam else chebyshev(ell, s)) if ell else None
+            poly = _poly(lam, ell, s) if ell else None
             s *= sign  # s's buffer becomes (1 + sign s)^ws
             s += 1.0
             s **= ws
@@ -230,9 +261,74 @@ def _eval_2d(spec: QuadratureSpec, xs, size: tuple):
             return s @ uw
 
         part = _chunked_rows(s0.size, u.size, block) * h ** (1.0 + p + ws)
-        rows += -part if sign < 0.0 and spec.kernel == "abssgn" else part
+        rows += weight * part
         evals += s0.size * u.size
     return rows.reshape(xs.size, tn.size) @ tw, evals
+
+
+def _folded_rule(lo: float, hi: float, e_lo: float, e_hi: float, order: int):
+    """Nodes y and weights w with int_lo^hi g(y) dy ~= sum w g(y) for g =
+    (y - lo)^e_lo (hi - y)^e_hi times a smooth function: the Gauss-Jacobi
+    rule that folds both factors, its weights divided by them at the nodes."""
+    rule = gauss_jacobi_rule(e_hi, e_lo, order)
+    h = 0.5 * (hi - lo)
+    y = lo + h * (1.0 + rule.nodes)
+    return y, rule.weights * h ** (1.0 + e_lo + e_hi) / ((y - lo) ** e_lo * (hi - y) ** e_hi)
+
+
+def _corner_rule(p: float, ws: float, wt: float, order: int):
+    """Nodes (t, s) and weights w with sum w g(s, t) ~= int_{-1}^1
+    int_t^1 (s - t)^p (1-s^2)^ws (1-t^2)^wt g(s, t) ds dt, the plus half of
+    the unit-shear integral, for polynomial g.
+
+    With tau = 1 + t and s = t + (1 - t) u the integrand is
+    (2-tau)^a tau^wt u^p (1-u)^ws (tau + (2-tau) u)^ws, a = 1 + p + ws + wt,
+    and only its last factor is not separable, at (tau, u) = (0, 0).  Four
+    tensor pieces cover [0, 2] x [0, 1]: tau in [1, 2] by u in [0, 1]; tau
+    in [0, 1] by u in [1/2, 1]; and the corner [0, 1] x [0, 1/2], cut along
+    u = tau / 2 and mapped by u = tau v / 2 below the cut and tau = 2 u v
+    above it (Duffy, SIAM J. Numer. Anal. 19, 1982), where a is the radial
+    exponent.  Each rule folds the piece's endpoint factors, so what is
+    left is smooth and the rules converge exponentially in the order.
+    """
+    a = 1.0 + p + ws + wt
+    check_above("corner exponent 1 + p + ws + wt", a, -1.0)
+    rule = partial(_folded_rule, order=order)
+
+    def tensor(x_rule, y_rule):
+        (x, wx), (y, wy) = x_rule, y_rule
+        return np.repeat(x, order), np.tile(y, order), np.outer(wx, wy).ravel()
+
+    tau1, u1, w1 = tensor(rule(1.0, 2.0, 0.0, a), rule(0.0, 1.0, p, ws))
+    tau2, u2, w2 = tensor(rule(0.0, 1.0, wt, 0.0), rule(0.5, 1.0, 0.0, ws))
+    tau3, v3, w3 = tensor(rule(0.0, 1.0, a, 0.0), rule(0.0, 1.0, p, 0.0))
+    u4, v4, w4 = tensor(rule(0.0, 0.5, a, 0.0), rule(0.0, 1.0, wt, 0.0))
+    tau = np.concatenate((tau1, tau2, tau3, 2.0 * u4 * v4))
+    u = np.concatenate((u1, u2, 0.5 * tau3 * v3, u4))
+    w = np.concatenate((w1, w2, 0.5 * tau3 * w3, 2.0 * u4 * w4))  # times the Jacobians
+    w *= (2.0 - tau) ** a * tau**wt * u**p * (1.0 - u) ** ws * (tau + (2.0 - tau) * u) ** ws
+    t = tau - 1.0
+    return t, t + (2.0 - tau) * u, w
+
+
+def _unit_shear(spec: QuadratureSpec, x: float, order: int):
+    """(value, evaluations) of the 2D integral at shear x = +-1 on
+    _corner_rule's nodes in (s, x t).  The minus half is the plus half of
+    the reflection (s, x t) -> (-s, -x t), so it takes the same weights and
+    evaluates its polynomials at the reflected nodes."""
+    lam, mu = spec.gegenbauer
+    ell, m = spec.degrees
+    t, s, w = _corner_rule(spec.kernel_exponent, lam - 0.5, mu - 0.5, order)
+    value, evals = 0.0, 0
+    for sign, weight in _HALVES[spec.kernel]:
+        f = w
+        if ell:
+            f = f * _poly(lam, ell, sign * s)
+        if m:
+            f = f * _poly(mu, m, (sign * x) * t)
+        value += weight * float(f.sum())
+        evals += w.size
+    return value, evals
 
 
 def _eval_3d(spec: QuadratureSpec, level: int):

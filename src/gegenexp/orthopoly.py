@@ -144,27 +144,31 @@ def _check_order(order) -> None:
         raise DomainError(f"order must be >= 1, got {order!r}")
 
 
-def _jacobi_coefficients(alpha: float, beta: float, n: int):
-    """Recurrence coefficients of monic polynomials orthogonal under
-    (1-x)^alpha (1+x)^beta on [-1, 1], plus the total weight mass mu0."""
+def _jacobi_matrix(alpha: float, beta: float, n: int):
+    """Symmetric tridiagonal Jacobi matrix of the monic polynomials
+    orthogonal under (1-x)^alpha (1+x)^beta on [-1, 1], written into one
+    zeroed array, plus the total weight mass mu0.  Row k's coefficients
+    share one vector 2k + alpha + beta, k = 1, ..., n - 1."""
     s = alpha + beta
-    a = np.zeros(n)
-    b = np.zeros(n)
-    a[0] = (beta - alpha) / (s + 2.0)
+    jac = np.zeros((n, n))
+    jac[0, 0] = (beta - alpha) / (s + 2.0)
     mu0 = gamma_ratio((alpha + 1.0, beta + 1.0), (s + 2.0,), scale_log=(s + 1.0) * LN2)
     if n > 1:
-        b[1] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((s + 2.0) ** 2 * (s + 3.0))
-        k = np.arange(1, n)
+        flat = jac.reshape(-1)  # entry (i, j) at i n + j
+        k = np.arange(1.0, n)
         two = 2.0 * k + s
-        a[1:] = (beta * beta - alpha * alpha) / (two * (two + 2.0))
-        if n > 2:
-            k = np.arange(2, n)
-            two = 2.0 * k + s
-            b[2:] = (
-                4.0 * k * (k + alpha) * (k + beta) * (k + s)
-                / (two * two * (two + 1.0) * (two - 1.0))
-            )
-    return a, b, mu0
+        flat[n + 1 :: n + 1] = (beta * beta - alpha * alpha) / (two * (two + 2.0))
+        b = np.empty(n - 1)  # squared off-diagonal of rows (k-1, k)
+        b[0] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((s + 2.0) ** 2 * (s + 3.0))
+        k, two = k[1:], two[1:]
+        b[1:] = (
+            4.0 * k * (k + alpha) * (k + beta) * (k + s)
+            / (two * two * (two + 1.0) * (two - 1.0))
+        )
+        np.sqrt(b, out=b)
+        flat[1 :: n + 1] = b
+        flat[n :: n + 1] = b
+    return jac, mu0
 
 
 @lru_cache(maxsize=512)
@@ -176,10 +180,9 @@ def gauss_jacobi_rule(alpha: float, beta: float, order: int) -> QuadratureRule:
     check_above("alpha", alpha, -1.0)
     check_above("beta", beta, -1.0)
     _check_order(order)
-    a, b, mu0 = _jacobi_coefficients(alpha, beta, order)
+    jac, mu0 = _jacobi_matrix(alpha, beta, order)
     if order == 1:
-        return QuadratureRule(np.array([a[0]]), np.array([mu0]))
-    jac = np.diag(a) + np.diag(np.sqrt(b[1:]), 1) + np.diag(np.sqrt(b[1:]), -1)
+        return QuadratureRule(jac[0], np.array([mu0]))
     nodes, vecs = np.linalg.eigh(jac)
     weights = mu0 * vecs[0, :] ** 2
     return QuadratureRule(nodes, weights)

@@ -203,6 +203,21 @@ class TestLatticeGammas:
             (sub_log, sub_sign), = ex._lattice_gammas((c, j[lo:hi]))
             assert np.array_equal(sub_log, log[lo:hi]) and np.array_equal(sub_sign, sign[lo:hi])
 
+    @pytest.mark.parametrize(
+        "lam,mu,nu", [(0.0, 0.0, 3.5), (1.3, 1.3, 4.1), (0.7, 1.3, 4.1), (0.0, 2.0, 0.45)]
+    )
+    def test_one_vector_per_distinct_c(self, lam, mu, nu):
+        # at lam = mu = 0 all four pairs share c = nu + 1, and at lam = mu
+        # the two l - m pairs do; each c is taken once and sliced, which
+        # gives every pair's own vector to the bit
+        s, d = np.arange(0, 171), np.arange(-90, 81)
+        groups = ex._denominator_lattices(lam, mu, nu, s, d)
+        for (log, sign), group in zip(ex._reciprocal_gammas(*groups), groups):
+            own_log, own_sign = 0.0, 1.0
+            for lg, sg in ex._lattice_gammas(*group):
+                own_log, own_sign = own_log - lg, own_sign * sg
+            assert np.array_equal(log, own_log) and np.array_equal(sign, own_sign)
+
 
 class TestSeries:
     def test_polynomial_kernel_exact(self):

@@ -5,7 +5,8 @@ gamma is taken by the gamma ratio or the grid's gamma vectors alone, one
 function gathers the coefficient lattice and the cosine expansion reads
 the coefficient table, one sums the sheared 2F1, every export has a
 caller, a README mention or a test that compares against it, and the
-README's suite table is SUITE_TABLE."""
+README's suite table is SUITE_TABLE; and the 2-D suites' oracle work is
+pinned as a count."""
 
 import ast
 import math
@@ -16,7 +17,9 @@ import numpy as np
 
 import gegenexp
 import gegenexp.expansion as ex
+import gegenexp.oracle as orc
 import gegenexp.specfun as sf
+import gegenexp.verify as vf
 from gegenexp.verify import SUITE_TABLE
 
 PACKAGE = Path(gegenexp.__file__).parent
@@ -311,3 +314,30 @@ def test_truncation_orders_are_pinned():
         got = [ex.truncation_order(p, tol) for p, tol in _closed_form_series_requests(seed)]
         assert got == [(n, n) for n in orders], seed
     assert ex.truncation_order(ex.ExpansionParams(1, 1, 3.5, 0), 1e-10) == (1088, 1088)
+
+
+#: The six 2-D suites at their default case counts, as perfbench's verify_2d
+#: workload runs them.
+VERIFY_2D = (("main", 25), ("stz", 5), ("projection", 10), ("selberg", 3),
+             ("warnaar", 2), ("tv", 3))
+
+
+def test_verify_2d_oracle_work_is_pinned(monkeypatch):
+    # every 2-D oracle call of those suites at the default seed, counted at
+    # _refine, stops at rung 1, the earliest the rule allows.  Five of the six
+    # integrate at unit shear, on the corner pieces; on the graded split rule
+    # alone they take 8,349,136 evaluations, warnaar's four halves climbing
+    # to rung 3.  A change that brings a climb back fails this count, not a
+    # timing
+    results, refine = [], orc._refine
+
+    def counted(*args):
+        results.append(refine(*args))
+        return results[-1]
+
+    monkeypatch.setattr(orc, "_refine", counted)
+    for suite, cases in VERIFY_2D:
+        assert vf.run_suite(suite, cases=cases).overall_pass, suite
+    assert len(results) == 50  # 48 cases, warnaar taking two halves each
+    assert max(r.level for r in results) == 1
+    assert sum(r.evaluations for r in results) == 2_093_520

@@ -10,9 +10,13 @@ import pytest
 from gegenexp import oracle as orc
 from gegenexp import verify as vf
 from gegenexp.expansion import (
+    ExpansionParams,
     dotsenko_fateev,
     plus_base_integral,
+    projection_integral,
     shear_averaged_projection,
+    sheared_integral,
+    warnaar,
     weighted_power_mass,
 )
 from gegenexp.oracle import (
@@ -24,6 +28,7 @@ from gegenexp.oracle import (
     refine_until,
     regularized_inverse_square,
 )
+from gegenexp.orthopoly import u_prefactor
 from gegenexp.specfun import DomainError, gamma_ratio
 
 
@@ -299,6 +304,81 @@ class TestTriangles:
         )
 
 
+#: (lam, mu, nu, ell, m) at unit shear: lam or mu at 0 or negative, and
+#: nu - (ell+m)/2 and lam + nu + (ell-m)/2 off the integers, so the closed
+#: form's 2F1 at z = 1 is a Gauss sum, not a terminating one
+UNIT_CASES = [
+    (0.0, 0.7, 1.23, 2, 3),
+    (-0.4, 0.0, 0.37, 5, 4),
+    (1.3, -0.4, 2.83, 0, 5),
+    (-0.25, 2.5, 0.61, 5, 5),
+    (0.0, 0.0, 1.87, 1, 0),
+    (-0.4, -0.3, 0.1, 1, 2),
+]
+
+
+class TestUnitShear:
+    """x = +-1, where the split line runs into two corners of the square and
+    _eval_2d takes the corner pieces of _corner_rule."""
+
+    @pytest.mark.parametrize("x", [1.0, -1.0])
+    @pytest.mark.parametrize("kind", KERNELS)
+    @pytest.mark.parametrize("lam,mu,nu,ell,m", UNIT_CASES)
+    def test_sheared_closed_form(self, lam, mu, nu, ell, m, kind, x):
+        for z in (nu - (ell + m) / 2.0, lam + nu + (ell - m) / 2.0):
+            assert abs(z - round(z)) > 0.01
+        spec = QuadratureSpec(kind, 2.0 * nu, x, (lam, mu), (ell, m))
+        truth = sheared_integral(kind, lam, mu, nu, ell, m, x) / (
+            u_prefactor(lam, ell) * u_prefactor(mu, m)
+        )
+        r = refine_until(spec, 1e-10)
+        assert abs(r.value - truth) <= 1e-12 * weighted_power_mass(lam, mu, nu)
+
+    @pytest.mark.parametrize("eps", [0, 1])
+    @pytest.mark.parametrize(
+        "lam,mu,nu", [(0.0, 0.7, 1.5), (0.0, 0.0, 1.0), (1.3, 0.0, 0.35), (2.5, 0.2, 2.0)]
+    )
+    def test_projection_closed_form(self, lam, mu, nu, eps):
+        # odd ell + m + eps vanish: the minus half is the plus half's mirror
+        for ell, m in [(0, 0), (1, 0), (2, 3), (5, 4), (4, 4), (5, 5)]:
+            truth = projection_integral(ExpansionParams(lam, mu, nu, eps), ell, m)
+            spec = QuadratureSpec(("abs", "abssgn")[eps], 2.0 * nu, 1.0, (lam, mu), (ell, m))
+            r = refine_until(spec, 1e-10)
+            assert abs(r.value - truth) <= 1e-12 * weighted_power_mass(lam, mu, nu)
+
+    @pytest.mark.parametrize("kind", KERNELS)
+    def test_corner_pieces_meet_the_graded_rule(self, kind):
+        # the integral is continuous in the shear, and at 1 - 1e-9 the graded
+        # split rule takes it; a corner exponent of 2.6 and 0.5 keeps the
+        # shear step's own change near 1e-9 of the value
+        for lam, mu, p in [(1.2, 0.7, 1.4), (-0.4, 0.6, 0.3)]:
+            unit, near = (
+                refine_until(QuadratureSpec(kind, p, x, (lam, mu), (2, 1)), 1e-10).value
+                for x in (1.0, 1.0 - 1e-9)
+            )
+            plus = refine_until(QuadratureSpec("plus", p, 1.0, (lam, mu), (2, 1)), 1e-10)
+            assert abs(unit - near) <= 1e-8 * abs(plus.value)
+
+    @pytest.mark.parametrize("lam,mu", [(0.2, 0.3), (0.15, 0.35)])
+    def test_warnaar_halves_stop_at_rung_one(self, lam, mu):
+        # the warnaar suite's triangles at its oracle target; the graded split
+        # rule needs rung 3 for them, 869,920 evaluations per half
+        for kernel in ("minus", "plus"):
+            r = refine_until(QuadratureSpec(kernel, -(lam + mu), 1.0, (mu, lam)), 1e-8)
+            assert r.level == 1
+            assert r.evaluations == 4 * (8**2 + 11**2)  # four pieces per rung
+        assert vf.warnaar_left_side(lam, mu, 1e-8) == pytest.approx(warnaar(lam, mu), abs=1e-13)
+
+    @pytest.mark.parametrize("x", [1.0, -1.0])
+    @pytest.mark.parametrize("lam,mu,p", [(-0.4, -0.4, -0.9), (-0.25, -0.25, -0.5)])
+    def test_divergent_corner_raises(self, lam, mu, p, x):
+        # 1 + p + ws + wt <= -1: the integral diverges at the corner, and
+        # the graded split rule would run out of rungs on it instead
+        for kernel in KERNELS:
+            with pytest.raises(DomainError, match="corner exponent"):
+                refine_until(QuadratureSpec(kernel, p, x, (lam, mu)), 1e-8)
+
+
 def test_unit_rule_is_read_only():
     for arr in orc._unit_rule(0.4, -0.3, 6, 8):
         with pytest.raises(ValueError):
@@ -442,10 +522,13 @@ class TestShearVector:
         size = orc._ladder(1)
         values, evals = orc._eval_2d(spec, self.SHEARS, size)
         scale = np.abs(values).max()
+        total = 0
         for x, v in zip(self.SHEARS, values):
             one, one_evals = orc._eval_2d(spec, [x], size)
             assert abs(v - one[0]) <= 1e-14 * scale
-        assert evals == self.SHEARS.size * one_evals
+            total += one_evals
+        # a unit shear takes the corner pieces, so shears differ in cost
+        assert evals == total
 
 
 class TestChunking:

@@ -1,5 +1,6 @@
 """Polynomial evaluation, norms, the u normalization, and Gaussian rules."""
 
+import itertools
 import math
 from functools import partial
 
@@ -16,7 +17,7 @@ from gegenexp.orthopoly import (
     hermite,
     u_prefactor,
 )
-from gegenexp.specfun import DomainError, gamma_ratio
+from gegenexp.specfun import LN2, DomainError, gamma_ratio
 
 
 def gegenbauer_rule(lam, order):
@@ -262,7 +263,40 @@ class TestOneRecurrence:
             gegenbauer(0.0, 3, xs)
 
 
+def _old_jacobi_rule(alpha, beta, n):
+    """gauss_jacobi_rule's construction before the one-array Jacobi matrix:
+    coefficient vectors on two index ranges, summed from three np.diag."""
+    s = alpha + beta
+    a, b = np.zeros(n), np.zeros(n)
+    a[0] = (beta - alpha) / (s + 2.0)
+    mu0 = gamma_ratio((alpha + 1.0, beta + 1.0), (s + 2.0,), scale_log=(s + 1.0) * LN2)
+    if n == 1:
+        return np.array([a[0]]), np.array([mu0])
+    b[1] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((s + 2.0) ** 2 * (s + 3.0))
+    k = np.arange(1, n)
+    two = 2.0 * k + s
+    a[1:] = (beta * beta - alpha * alpha) / (two * (two + 2.0))
+    if n > 2:
+        k = np.arange(2, n)
+        two = 2.0 * k + s
+        b[2:] = (4.0 * k * (k + alpha) * (k + beta) * (k + s)
+                 / (two * two * (two + 1.0) * (two - 1.0)))
+    jac = np.diag(a) + np.diag(np.sqrt(b[1:]), 1) + np.diag(np.sqrt(b[1:]), -1)
+    nodes, vecs = np.linalg.eigh(jac)
+    return nodes, mu0 * vecs[0, :] ** 2
+
+
 class TestRules:
+    def test_bit_identical_to_the_three_diagonal_construction(self):
+        # the one-array Jacobi matrix holds the same entries, so eigh returns
+        # the same nodes and weights
+        exponents = (-0.7, 0.0, 0.37, 2.5)
+        for alpha, beta_, n in itertools.product(exponents, exponents, range(1, 24)):
+            rule = gauss_jacobi_rule(alpha, beta_, n)
+            nodes, weights = _old_jacobi_rule(alpha, beta_, n)
+            assert np.array_equal(rule.nodes, nodes), (alpha, beta_, n)
+            assert np.array_equal(rule.weights, weights), (alpha, beta_, n)
+
     def test_midpoint_case(self):
         r = gegenbauer_rule(0.5, 1)
         np.testing.assert_allclose(r.nodes, [0.0], atol=1e-15)
