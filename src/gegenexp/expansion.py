@@ -137,8 +137,8 @@ def _toeplitz(v: np.ndarray, n: int) -> np.ndarray:
 
 def _reciprocal_gammas(*groups) -> list:
     """For each group of (c, j) pairs of a scalar and a 1-D vector of
-    consecutive integers, ascending or descending: log|1 / prod Gamma(c +
-    j/2)| and its sign, the log -inf where any argument is a pole.  Each
+    ascending consecutive integers: log|1 / prod Gamma(c + j/2)| and its
+    sign, the log -inf where any argument is a pole.  Each
     distinct c is taken once, over the union of its pairs' j, and sliced:
     an entry depends on c and its own j alone (_lattice_gammas), so a slice
     equals the pair's own vector to the bit."""
@@ -176,8 +176,8 @@ def _half_crossing(c: float, odd: int) -> int:
 
 def _lattice_gammas(*lattices) -> list:
     """(log|Gamma(c + j/2)|, sign) for each (c, j) pair of a scalar and a
-    1-D vector of consecutive integers, ascending or descending, with
-    (+inf, 1.0) at a pole.
+    1-D vector of ascending consecutive integers, with (+inf, 1.0) at a
+    pole.
 
     Each parity chain of j steps x = c + j/2 by 1, so Gamma(x + 1) =
     x Gamma(x) (DLMF 5.5.1) carries _lgamma_at's value at an anchor through
@@ -195,8 +195,8 @@ def _lattice_gammas(*lattices) -> list:
     B = _ANCHOR
     anchors, chains = [], []  # each block's (c, first j); where each chain's points lie
     for c, j in lattices:
-        lo, n = int(j.min()), len(j)
-        chains.append([n, j[0] > j[-1]])
+        lo, n = int(j[0]), len(j)
+        chains.append([n])
         for odd in (0, 1):
             first = lo + (lo - odd) % 2
             count = len(range(first, lo + n, 2))
@@ -218,11 +218,11 @@ def _lattice_gammas(*lattices) -> list:
     lg[pole], sg[pole] = math.inf, 1.0
     lg, sg = lg.ravel(), sg.ravel()
     out = []
-    for n, descending, *parts in chains:
+    for n, *parts in chains:
         log, sign = np.empty(n), np.empty(n)
         for offset, points in parts:
             log[offset::2], sign[offset::2] = lg[points], sg[points]
-        out.append((log[::-1], sign[::-1]) if descending else (log, sign))
+        out.append((log, sign))
     return out
 
 

@@ -2,44 +2,35 @@
 
 The kernels |s - x t|^p (and their one-sided parts) are integrated against
 (1-s^2)^(lam-1/2) (1-t^2)^(mu-1/2) C_ell^lam(s) C_m^mu(t), the paper's
-integrand (see QuadratureSpec), by iterated Gaussian quadrature: the
-inner axis is split at the kernel line s = x t into pieces whose two
-algebraic endpoints (the split point and the interval end) are folded
-exactly into composite Jacobi rules on graded dyadic panels; the outer axis
-uses the same graded composite rules.  Nothing here evaluates a closed form,
-so agreement with the expansion module is a genuine cross-check.
+integrand (see QuadratureSpec), by tensor Gaussian quadrature.  Nothing
+here evaluates a closed form, so agreement with the expansion module is a
+genuine cross-check.
 
-The 2D kernel takes a vector of shears and sums one row per (shear, t-node):
-an inner piece of length h is (smooth @ uw) times the row factor
-h^(1+p+ws), so the 3D backend is one 2D call on all its outer shear nodes.
-Rows are summed in blocks of at most _CHUNK entries, each computed in
-place.  A block builds its points s, takes the polynomial of s, then turns
-s's own buffer into the weight factor and multiplies.  So it holds four
-temporaries of _CHUNK entries at once, s and the three buffers the
-polynomial recurrence rotates through: at most 252 KB (248 KB measured by
-tracemalloc), under glibc malloc's default trim threshold plus top pad
-(128 KB + 128 KB), and each under the 128 KB mmap threshold.  So
+A 2D integral is its plus half at |x|, signed per half, on one geometric
+mesh toward the two corners where the integrand nears its singularities:
+the hp mesh of Schwab (p- and hp-Finite Element Methods, 1998), with a
+Duffy map at the vertex (SIAM J. Numer. Anal. 19, 1982); see _mesh.  Every
+piece folds the factors that vanish on its own edges, so the rules converge
+exponentially in the panel order at every shear.  The mesh is summed in
+blocks of rows of panel-order width, at most _CHUNK entries, each computed
+in place: a block holds at most four temporaries of _CHUNK entries at once,
+as when the points s and the recurrence's three buffers are all live.
+That is at most 252 KB, under glibc malloc's default trim threshold plus
+top pad (128 KB + 128 KB), each under the 128 KB mmap threshold, so
 consecutive blocks reuse the same heap pages instead of trimming them away
 and faulting them back in.
-
-At |x| = 1 the split line runs into two corners of the square, where the
-split point meets the far weight end.  There each half takes _corner_rule's
-four tensor Gauss-Jacobi pieces instead, the corner cut in two by a Duffy
-map, so every algebraic factor is folded and the rules converge
-exponentially in the panel order.
 
 Every backend is a rung function, rung k sized from _ladder(k) (panel order
 8 + 3k, 6 + 5k dyadic grading levels), and _refine applies one stopping rule
 to all: stop at the first rung that agrees with the one before to the target.
-A 2D integral takes ~13k nodes at rung 0 and ~2.2M at rung 5 on the graded
-rules, and 4 (8 + 3k)^2 per half on the corner pieces.  The deeper grading
-of later rungs is for endpoint factors the graded rules do not fold, such as
-(1 - x t)^(1+p+ws) on the outer axis when |x| is near 1 but not 1.  The
-finite-part backend evaluates its convolution profile, which is even, at |u|.
+The 2D mesh reads the panel order alone; _unit_rule's graded rules serve the
+3D outer axis and the Hermite and finite-part backends.  The finite part
+evaluates its convolution profile, which is even, at |u|.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
@@ -48,20 +39,15 @@ import numpy as np
 from .orthopoly import chebyshev, gauss_hermite_rule, gauss_jacobi_rule, gegenbauer, hermite
 from .specfun import ConvergenceError, DomainError, check_above, check_degree, check_points
 
-#: Each kernel's halves as (sign, weight): the plus half lies above the split
-#: line s = x t (sign 1), the minus half below it (sign -1).
-_HALVES = {
-    "plus": ((1.0, 1.0),),
-    "minus": ((-1.0, 1.0),),
-    "abs": ((1.0, 1.0), (-1.0, 1.0)),
-    "abssgn": ((1.0, 1.0), (-1.0, -1.0)),
-}
+#: Each kernel's weights on its halves (plus, minus): the plus half lies
+#: above the split line s = x t, the minus half below it.
+_HALVES = {"plus": (1.0, 0.0), "minus": (0.0, 1.0), "abs": (1.0, 1.0), "abssgn": (1.0, -1.0)}
 KERNELS = tuple(_HALVES)
 
 
 class OracleConvergenceError(ConvergenceError):
-    """Refinement exhausted without meeting the requested target; value is
-    the last rung's, est_error its distance from the rung before."""
+    """Refinement that did not meet the requested target; value is the
+    last rung's, est_error its estimate."""
 
     def __init__(self, message: str, value: float, est_error: float):
         super().__init__(message)
@@ -112,8 +98,8 @@ class QuadratureSpec:
 @dataclass(frozen=True)
 class QuadResult:
     """The value of the rung where refinement stopped (level), its error
-    estimated from the rung before (the finite part adds a noise floor),
-    and the evaluations of every rung."""
+    estimated from the rung before and at least the rung's noise floor, and
+    the evaluations of every rung."""
 
     value: float
     est_error: float
@@ -176,7 +162,8 @@ def _ladder(level: int):
 def _refine(rung, target: float, max_level: int) -> QuadResult:
     """The stopping rule over rung(k) -> (value, evaluations), k = 0, 1, ...:
     return the first rung within target of the one before it, or raise
-    OracleConvergenceError when rung max_level is not."""
+    OracleConvergenceError when rung max_level is not.  The estimate is at
+    least the rounding floor 4e-16 |value|; see _floored."""
     check_above("target", target, 0.0)
     value, evals = rung(0)
     for level in range(1, max_level + 1):
@@ -185,12 +172,19 @@ def _refine(rung, target: float, max_level: int) -> QuadResult:
         evals += e
         diff = abs(value - prev)
         if diff < target:
-            return QuadResult(value, max(diff, 4e-16 * abs(value)), evals, level)
+            return _floored(QuadResult(value, diff, evals, level), 4e-16 * abs(value), target)
     raise OracleConvergenceError(
-        f"no convergence to {target} within {max_level} refinements",
-        value=value,
-        est_error=diff,
-    )
+        f"no convergence to {target} within {max_level} refinements", value, diff)
+
+
+def _floored(result: QuadResult, floor: float, target: float) -> QuadResult:
+    """result with its estimate raised to its rung's noise floor, which must
+    lie within target: rungs that agree closer certify no more than it."""
+    est = max(result.est_error, floor)
+    if not est < target:
+        raise OracleConvergenceError(
+            f"noise floor {floor:.3g} exceeds {target}", result.value, est)
+    return replace(result, est_error=est)
 
 
 # float64 entries per row block temporary: 63 KB, four of them 252 KB, which
@@ -215,55 +209,45 @@ def _poly(lam: float, n: int, x):
 
 
 def _eval_2d(spec: QuadratureSpec, xs, size: tuple):
-    """(value at each shear in xs, evaluations) of the 2D kernel integral
-    with (panel order, grading levels) = size: _unit_shear's corner pieces
-    at the panel order for a shear of +-1, _graded's split rules otherwise."""
-    xs = np.asarray(xs, dtype=float)
-    unit = np.abs(xs) == 1.0
-    values, evals = np.empty(xs.size), 0
-    for i in np.flatnonzero(unit):
-        values[i], e = _unit_shear(spec, xs[i], size[0])
-        evals += e
-    if not unit.all():
-        values[~unit], e = _graded(spec, xs[~unit], size)
-        evals += e
+    """(value at each shear in xs, evaluations) of the 2D kernel integral on
+    _mesh at panel order size[0]: the plus half at |x|, signed per half, as
+    the reflections (s, t) -> (-s, -t) and t -> -t take C_n(y) to C_n(-y) =
+    (-1)^n C_n(y)."""
+    xs = np.asarray(xs, dtype=float).tolist()
+    order, lam, (ell, m) = size[0], spec.gegenbauer[0], spec.degrees
+    ws = lam - 0.5
+    power = 1.0 + spec.kernel_exponent + ws
+    plus, minus = _HALVES[spec.kernel]
+    # (L, unit) per shear: the fewest L with 2^-L <= 1 - |x|, 0 at |x| = 1
+    keys = [(0, True) if abs(x) == 1.0 else (max(1 - math.frexp(1.0 - abs(x))[1], 0), False)
+            for x in xs]
+    mesh, tips = _mesh(spec, order, max(keys)[0], set(keys))
+    values, evals = np.zeros(len(xs)), 0
+    for i, (x, (k, unit)) in enumerate(zip(xs, keys)):
+        sign = (plus + minus * (-1) ** (ell + m)) * (-1) ** (m * (x < 0.0))
+        x, d = abs(x), 1.0 - abs(x)
+        main, tip = order * (1 + 3 * k), tips[k, unit]
+        spans = [(0, main), (tip, tip + 3 * order)] if tip > main else [(0, tip + 3 * order)]
+        for lo, hi in spans:
+            tau, sigma, u, w = (a[lo:hi] for a in mesh)
+
+            def block(r):
+                if ell:
+                    s = (sigma[r] * x + d) * u[r] + tau[r] * x + (d - 1.0)  # x t + (1 - x t) u
+                    poly = _poly(lam, ell, s)
+                q = np.multiply(sigma[r], x, out=s if ell else None)  # s's buffer, if any
+                q += d  # 1 - x t
+                f = tau[r] * x + d
+                f += q * u[r]  # 1 + s
+                q **= power
+                f **= ws
+                q *= f
+                q *= w[r] * poly if ell else w[r]
+                return q.sum(axis=1)
+
+            values[i] += sign * _chunked_rows(hi - lo, order, block).sum()
+            evals += (hi - lo) * order
     return values, evals
-
-
-def _graded(spec: QuadratureSpec, xs, size: tuple):
-    """_eval_2d at shears inside (-1, 1) on the graded split rules."""
-    order, levels = size
-    lam, mu = spec.gegenbauer
-    ell, m = spec.degrees
-    ws, wt = lam - 0.5, mu - 0.5
-
-    tn, tw = _interval_rule(-1.0, 1.0, wt, wt, levels, order)
-    if m:
-        tw = tw * _poly(mu, m, tn)
-    evals = xs.size * tn.size
-
-    p = spec.kernel_exponent
-    u, uw = _unit_rule(p, ws, levels, order)
-    s0 = np.outer(xs, tn).ravel()  # one row per (shear, t-node)
-    rows = np.zeros(s0.size)
-    for sign, weight in _HALVES[spec.kernel]:
-        h = 1.0 - sign * s0  # s = s0 + sign h u sweeps from the split to sign 1
-
-        def block(r):
-            s = (sign * h[r, None]) * u
-            s += s0[r, None]
-            poly = _poly(lam, ell, s) if ell else None
-            s *= sign  # s's buffer becomes (1 + sign s)^ws
-            s += 1.0
-            s **= ws
-            if ell:
-                s *= poly
-            return s @ uw
-
-        part = _chunked_rows(s0.size, u.size, block) * h ** (1.0 + p + ws)
-        rows += weight * part
-        evals += s0.size * u.size
-    return rows.reshape(xs.size, tn.size) @ tw, evals
 
 
 def _folded_rule(lo: float, hi: float, e_lo: float, e_hi: float, order: int):
@@ -271,64 +255,79 @@ def _folded_rule(lo: float, hi: float, e_lo: float, e_hi: float, order: int):
     (y - lo)^e_lo (hi - y)^e_hi times a smooth function: the Gauss-Jacobi
     rule that folds both factors, its weights divided by them at the nodes."""
     rule = gauss_jacobi_rule(e_hi, e_lo, order)
-    h = 0.5 * (hi - lo)
-    y = lo + h * (1.0 + rule.nodes)
-    return y, rule.weights * h ** (1.0 + e_lo + e_hi) / ((y - lo) ** e_lo * (hi - y) ** e_hi)
+    h, x = 0.5 * (hi - lo), rule.nodes
+    return lo + h * (1.0 + x), h * rule.weights / ((1.0 + x) ** e_lo * (1.0 - x) ** e_hi)
 
 
-def _corner_rule(p: float, ws: float, wt: float, order: int):
-    """Nodes (t, s) and weights w with sum w g(s, t) ~= int_{-1}^1
-    int_t^1 (s - t)^p (1-s^2)^ws (1-t^2)^wt g(s, t) ds dt, the plus half of
-    the unit-shear integral, for polynomial g.
+def _grid(rows, inner):
+    """The tensor rule rows x inner as (row, inner node) arrays of nodes y,
+    z and weights."""
+    (y, wy), (z, wz) = rows, inner
+    return y[:, None].repeat(z.size, 1), z[None, :].repeat(y.size, 0), wy[:, None] * wz
 
-    With tau = 1 + t and s = t + (1 - t) u the integrand is
-    (2-tau)^a tau^wt u^p (1-u)^ws (tau + (2-tau) u)^ws, a = 1 + p + ws + wt,
-    and only its last factor is not separable, at (tau, u) = (0, 0).  Four
-    tensor pieces cover [0, 2] x [0, 1]: tau in [1, 2] by u in [0, 1]; tau
-    in [0, 1] by u in [1/2, 1]; and the corner [0, 1] x [0, 1/2], cut along
-    u = tau / 2 and mapped by u = tau v / 2 below the cut and tau = 2 u v
-    above it (Duffy, SIAM J. Numer. Anal. 19, 1982), where a is the radial
-    exponent.  Each rule folds the piece's endpoint factors, so what is
-    left is smooth and the rules converge exponentially in the order.
+
+def _scaled(scales, band, box):
+    """Nodes (tau, sigma, u) and weights of a band, sigma = 2 - tau scaled by
+    c and u not, then a box, tau and u scaled by c, at each scale c in
+    scales, as rows of one array each."""
+    c, (y, z, w), (y2, z2, w2) = np.asarray(scales)[:, None, None], band, box
+    sigma, tau = c * y, c * y2
+    parts = ((2.0 - sigma, tau), (sigma, 2.0 - tau),
+             (z[None].repeat(c.size, 0), c * z2), (c * w, c * c * w2))
+    return [np.concatenate(a, axis=1).reshape(-1, y.shape[1]) for a in parts]
+
+
+def _mesh(spec: QuadratureSpec, order: int, layers: int, tips):
+    """The plus half's mesh at panel order `order`: nodes (tau, sigma, u) and
+    weights, times the shear-free factors and C_m(t), as rows of `order`
+    entries, and the first row of the tip of each (L, unit) in tips.
+
+    With tau = 1 + t, sigma = 1 - t and s = x t + (1 - x t) u the plus half
+    is an integral over [0, 2] x [0, 1] whose factors tau^wt, sigma^wt, u^p
+    and (1-u)^ws vanish on its edges, and whose (x sigma + delta)^(1+p+ws)
+    and (1 + s)^ws vanish about delta = 1 - x beyond its corners tau = 2 and
+    (tau, u) = (0, 0).  The upper piece is tau in [0, 1] by u in [1/2, 1].
+    Layer k at c = 2^-k is a band, sigma in [c/2, c] by u in [0, 1], and an
+    L-shape, tau in [c/2, c] by u in [0, c/2] and tau in [0, c/2] by u in
+    [c/4, c/2]; a shear with L layers takes the first order (1 + 3 L) rows.
+    Its tip's 3 order rows at h = 2^-L <= delta are the band sigma in [0, h]
+    and the box [0, h] x [0, h/2], cut along u = tau / 2 and mapped by u =
+    tau v / 2 and tau = 2 u v.  At delta = 0, L = 0 and the tip folds the
+    near-singular factors, exact powers there, into its exponents.
     """
-    a = 1.0 + p + ws + wt
-    check_above("corner exponent 1 + p + ws + wt", a, -1.0)
+    p, (lam, mu) = spec.kernel_exponent, spec.gegenbauer
+    ws, wt = lam - 0.5, mu - 0.5
     rule = partial(_folded_rule, order=order)
-
-    def tensor(x_rule, y_rule):
-        (x, wx), (y, wy) = x_rule, y_rule
-        return np.repeat(x, order), np.tile(y, order), np.outer(wx, wy).ravel()
-
-    tau1, u1, w1 = tensor(rule(1.0, 2.0, 0.0, a), rule(0.0, 1.0, p, ws))
-    tau2, u2, w2 = tensor(rule(0.0, 1.0, wt, 0.0), rule(0.5, 1.0, 0.0, ws))
-    tau3, v3, w3 = tensor(rule(0.0, 1.0, a, 0.0), rule(0.0, 1.0, p, 0.0))
-    u4, v4, w4 = tensor(rule(0.0, 0.5, a, 0.0), rule(0.0, 1.0, wt, 0.0))
-    tau = np.concatenate((tau1, tau2, tau3, 2.0 * u4 * v4))
-    u = np.concatenate((u1, u2, 0.5 * tau3 * v3, u4))
-    w = np.concatenate((w1, w2, 0.5 * tau3 * w3, 2.0 * u4 * w4))  # times the Jacobians
-    w *= (2.0 - tau) ** a * tau**wt * u**p * (1.0 - u) ** ws * (tau + (2.0 - tau) * u) ** ws
-    t = tau - 1.0
-    return t, t + (2.0 - tau) * u, w
-
-
-def _unit_shear(spec: QuadratureSpec, x: float, order: int):
-    """(value, evaluations) of the 2D integral at shear x = +-1 on
-    _corner_rule's nodes in (s, x t).  The minus half is the plus half of
-    the reflection (s, x t) -> (-s, -x t), so it takes the same weights and
-    evaluates its polynomials at the reflected nodes."""
-    lam, mu = spec.gegenbauer
-    ell, m = spec.degrees
-    t, s, w = _corner_rule(spec.kernel_exponent, lam - 0.5, mu - 0.5, order)
-    value, evals = 0.0, 0
-    for sign, weight in _HALVES[spec.kernel]:
-        f = w
-        if ell:
-            f = f * _poly(lam, ell, sign * s)
-        if m:
-            f = f * _poly(mu, m, (sign * x) * t)
-        value += weight * float(f.sum())
-        evals += w.size
-    return value, evals
+    half = partial(np.multiply, 0.5)  # a rule on [lo, hi] moved to [lo / 2, hi / 2]
+    fold_t, fold_p = rule(0.0, 1.0, wt, 0.0), rule(0.0, 1.0, p, 0.0)
+    fold_pws = rule(0.0, 1.0, p, ws)
+    y, u, w = _grid(fold_t, rule(0.5, 1.0, 0.0, ws))
+    parts = [(y, 2.0 - y, u, w)]  # the upper piece
+    if layers:
+        legendre = rule(0.5, 1.0, 0.0, 0.0)
+        corner = [np.concatenate(a) for a in zip(_grid(legendre, half(fold_p)),
+                                                 _grid(half(fold_t), half(legendre)))]
+        band = _grid(legendre, fold_pws)
+        parts.append(_scaled(2.0 ** -np.arange(layers), band, corner))
+    first, start = {}, order * (1 + 3 * layers)
+    for unit in sorted({unit for _, unit in tips}):
+        ks = sorted((k for k, u in tips if u == unit), reverse=True)
+        radial = 1.0 + p + wt + (ws if unit else 0.0)
+        check_above("corner exponent", radial, -1.0)
+        fold_r = rule(0.0, 1.0, radial, 0.0)
+        (y, v, w), (y2, v2, w2) = _grid(fold_r, fold_p), _grid(half(fold_r), fold_t)
+        duffy = [  # tau, u and weights times the Jacobians, below and above the cut
+            np.concatenate(a)
+            for a in ((y, 2.0 * y2 * v2), (0.5 * y * v, y2), (0.5 * y * w, 2.0 * y2 * w2))]
+        band = _grid(fold_r if unit else fold_t, fold_pws)
+        parts.append(_scaled(2.0 ** -np.array(ks), band, duffy))
+        for k in ks:
+            first[k, unit], start = start, start + 3 * order
+    tau, sigma, u, w = (np.concatenate(a) for a in zip(*parts))
+    w *= (sigma * tau) ** wt * u**p * (1.0 - u) ** ws
+    if spec.degrees[1]:
+        w *= _poly(mu, spec.degrees[1], tau - 1.0)
+    return (tau, sigma, u, w), first
 
 
 def _eval_3d(spec: QuadratureSpec, level: int):
@@ -439,9 +438,9 @@ def regularized_inverse_square(lam: float, mu: float, target: float) -> QuadResu
     target.  Those rungs share the rounding noise of G(u) - G(0), which u^-2
     amplifies, so est_error is the larger of their difference and the
     stopping rung's noise floor 4 * 2 eps sum w (|G(u)| + |G(0)|) / u^2 over
-    the rule: eps per value under the sum's front factor 2, with a safety
-    factor 4.  That estimate is tested for lam, mu in [0.9, 2]; below lam
-    or mu = 1/2 it can miss the error.
+    the rule, which must lie within target: eps per value under the sum's
+    front factor 2, with a safety factor 4.  That estimate is tested for
+    lam, mu in [0.9, 2]; below lam or mu = 1/2 it can miss the error.
     """
     check_above("lam", lam, -0.5)
     check_above("mu", mu, -0.5)
@@ -466,4 +465,4 @@ def regularized_inverse_square(lam: float, mu: float, target: float) -> QuadResu
         return total, evals
 
     result = _refine(rung, target, _MAX_LEVEL)
-    return replace(result, est_error=max(result.est_error, floors[result.level]))
+    return _floored(result, floors[result.level], target)

@@ -173,13 +173,15 @@ class TestLatticeGammas:
     )
     @pytest.mark.parametrize(
         "j",
-        [np.arange(-700, 301), np.arange(700, -301, -1), np.arange(1), np.array([1, 0])],
+        [np.arange(-700, 301), np.arange(-300, 701), np.arange(1), np.array([0, 1])],
         ids=["ascending", "descending", "one-point", "two-points"],
     )
     def test_matches_lgamma_at_entry_by_entry(self, c, j):
         # c on an integer or a half-integer, 1e-11 (a pole) and 1e-9 (not
-        # one) away, and negative; the long j cross x = 1/2 both ways, as
-        # the s and -s lattices do.  Poles and signs match to the bit.  A log
+        # one) away, and negative; the two long j, ascending as every lattice
+        # vector is (the id "descending" names the mirror range -300..700
+        # that the -s lattice once took in descending order), reach x = 1/2
+        # from either side.  Poles and signs match to the bit.  A log
         # lies within 16 eps of the larger of |log Gamma| and an anchor
         # block's sum of log|x|, the two sums the recurrence rounds
         (log, sign), = ex._lattice_gammas((c, j))
@@ -209,13 +211,16 @@ class TestLatticeGammas:
     def test_one_vector_per_distinct_c(self, lam, mu, nu):
         # at lam = mu = 0 all four pairs share c = nu + 1, and at lam = mu
         # the two l - m pairs do; each c is taken once and sliced, which
-        # gives every pair's own vector to the bit
+        # gives every pair's own vector to the bit.  The -s and -d pairs run
+        # down, so their own vectors are taken ascending and turned round
         s, d = np.arange(0, 171), np.arange(-90, 81)
         groups = ex._denominator_lattices(lam, mu, nu, s, d)
         for (log, sign), group in zip(ex._reciprocal_gammas(*groups), groups):
             own_log, own_sign = 0.0, 1.0
-            for lg, sg in ex._lattice_gammas(*group):
-                own_log, own_sign = own_log - lg, own_sign * sg
+            for c, j in group:
+                step = 1 if j[0] <= j[-1] else -1
+                (lg, sg), = ex._lattice_gammas((c, j[::step]))
+                own_log, own_sign = own_log - lg[::step], own_sign * sg[::step]
             assert np.array_equal(log, own_log) and np.array_equal(sign, own_sign)
 
 

@@ -5,8 +5,8 @@ gamma is taken by the gamma ratio or the grid's gamma vectors alone, one
 function gathers the coefficient lattice and the cosine expansion reads
 the coefficient table, one sums the sheared 2F1, every export has a
 caller, a README mention or a test that compares against it, and the
-README's suite table is SUITE_TABLE; and the 2-D suites' oracle work is
-pinned as a count."""
+README's suite table is SUITE_TABLE; and the 2-D oracle path keeps one
+geometry, and the 2-D suites' oracle work is pinned as a count."""
 
 import ast
 import math
@@ -324,10 +324,10 @@ VERIFY_2D = (("main", 25), ("stz", 5), ("projection", 10), ("selberg", 3),
 
 def test_verify_2d_oracle_work_is_pinned(monkeypatch):
     # every 2-D oracle call of those suites at the default seed, counted at
-    # _refine, stops at rung 1, the earliest the rule allows.  Five of the six
-    # integrate at unit shear, on the corner pieces; on the graded split rule
-    # alone they take 8,349,136 evaluations, warnaar's four halves climbing
-    # to rung 3.  A change that brings a climb back fails this count, not a
+    # _refine, stops at rung 1, the earliest the rule allows.  Each takes
+    # the geometric mesh, four pieces at a unit shear (five of the six suites)
+    # and 4 + 3 L at a shear with L layers, summed once for both halves.  A
+    # change that brings a climb or a piece back fails this count, not a
     # timing
     results, refine = [], orc._refine
 
@@ -340,4 +340,23 @@ def test_verify_2d_oracle_work_is_pinned(monkeypatch):
         assert vf.run_suite(suite, cases=cases).overall_pass, suite
     assert len(results) == 50  # 48 cases, warnaar taking two halves each
     assert max(r.level for r in results) == 1
-    assert sum(r.evaluations for r in results) == 2_093_520
+    assert sum(r.evaluations for r in results) == 55_870
+
+
+def test_the_2d_path_keeps_one_geometry():
+    # _eval_2d and every oracle function it reaches take the one geometric
+    # mesh: none reads the graded composite rules, which serve the 3-D
+    # outer axis, the Hermite and the finite-part backends, and the graded
+    # split rule is gone
+    top = {node.name: node for node in TREES["oracle"].body
+           if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["_eval_2d"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(_reads(top[name]) & top.keys())
+    assert "_mesh" in reached
+    read = set().union(*(_reads(top[name]) for name in reached))
+    assert not read & {"_unit_rule", "_interval_rule"}
+    assert "_graded" not in top

@@ -241,8 +241,9 @@ class TestRefinement:
 
     @pytest.mark.parametrize("x", [0.9999, -0.9999, 1.0 - 1e-7])
     def test_near_corner_shears(self, x):
-        # the split line nearly meets a corner of the square: the endpoint
-        # factor left on the outer axis is the ladder's hardest case
+        # the split line nearly meets a corner of the square: the mesh takes
+        # 14 and 24 geometric layers toward the corners, and rung 1 meets
+        # the closed form
         for a, b, c in [(0.7, 1.3, 1.1), (2.1, 0.4, 0.8), (0.35, 0.5, 0.65)]:
             spec = QuadratureSpec(
                 kernel="plus",
@@ -252,6 +253,7 @@ class TestRefinement:
             )
             r = refine_until(spec, 1e-9)
             assert r.value == pytest.approx(plus_base_integral(a, b, c, x), rel=1e-9)
+            assert r.level == 1
 
     def test_default_main_case_starts_coarse(self, monkeypatch):
         # a default-seed main case converges on the ladder's first rungs
@@ -318,8 +320,8 @@ UNIT_CASES = [
 
 
 class TestUnitShear:
-    """x = +-1, where the split line runs into two corners of the square and
-    _eval_2d takes the corner pieces of _corner_rule."""
+    """x = +-1, where the split line runs into two corners of the square:
+    _mesh takes no layers there, and its tip folds the corners' powers."""
 
     @pytest.mark.parametrize("x", [1.0, -1.0])
     @pytest.mark.parametrize("kind", KERNELS)
@@ -347,10 +349,11 @@ class TestUnitShear:
             assert abs(r.value - truth) <= 1e-12 * weighted_power_mass(lam, mu, nu)
 
     @pytest.mark.parametrize("kind", KERNELS)
-    def test_corner_pieces_meet_the_graded_rule(self, kind):
-        # the integral is continuous in the shear, and at 1 - 1e-9 the graded
-        # split rule takes it; a corner exponent of 2.6 and 0.5 keeps the
-        # shear step's own change near 1e-9 of the value
+    def test_unit_shear_meets_the_layered_mesh(self, kind):
+        # the integral is continuous in the shear, and at 1 - 1e-9 the mesh
+        # takes it on 30 layers where at 1 the tip folds the corners; a
+        # corner exponent of 2.6 and 0.5 keeps the shear step's own change
+        # near 1e-9 of the value
         for lam, mu, p in [(1.2, 0.7, 1.4), (-0.4, 0.6, 0.3)]:
             unit, near = (
                 refine_until(QuadratureSpec(kind, p, x, (lam, mu), (2, 1)), 1e-10).value
@@ -359,10 +362,22 @@ class TestUnitShear:
             plus = refine_until(QuadratureSpec("plus", p, 1.0, (lam, mu), (2, 1)), 1e-10)
             assert abs(unit - near) <= 1e-8 * abs(plus.value)
 
+    @pytest.mark.parametrize(
+        "lam,mu,p,x",
+        [(0.3, 0.2, -0.5, 1.0 - d) for d in (1e-3, 1e-5, 1e-7, 1e-9)]
+        + [(-0.4, 0.6, 0.3, 1.0 - 1e-9)],
+    )
+    def test_near_corner_stops_at_rung_one(self, lam, mu, p, x):
+        # the split line passes 1 - x from two corners; the mesh's layers
+        # toward them keep every rule exponential, so even 1 - 1e-9 needs
+        # no rung past the first
+        r = refine_until(QuadratureSpec("plus", p, x, (lam, mu), (2, 1)), 1e-10)
+        assert r.level <= 1
+
     @pytest.mark.parametrize("lam,mu", [(0.2, 0.3), (0.15, 0.35)])
     def test_warnaar_halves_stop_at_rung_one(self, lam, mu):
-        # the warnaar suite's triangles at its oracle target; the graded split
-        # rule needs rung 3 for them, 869,920 evaluations per half
+        # the warnaar suite's triangles at its oracle target, on the tip's
+        # four pieces, which fold both corners' powers
         for kernel in ("minus", "plus"):
             r = refine_until(QuadratureSpec(kernel, -(lam + mu), 1.0, (mu, lam)), 1e-8)
             assert r.level == 1
@@ -372,8 +387,9 @@ class TestUnitShear:
     @pytest.mark.parametrize("x", [1.0, -1.0])
     @pytest.mark.parametrize("lam,mu,p", [(-0.4, -0.4, -0.9), (-0.25, -0.25, -0.5)])
     def test_divergent_corner_raises(self, lam, mu, p, x):
-        # 1 + p + ws + wt <= -1: the integral diverges at the corner, and
-        # the graded split rule would run out of rungs on it instead
+        # 1 + p + ws + wt <= -1: the integral diverges at the corner, where
+        # the tip's Duffy pieces cannot fold that exponent, so the spec is
+        # refused before any rung runs
         for kernel in KERNELS:
             with pytest.raises(DomainError, match="corner exponent"):
                 refine_until(QuadratureSpec(kernel, p, x, (lam, mu)), 1e-8)
@@ -429,11 +445,29 @@ class TestRegularizedKernel:
 
     def test_estimate_covers_error_over_draw_range(self):
         # consecutive rungs share the G(u) - G(0) rounding noise, so their
-        # difference alone understates the error; the noise floor covers it
+        # difference alone understates the error; the noise floor covers it.
+        # At (0.9, 0.9) that floor, 2.9e-6, is above the target: the call
+        # raises, and the estimate it carries covers the error
+        raised = []
         for lam, mu in itertools.product(np.linspace(0.9, 2.0, 6), repeat=2):
-            r = regularized_inverse_square(lam, mu, 1e-6)
+            try:
+                r = regularized_inverse_square(lam, mu, 1e-6)
+            except OracleConvergenceError as exc:
+                raised.append((lam, mu))
+                r = exc
             ref = dotsenko_fateev(lam, mu)
             assert abs(r.value - ref) <= r.est_error
+        assert raised == [(0.9, 0.9)]
+
+    @pytest.mark.parametrize("lam,mu", [(0.8, 0.9), (0.6, 1.1)])
+    def test_floor_above_target_raises(self, lam, mu):
+        # rungs 3 and 4 agree within 1e-6, but rung 4's noise floor is
+        # 1.5e-5: the result cannot be held to the target, so it raises
+        # with the value and that floor rather than return it
+        with pytest.raises(OracleConvergenceError) as info:
+            regularized_inverse_square(lam, mu, 1e-6)
+        assert info.value.est_error > 1e-5
+        assert abs(info.value.value - dotsenko_fateev(lam, mu)) <= info.value.est_error
 
     @pytest.mark.xfail(
         strict=True,
@@ -462,9 +496,10 @@ class TestThreeDimensional:
         assert r.value == pytest.approx(5.0 * math.pi**2 / 96.0, rel=1e-7)
 
     def test_evaluation_counts(self):
-        # 32 then 48 outer shears, each 112 + 2 * 112^2 and 264 + 2 * 264^2
-        assert orc._eval_3d(self.SPEC, 0)[1] == 806_400
-        assert orc._eval_3d(self.SPEC, 1)[1] == 6_703_488
+        # 32 then 48 outer shears, each (4 + 3 L) 8^2 and (4 + 3 L) 11^2
+        # with L its layers: 329 and 513 pieces in all
+        assert orc._eval_3d(self.SPEC, 0)[1] == 21_056
+        assert orc._eval_3d(self.SPEC, 1)[1] == 62_073
 
     @pytest.mark.parametrize(
         "lam,mu,nu,b,ell,m",
@@ -527,7 +562,7 @@ class TestShearVector:
             one, one_evals = orc._eval_2d(spec, [x], size)
             assert abs(v - one[0]) <= 1e-14 * scale
             total += one_evals
-        # a unit shear takes the corner pieces, so shears differ in cost
+        # each shear takes its own layers, so shears differ in cost
         assert evals == total
 
 
