@@ -11,7 +11,8 @@ mesh toward the two corners where the integrand nears its singularities:
 the hp mesh of Schwab (p- and hp-Finite Element Methods, 1998), with a
 Duffy map at the vertex (SIAM J. Numer. Anal. 19, 1982); see _mesh.  Every
 piece folds the factors that vanish on its own edges, so the rules converge
-exponentially in the panel order at every shear.  The mesh is summed in
+exponentially in the panel order at every shear; one stacked Golub-Welsch
+eigensolve gives every rule of a rung's mesh.  The mesh is summed in
 blocks of rows of panel-order width, at most _CHUNK entries, each computed
 in place: a block holds at most four temporaries of _CHUNK entries at once,
 as when the points s and the recurrence's three buffers are all live.
@@ -36,7 +37,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .orthopoly import chebyshev, gauss_hermite_rule, gauss_jacobi_rule, gegenbauer, hermite
+from .orthopoly import (
+    chebyshev, gauss_hermite_rule, gauss_jacobi_rule, gauss_jacobi_rules, gegenbauer, hermite)
 from .specfun import ConvergenceError, DomainError, check_above, check_degree, check_points
 
 #: Each kernel's weights on its halves (plus, minus): the plus half lies
@@ -250,15 +252,6 @@ def _eval_2d(spec: QuadratureSpec, xs, size: tuple):
     return values, evals
 
 
-def _folded_rule(lo: float, hi: float, e_lo: float, e_hi: float, order: int):
-    """Nodes y and weights w with int_lo^hi g(y) dy ~= sum w g(y) for g =
-    (y - lo)^e_lo (hi - y)^e_hi times a smooth function: the Gauss-Jacobi
-    rule that folds both factors, its weights divided by them at the nodes."""
-    rule = gauss_jacobi_rule(e_hi, e_lo, order)
-    h, x = 0.5 * (hi - lo), rule.nodes
-    return lo + h * (1.0 + x), h * rule.weights / ((1.0 + x) ** e_lo * (1.0 - x) ** e_hi)
-
-
 def _grid(rows, inner):
     """The tensor rule rows x inner as (row, inner node) arrays of nodes y,
     z and weights."""
@@ -293,28 +286,49 @@ def _mesh(spec: QuadratureSpec, order: int, layers: int, tips):
     Its tip's 3 order rows at h = 2^-L <= delta are the band sigma in [0, h]
     and the box [0, h] x [0, h/2], cut along u = tau / 2 and mapped by u =
     tau v / 2 and tau = 2 u v.  At delta = 0, L = 0 and the tip folds the
-    near-singular factors, exact powers there, into its exponents.
+    near-singular factors, exact powers there, into its exponents.  All the
+    pieces' Gauss-Jacobi rules come from one gauss_jacobi_rules call, one
+    stacked eigensolve, built anew on each call.
     """
     p, (lam, mu) = spec.kernel_exponent, spec.gegenbauer
     ws, wt = lam - 0.5, mu - 0.5
-    rule = partial(_folded_rule, order=order)
+    units = sorted({unit for _, unit in tips})
+    radials = [1.0 + p + wt + (ws if unit else 0.0) for unit in units]
+    for radial in radials:
+        check_above("corner exponent", radial, -1.0)
+    # (lo, e_lo, e_hi) of each rule for int_lo^1 g(y) dy with g = (y - lo)^e_lo
+    # (1 - y)^e_hi times a smooth function: the Gauss-Jacobi rule that folds
+    # both factors, its weights divided by them at the nodes
+    folds = [(0.0, wt, 0.0), (0.0, p, 0.0), (0.0, p, ws), (0.5, 0.0, ws)]
+    if layers:
+        folds.append((0.5, 0.0, 0.0))  # the layers' Legendre rule
+    folds += [(0.0, r, 0.0) for r in radials]
+    lo, e_los, e_his = (list(a) for a in zip(*folds))
+    x, w = gauss_jacobi_rules(e_his, e_los, order)
+    lo = np.array(lo)[:, None]
+    h, above, below = 0.5 * (1.0 - lo), 1.0 + x, 1.0 - x
+    folded = np.ones_like(x)
+    for row, a, b, e_lo, e_hi in zip(folded, above, below, e_los, e_his):
+        # a float exponent per row: numpy takes x ** 2 and x ** 0.5 as square
+        # and sqrt, and an array of exponents by pow, which rounds otherwise;
+        # a zero exponent's factor is 1
+        if e_lo:
+            row *= a**e_lo
+        if e_hi:
+            row *= b**e_hi
+    fold_t, fold_p, fold_pws, upper, *rest = zip(lo + h * above, h * w / folded)
     half = partial(np.multiply, 0.5)  # a rule on [lo, hi] moved to [lo / 2, hi / 2]
-    fold_t, fold_p = rule(0.0, 1.0, wt, 0.0), rule(0.0, 1.0, p, 0.0)
-    fold_pws = rule(0.0, 1.0, p, ws)
-    y, u, w = _grid(fold_t, rule(0.5, 1.0, 0.0, ws))
+    y, u, w = _grid(fold_t, upper)
     parts = [(y, 2.0 - y, u, w)]  # the upper piece
     if layers:
-        legendre = rule(0.5, 1.0, 0.0, 0.0)
+        legendre = rest.pop(0)
         corner = [np.concatenate(a) for a in zip(_grid(legendre, half(fold_p)),
                                                  _grid(half(fold_t), half(legendre)))]
         band = _grid(legendre, fold_pws)
         parts.append(_scaled(2.0 ** -np.arange(layers), band, corner))
     first, start = {}, order * (1 + 3 * layers)
-    for unit in sorted({unit for _, unit in tips}):
+    for unit, fold_r in zip(units, rest):
         ks = sorted((k for k, u in tips if u == unit), reverse=True)
-        radial = 1.0 + p + wt + (ws if unit else 0.0)
-        check_above("corner exponent", radial, -1.0)
-        fold_r = rule(0.0, 1.0, radial, 0.0)
         (y, v, w), (y2, v2, w2) = _grid(fold_r, fold_p), _grid(half(fold_r), fold_t)
         duffy = [  # tau, u and weights times the Jacobians, below and above the cut
             np.concatenate(a)

@@ -2,7 +2,8 @@
 
 Polynomials come from one in-place three-term recurrence; nodes and
 weights come from the symmetric-tridiagonal (Golub-Welsch) eigenproblem
-built on the Jacobi-weight recurrence coefficients.
+built on the Jacobi-weight recurrence coefficients, which takes a stack of
+exponent pairs and solves it with one eigh.
 """
 
 from __future__ import annotations
@@ -144,48 +145,66 @@ def _check_order(order) -> None:
         raise DomainError(f"order must be >= 1, got {order!r}")
 
 
-def _jacobi_matrix(alpha: float, beta: float, n: int):
-    """Symmetric tridiagonal Jacobi matrix of the monic polynomials
-    orthogonal under (1-x)^alpha (1+x)^beta on [-1, 1], written into one
-    zeroed array, plus the total weight mass mu0.  Row k's coefficients
-    share one vector 2k + alpha + beta, k = 1, ..., n - 1."""
-    s = alpha + beta
-    jac = np.zeros((n, n))
-    jac[0, 0] = (beta - alpha) / (s + 2.0)
-    mu0 = gamma_ratio((alpha + 1.0, beta + 1.0), (s + 2.0,), scale_log=(s + 1.0) * LN2)
+def gauss_jacobi_rules(alpha, beta, order: int):
+    """Gaussian rules of one order for int_{-1}^{1} f(x) (1-x)^alpha
+    (1+x)^beta dx, as (nodes, weights): one rule's for floats alpha and
+    beta, and one row per pair for lists of one length.  Exact for
+    polynomial f of degree <= 2 order - 1; alpha, beta > -1 finite.
+
+    The Jacobi matrices of the monic polynomials orthogonal under the
+    weights fill one zeroed (pairs, order, order) array, which one stacked
+    eigh solves (Golub and Welsch, Math. Comp. 23, 1969).  Row 0's entries
+    and the weight mass mu0 take float arithmetic per pair; rows k = 1, ...,
+    order - 1 share one vector 2k + alpha + beta, which for lists is a
+    (pairs, order - 1) array, the exponents taken as columns, and for floats
+    stays one vector, as cheap as a single rule's arithmetic.
+    """
+    stacked = isinstance(alpha, list)
+    # row 0's diagonal and squared off-diagonal, and mu0, per pair: a float's
+    # ** 2 is libm's pow, which rounds otherwise than numpy's square
+    head = []
+    for a, b in zip(alpha, beta) if stacked else ((alpha, beta),):
+        check_above("alpha", a, -1.0)
+        check_above("beta", b, -1.0)
+        s = a + b
+        head.append((
+            (b - a) / (s + 2.0),
+            4.0 * (a + 1.0) * (b + 1.0) / ((s + 2.0) ** 2 * (s + 3.0)),
+            gamma_ratio((a + 1.0, b + 1.0), (s + 2.0,), scale_log=(s + 1.0) * LN2),
+        ))
+    _check_order(order)
+    if stacked:
+        alpha, beta = np.array(alpha)[:, None], np.array(beta)[:, None]
+        a0, b1, mu0 = np.array(head).T
+        mu0 = mu0[:, None]
+    else:
+        (a0, b1, mu0), = head
+    lead, n, s = (len(head),) if stacked else (), order, alpha + beta
+    jac = np.zeros((*lead, n, n))
+    flat = jac.reshape(*lead, -1)  # entry (j, l) at [..., j n + l]
+    flat[..., 0] = a0
     if n > 1:
-        flat = jac.reshape(-1)  # entry (i, j) at i n + j
         k = np.arange(1.0, n)
         two = 2.0 * k + s
-        flat[n + 1 :: n + 1] = (beta * beta - alpha * alpha) / (two * (two + 2.0))
-        b = np.empty(n - 1)  # squared off-diagonal of rows (k-1, k)
-        b[0] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((s + 2.0) ** 2 * (s + 3.0))
-        k, two = k[1:], two[1:]
-        b[1:] = (
+        flat[..., n + 1 :: n + 1] = (beta * beta - alpha * alpha) / (two * (two + 2.0))
+        b = np.empty_like(two)  # squared subdiagonal entry (k, k-1)
+        b[..., 0] = b1
+        k, two = k[1:], two[..., 1:]
+        b[..., 1:] = (
             4.0 * k * (k + alpha) * (k + beta) * (k + s)
             / (two * two * (two + 1.0) * (two - 1.0))
         )
         np.sqrt(b, out=b)
-        flat[1 :: n + 1] = b
-        flat[n :: n + 1] = b
-    return jac, mu0
+        flat[..., n :: n + 1] = b  # eigh reads the lower triangle
+    nodes, vecs = np.linalg.eigh(jac)
+    return nodes, mu0 * vecs[..., 0, :] ** 2
 
 
 @lru_cache(maxsize=512)
 def gauss_jacobi_rule(alpha: float, beta: float, order: int) -> QuadratureRule:
-    """Gaussian rule for int_{-1}^{1} f(x) (1-x)^alpha (1+x)^beta dx.
-
-    Exact for polynomial f of degree <= 2 order - 1; alpha, beta > -1 finite.
-    """
-    check_above("alpha", alpha, -1.0)
-    check_above("beta", beta, -1.0)
-    _check_order(order)
-    jac, mu0 = _jacobi_matrix(alpha, beta, order)
-    if order == 1:
-        return QuadratureRule(jac[0], np.array([mu0]))
-    nodes, vecs = np.linalg.eigh(jac)
-    weights = mu0 * vecs[0, :] ** 2
-    return QuadratureRule(nodes, weights)
+    """Gaussian rule for int_{-1}^{1} f(x) (1-x)^alpha (1+x)^beta dx:
+    gauss_jacobi_rules' one-pair case, cached, with read-only arrays."""
+    return QuadratureRule(*gauss_jacobi_rules(alpha, beta, order))
 
 
 @lru_cache(maxsize=64)

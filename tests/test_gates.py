@@ -360,3 +360,27 @@ def test_the_2d_path_keeps_one_geometry():
     read = set().union(*(_reads(top[name]) for name in reached))
     assert not read & {"_unit_rule", "_interval_rule"}
     assert "_graded" not in top
+
+
+def test_a_mesh_takes_its_rules_from_one_stacked_solve(monkeypatch):
+    # every folded rule of a rung comes from one gauss_jacobi_rules call, one
+    # eigh over the stack of Jacobi matrices; a rule built or fetched one pair
+    # at a time, cached or not, fails one of the two counts
+    import gegenexp.orthopoly as op
+
+    calls = {"eigh": 0, "gauss_jacobi_rule": 0}
+
+    def counted(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    for module in (orc, op):
+        monkeypatch.setattr(module, "gauss_jacobi_rule",
+                            counted("gauss_jacobi_rule", module.gauss_jacobi_rule))
+    spec = orc.QuadratureSpec("plus", 1.3, 0.9, (0.7, 1.6), (2, 3))
+    mesh, tips = orc._mesh(spec, 11, 3, {(3, False), (0, True)})
+    assert calls == {"eigh": 1, "gauss_jacobi_rule": 0}
+    assert set(tips) == {(3, False), (0, True)} and mesh[3].size > 0

@@ -11,6 +11,7 @@ from gegenexp.orthopoly import (
     chebyshev,
     gauss_hermite_rule,
     gauss_jacobi_rule,
+    gauss_jacobi_rules,
     gegenbauer,
     gegenbauer_all,
     gegenbauer_norm_sq,
@@ -289,13 +290,19 @@ def _old_jacobi_rule(alpha, beta, n):
 class TestRules:
     def test_bit_identical_to_the_three_diagonal_construction(self):
         # the one-array Jacobi matrix holds the same entries, so eigh returns
-        # the same nodes and weights
+        # the same nodes and weights, for one pair and for each row of one
+        # stacked solve over every pair
         exponents = (-0.7, 0.0, 0.37, 2.5)
-        for alpha, beta_, n in itertools.product(exponents, exponents, range(1, 24)):
-            rule = gauss_jacobi_rule(alpha, beta_, n)
-            nodes, weights = _old_jacobi_rule(alpha, beta_, n)
-            assert np.array_equal(rule.nodes, nodes), (alpha, beta_, n)
-            assert np.array_equal(rule.weights, weights), (alpha, beta_, n)
+        pairs = list(itertools.product(exponents, exponents))
+        alphas, betas = [a for a, _ in pairs], [b for _, b in pairs]
+        for n in range(1, 24):
+            stacked = gauss_jacobi_rules(alphas, betas, n)
+            for i, (alpha, beta_) in enumerate(pairs):
+                rule = gauss_jacobi_rule(alpha, beta_, n)
+                nodes, weights = _old_jacobi_rule(alpha, beta_, n)
+                for got in ((rule.nodes, rule.weights), (stacked[0][i], stacked[1][i])):
+                    assert np.array_equal(got[0], nodes), (alpha, beta_, n)
+                    assert np.array_equal(got[1], weights), (alpha, beta_, n)
 
     def test_midpoint_case(self):
         r = gegenbauer_rule(0.5, 1)
