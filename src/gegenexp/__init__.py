@@ -40,7 +40,6 @@ from .oracle import (
     regularized_inverse_square,
 )
 from .orthopoly import (
-    QuadratureRule,
     gauss_hermite_rule,
     gauss_jacobi_rule,
     gegenbauer,

@@ -25,8 +25,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .orthopoly import gegenbauer_all, gegenbauer_norm_sq
 from .specfun import (
-    LN2, LNPI, DomainError, _lgamma_at, _log_gamma_ratio, check_above, check_degree,
-    check_points, gamma_ratio, hyp2f1,
+    LN2, LNPI, DomainError, _lgamma_at, _log_gamma_ratio, check_above, check_at_least,
+    check_degree, check_points, gamma_ratio, hyp2f1,
 )
 
 #: Search cap for truncation orders.
@@ -58,8 +58,8 @@ class ExpansionParams:
     eps: int = 0
 
     def __post_init__(self):
-        check_above("lam", self.lam or 1.0, 0.0)  # 0 is the Chebyshev point
-        check_above("mu", self.mu or 1.0, 0.0)
+        check_at_least("lam", self.lam, 0.0)  # 0 is the Chebyshev point
+        check_at_least("mu", self.mu, 0.0)
         check_above("nu", self.nu, 0.0)
         if self.eps not in (0, 1):
             raise DomainError("eps must be 0 or 1")

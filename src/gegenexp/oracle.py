@@ -24,21 +24,22 @@ and faulting them back in.
 Every backend is a rung function, rung k sized from _ladder(k) (panel order
 8 + 3k, 6 + 5k dyadic grading levels), and _refine applies one stopping rule
 to all: stop at the first rung that agrees with the one before to the target.
-The 2D mesh reads the panel order alone; _unit_rule's graded rules serve the
-3D outer axis and the Hermite and finite-part backends.  The finite part
-evaluates its convolution profile, which is even, at |u|.
+The 2D mesh reads the panel order alone; _unit_rule's graded rules, built on
+each call from the cached one-pair Gauss-Jacobi rules, serve the 3D outer
+axis and the Hermite and finite-part backends.  The finite part evaluates
+its convolution profile, which is even, at |u|.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
 from .orthopoly import (
-    chebyshev, gauss_hermite_rule, gauss_jacobi_rule, gauss_jacobi_rules, gegenbauer, hermite)
+    gauss_hermite_rule, gauss_jacobi_rule, gauss_jacobi_rules, gegenbauer, hermite)
 from .specfun import ConvergenceError, DomainError, check_above, check_degree, check_points
 
 #: Each kernel's weights on its halves (plus, minus): the plus half lies
@@ -109,7 +110,6 @@ class QuadResult:
     level: int
 
 
-@lru_cache(maxsize=512)
 def _unit_rule(a0: float, a1: float, levels: int, order: int):
     """Composite rule: int_0^1 u^a0 (1-u)^a1 g(u) du ~= sum w_j g(u_j).
 
@@ -120,28 +120,22 @@ def _unit_rule(a0: float, a1: float, levels: int, order: int):
     singular endpoint.
     """
     cuts = np.array([0.5 * 2.0**-k for k in range(levels, -1, -1)])
-    legendre = gauss_jacobi_rule(0.0, 0.0, order)
+    x, w = gauss_jacobi_rule(0.0, 0.0, order)
     # Every interior panel [lo, hi] takes the same Legendre rule, so both
     # sides share one (panel x node) grid of its nodes and weights.
     lo = cuts[:-1, None]
     half = 0.5 * (cuts[1:, None] - lo)
-    u_in = lo + half * (1.0 + legendre.nodes)
-    w_in = legendre.weights * half
+    u_in = lo + half * (1.0 + x)
+    w_in = w * half
     h = cuts[0]  # the endpoint panel [0, h]
     pieces = []
     for a_here, a_far, flip in ((a0, a1, False), (a1, a0, True)):
-        base = gauss_jacobi_rule(0.0, a_here, order)
-        u = np.concatenate((h * 0.5 * (1.0 + base.nodes), u_in.ravel()))
-        w = np.concatenate(
-            (base.weights * (0.5 * h) ** (1.0 + a_here), (w_in * u_in**a_here).ravel())
-        )
+        z, wz = gauss_jacobi_rule(0.0, a_here, order)
+        u = np.concatenate((h * 0.5 * (1.0 + z), u_in.ravel()))
+        w = np.concatenate((wz * (0.5 * h) ** (1.0 + a_here), (w_in * u_in**a_here).ravel()))
         w *= (1.0 - u) ** a_far
         pieces.append((1.0 - u, w) if flip else (u, w))
-    nodes = np.concatenate([p[0] for p in pieces])
-    weights = np.concatenate([p[1] for p in pieces])
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return tuple(np.concatenate(a) for a in zip(*pieces))
 
 
 def _interval_rule(a: float, b: float, exp_a: float, exp_b: float, levels: int, order: int):
@@ -205,11 +199,6 @@ def _chunked_rows(n: int, width: int, block):
     return out
 
 
-def _poly(lam: float, n: int, x):
-    """C_n^lam(x), or T_n(x) at lam = 0: the factor QuadratureSpec takes."""
-    return gegenbauer(lam, n, x) if lam else chebyshev(n, x)
-
-
 def _eval_2d(spec: QuadratureSpec, xs, size: tuple):
     """(value at each shear in xs, evaluations) of the 2D kernel integral on
     _mesh at panel order size[0]: the plus half at |x|, signed per half, as
@@ -236,7 +225,7 @@ def _eval_2d(spec: QuadratureSpec, xs, size: tuple):
             def block(r):
                 if ell:
                     s = (sigma[r] * x + d) * u[r] + tau[r] * x + (d - 1.0)  # x t + (1 - x t) u
-                    poly = _poly(lam, ell, s)
+                    poly = gegenbauer(lam, ell, s)
                 q = np.multiply(sigma[r], x, out=s if ell else None)  # s's buffer, if any
                 q += d  # 1 - x t
                 f = tau[r] * x + d
@@ -340,7 +329,7 @@ def _mesh(spec: QuadratureSpec, order: int, layers: int, tips):
     tau, sigma, u, w = (np.concatenate(a) for a in zip(*parts))
     w *= (sigma * tau) ** wt * u**p * (1.0 - u) ** ws
     if spec.degrees[1]:
-        w *= _poly(mu, spec.degrees[1], tau - 1.0)
+        w *= gegenbauer(mu, spec.degrees[1], tau - 1.0)
     return (tau, sigma, u, w), first
 
 
@@ -388,11 +377,11 @@ def integrate_hermite_2d(nu: float, x: float, ell: int, m: int, target: float) -
 
     def rung(level: int):
         order, levels = _ladder(level)
-        gh = gauss_hermite_rule(4 * order)
+        t, tw = gauss_hermite_rule(4 * order)
         u, uw = _unit_rule(2.0 * nu, 0.0, levels, order)
-        s0 = x * gh.nodes
+        s0 = x * t
         reach = np.abs(s0) + 9.0
-        outer = gh.weights * hermite(m, gh.nodes)
+        outer = tw * hermite(m, t)
         total = 0.0
         for sgn in (+1.0, -1.0):
 

@@ -1,15 +1,14 @@
-"""Ultraspherical, Chebyshev and Hermite polynomials plus Gaussian rules.
+"""Ultraspherical (T_n at lam = 0) and Hermite polynomials plus Gaussian rules.
 
-Polynomials come from one in-place three-term recurrence; nodes and
-weights come from the symmetric-tridiagonal (Golub-Welsch) eigenproblem
-built on the Jacobi-weight recurrence coefficients, which takes a stack of
-exponent pairs and solves it with one eigh.
+Polynomials come from one in-place three-term recurrence.  A rule is a
+(nodes, weights) pair: Jacobi rules come from one stacked eigh over the
+Golub-Welsch Jacobi matrices, and the one-pair Jacobi and the Hermite
+rules are cached as read-only arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -60,19 +59,11 @@ def _last(terms):
 
 
 def gegenbauer(lam: float, n: int, x):
-    """Ultraspherical polynomial C_n^lam(x) for scalar or array x.  lam = 0,
-    where C_n vanishes for n >= 1, is refused: chebyshev gives the limit."""
+    """Ultraspherical polynomial C_n^lam(x) for scalar or array x, and at
+    lam = 0 its limit basis T_n(x) = cos(n arccos x), as gegenbauer_all."""
     check_above("lam", lam, -0.5)
-    if lam == 0.0:
-        raise DomainError(f"ultraspherical parameter lam must be nonzero, got {lam!r}")
     check_degree("n", n)
     return _last(_basis(lam, n, x))
-
-
-def chebyshev(n: int, x):
-    """Chebyshev polynomial T_n(x) = cos(n arccos x), for scalar or array x."""
-    check_degree("n", n)
-    return _last(_basis(0.0, n, x))
 
 
 def gegenbauer_all(lam: float, nmax: int, x) -> np.ndarray:
@@ -123,21 +114,6 @@ def hermite(n: int, x):
     return _last(_recurrence(x, n, 2.0, lambda k: (2.0, 2.0 * (k - 1), 1.0)))
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and positive weights of a Gaussian rule; immutable and shareable."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        # Rules are cached and shared, so callers get read-only views.
-        for name in ("nodes", "weights"):
-            view = np.asarray(getattr(self, name), dtype=float).view()
-            view.setflags(write=False)
-            object.__setattr__(self, name, view)
-
-
 def _check_order(order) -> None:
     """Raise DomainError unless a rule's order is an integer >= 1."""
     check_degree("order", order)
@@ -145,71 +121,71 @@ def _check_order(order) -> None:
         raise DomainError(f"order must be >= 1, got {order!r}")
 
 
-def gauss_jacobi_rules(alpha, beta, order: int):
+def gauss_jacobi_rules(alpha: list, beta: list, order: int):
     """Gaussian rules of one order for int_{-1}^{1} f(x) (1-x)^alpha
-    (1+x)^beta dx, as (nodes, weights): one rule's for floats alpha and
-    beta, and one row per pair for lists of one length.  Exact for
-    polynomial f of degree <= 2 order - 1; alpha, beta > -1 finite.
+    (1+x)^beta dx, one per pair of the lists alpha and beta, as (nodes,
+    weights) of one row per pair.  Exact for polynomial f of degree <=
+    2 order - 1; alpha, beta > -1 finite.
 
     The Jacobi matrices of the monic polynomials orthogonal under the
     weights fill one zeroed (pairs, order, order) array, which one stacked
     eigh solves (Golub and Welsch, Math. Comp. 23, 1969).  Row 0's entries
     and the weight mass mu0 take float arithmetic per pair; rows k = 1, ...,
-    order - 1 share one vector 2k + alpha + beta, which for lists is a
-    (pairs, order - 1) array, the exponents taken as columns, and for floats
-    stays one vector, as cheap as a single rule's arithmetic.
+    order - 1 one (pairs, order - 1) array 2k + alpha + beta.
     """
-    stacked = isinstance(alpha, list)
-    # row 0's diagonal and squared off-diagonal, and mu0, per pair: a float's
-    # ** 2 is libm's pow, which rounds otherwise than numpy's square
+    # per pair, as floats: the exponents, their sum, b^2 - a^2, row 0's
+    # diagonal and squared off-diagonal, and mu0; a float's ** 2 is libm's
+    # pow, which rounds otherwise than numpy's square
     head = []
-    for a, b in zip(alpha, beta) if stacked else ((alpha, beta),):
+    for a, b in zip(alpha, beta):
         check_above("alpha", a, -1.0)
         check_above("beta", b, -1.0)
         s = a + b
         head.append((
-            (b - a) / (s + 2.0),
+            a, b, s, b * b - a * a, (b - a) / (s + 2.0),
             4.0 * (a + 1.0) * (b + 1.0) / ((s + 2.0) ** 2 * (s + 3.0)),
             gamma_ratio((a + 1.0, b + 1.0), (s + 2.0,), scale_log=(s + 1.0) * LN2),
         ))
     _check_order(order)
-    if stacked:
-        alpha, beta = np.array(alpha)[:, None], np.array(beta)[:, None]
-        a0, b1, mu0 = np.array(head).T
-        mu0 = mu0[:, None]
-    else:
-        (a0, b1, mu0), = head
-    lead, n, s = (len(head),) if stacked else (), order, alpha + beta
-    jac = np.zeros((*lead, n, n))
-    flat = jac.reshape(*lead, -1)  # entry (j, l) at [..., j n + l]
-    flat[..., 0] = a0
+    alpha, beta, s, diff, a0, b1, mu0 = np.array(head).T[:, :, None]  # (pairs, 1) each
+    n = order
+    jac = np.zeros((len(head), n, n))
+    flat = jac.reshape(len(head), -1)  # entry (j, l) at [:, j n + l]
+    flat[:, :1] = a0
     if n > 1:
         k = np.arange(1.0, n)
         two = 2.0 * k + s
-        flat[..., n + 1 :: n + 1] = (beta * beta - alpha * alpha) / (two * (two + 2.0))
+        flat[:, n + 1 :: n + 1] = diff / (two * (two + 2.0))
         b = np.empty_like(two)  # squared subdiagonal entry (k, k-1)
-        b[..., 0] = b1
-        k, two = k[1:], two[..., 1:]
-        b[..., 1:] = (
+        b[:, :1] = b1
+        k, two = k[1:], two[:, 1:]
+        b[:, 1:] = (
             4.0 * k * (k + alpha) * (k + beta) * (k + s)
             / (two * two * (two + 1.0) * (two - 1.0))
         )
         np.sqrt(b, out=b)
-        flat[..., n :: n + 1] = b  # eigh reads the lower triangle
+        flat[:, n :: n + 1] = b  # eigh reads the lower triangle
     nodes, vecs = np.linalg.eigh(jac)
-    return nodes, mu0 * vecs[..., 0, :] ** 2
+    return nodes, mu0 * vecs[:, 0, :] ** 2
+
+
+def _read_only(nodes, weights):
+    """A cached rule's (nodes, weights), which callers share, as read-only."""
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 @lru_cache(maxsize=512)
-def gauss_jacobi_rule(alpha: float, beta: float, order: int) -> QuadratureRule:
+def gauss_jacobi_rule(alpha: float, beta: float, order: int):
     """Gaussian rule for int_{-1}^{1} f(x) (1-x)^alpha (1+x)^beta dx:
-    gauss_jacobi_rules' one-pair case, cached, with read-only arrays."""
-    return QuadratureRule(*gauss_jacobi_rules(alpha, beta, order))
+    row 0 of gauss_jacobi_rules([alpha], [beta], order), cached."""
+    nodes, weights = gauss_jacobi_rules([alpha], [beta], order)
+    return _read_only(nodes[0], weights[0])
 
 
 @lru_cache(maxsize=64)
-def gauss_hermite_rule(order: int) -> QuadratureRule:
-    """Gaussian rule for int f(x) exp(-x^2) dx over the real line."""
+def gauss_hermite_rule(order: int):
+    """Gaussian rule for int f(x) exp(-x^2) dx over the real line, cached."""
     _check_order(order)
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    return QuadratureRule(nodes, weights)
+    return _read_only(*np.polynomial.hermite.hermgauss(order))

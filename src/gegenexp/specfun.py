@@ -82,6 +82,12 @@ def check_above(name: str, value, floor: float) -> None:
         raise DomainError(f"{name} must be finite and exceed {floor}, got {value!r}")
 
 
+def check_at_least(name: str, value, floor: float) -> None:
+    """check_above with floor itself allowed."""
+    if not floor <= value < math.inf:
+        raise DomainError(f"{name} must be finite and at least {floor}, got {value!r}")
+
+
 def check_points(name: str, x, bound: float = math.inf) -> None:
     """Raise DomainError unless every point of x, an array-like called name,
     is finite and lies in [-bound, bound]; one float that passes builds no array."""

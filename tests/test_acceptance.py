@@ -204,8 +204,8 @@ def test_criterion_8_internal_identities():
         a = float(rng.uniform(0.3, 2.5))
         b = float(rng.uniform(0.3, 2.5))
         x = float(rng.uniform(-0.9, 0.9))
-        rule = gauss_jacobi_rule(b - 1.0, b - 1.0, 80)
-        quad = float(rule.weights @ (1.0 - rule.nodes * x) ** (a - 1.0))
+        nodes, weights = gauss_jacobi_rule(b - 1.0, b - 1.0, 80)
+        quad = float(weights @ (1.0 - nodes * x) ** (a - 1.0))
         closed = gamma_ratio((0.5, b), (b + 0.5,)) * hyp2f1(
             (1.0 - a) / 2.0, (2.0 - a) / 2.0, b + 0.5, x * x
         ).value
@@ -268,8 +268,8 @@ def test_criterion_8_internal_identities():
         b = float(rng.uniform(0.3, 2.0))
         a = float(rng.uniform(-1.5, 1.2))
         c = a + b + float(rng.uniform(0.4, 2.5))
-        rule = gauss_jacobi_rule(c - a - b - 1.0, b - 1.0, 80)
-        quad = float(rule.weights.sum()) * 2.0 ** (a + 1.0 - c)
+        _, weights = gauss_jacobi_rule(c - a - b - 1.0, b - 1.0, 80)
+        quad = float(weights.sum()) * 2.0 ** (a + 1.0 - c)
         euler = quad * gamma_ratio((c,), (b, c - b))
         got = hyp2f1(a, b, c, 1.0).value
         worst = max(worst, abs(got - euler) / (1.0 + abs(euler)))

@@ -100,7 +100,8 @@ class TestCoeffs:
         argv[argv.index(flag) + 1] = "nan"
         assert main(argv) == 2
         name = {"--lambda": "lam", "--mu": "mu", "--nu": "nu"}[flag]
-        assert capsys.readouterr().err == f"error: {name} must be finite and exceed 0.0, got nan\n"
+        rule = "exceed 0.0" if name == "nu" else "at least 0.0"
+        assert capsys.readouterr().err == f"error: {name} must be finite and {rule}, got nan\n"
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("value", ["inf", "-inf"])
@@ -113,9 +114,8 @@ class TestCoeffs:
         argv[index] = f"{flag}={value}"
         assert main(argv) == 2
         name = {"--lambda": "lam", "--mu": "mu", "--nu": "nu"}[flag]
-        assert capsys.readouterr().err == (
-            f"error: {name} must be finite and exceed 0.0, got {value}\n"
-        )
+        rule = "exceed 0.0" if name == "nu" else "at least 0.0"
+        assert capsys.readouterr().err == f"error: {name} must be finite and {rule}, got {value}\n"
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--lmax", "--mmax"])

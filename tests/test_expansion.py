@@ -89,9 +89,11 @@ class TestCoefficients:
     def test_non_finite_parameters(self, bad):
         for (lam, mu, nu), name in zip(((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)),
                                        ("lam", "mu", "nu")):
-            with pytest.raises(DomainError, match=f"^{name} must be finite and exceed 0.0, got"):
+            # lam and mu take their floor 0, the Chebyshev point; nu does not
+            rule = "exceed 0.0" if name == "nu" else "at least 0.0"
+            with pytest.raises(DomainError, match=f"^{name} must be finite and {rule}, got"):
                 expansion_coeff(lam, mu, nu, 0, 0)
-            with pytest.raises(DomainError, match=f"^{name} must be finite and exceed 0.0, got"):
+            with pytest.raises(DomainError, match=f"^{name} must be finite and {rule}, got"):
                 ExpansionParams(lam, mu, nu, 0)
             floor = 0.0 if name == "nu" else -0.5
             with pytest.raises(DomainError, match=f"^{name} must be finite and exceed {floor}"):
@@ -808,9 +810,9 @@ class TestChebyshevPoint:
         assert closed == pytest.approx(_shear_averaged_oracle("abs", p, 1e-9), rel=1e-7)
 
     def test_norm_of_t_n(self):
-        rule = gauss_jacobi_rule(-0.5, -0.5, 40)
+        nodes, weights = gauss_jacobi_rule(-0.5, -0.5, 40)
         for n in range(8):
-            quad = float(rule.weights @ np.cos(n * np.arccos(rule.nodes)) ** 2)
+            quad = float(weights @ np.cos(n * np.arccos(nodes)) ** 2)
             assert gegenbauer_norm_sq(0.0, n) == pytest.approx(quad, rel=1e-14)
         assert gegenbauer_norm_sq(0.0, 0) == math.pi
         assert gegenbauer_norm_sq(0.0, 9) == math.pi / 2.0
@@ -1149,7 +1151,7 @@ REAL_ENTRIES = {
 
 
 #: Entries whose floor is itself admitted: lam = 0 or mu = 0 is the
-#: Chebyshev point of the series, and a negative value keeps the message.
+#: Chebyshev point of the series, so their message says "at least" the floor.
 FLOOR_ADMITTED = {"ExpansionParams-lam", "ExpansionParams-mu", "expansion_coeff-lam",
                   "expansion_coeff-mu"}
 
@@ -1160,8 +1162,9 @@ def test_real_parameter_is_finite_and_above_its_floor(entry):
     # parameter and an admitted floor, where a value below it is refused
     name, floor, call = REAL_ENTRIES[entry]
     below = (floor - 0.5,) if entry in FLOOR_ADMITTED else (floor,) if floor > -math.inf else ()
+    rule = "at least" if entry in FLOOR_ADMITTED else "exceed"
     for bad in (math.nan, math.inf, -math.inf) + below:
-        message = f"{name} must be finite and exceed {floor}, got {bad!r}"
+        message = f"{name} must be finite and {rule} {floor}, got {bad!r}"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             call(bad)
     if entry in FLOOR_ADMITTED:

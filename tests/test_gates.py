@@ -6,7 +6,8 @@ function gathers the coefficient lattice and the cosine expansion reads
 the coefficient table, one sums the sheared 2F1, every export has a
 caller, a README mention or a test that compares against it, and the
 README's suite table is SUITE_TABLE; and the 2-D oracle path keeps one
-geometry, and the 2-D suites' oracle work is pinned as a count."""
+geometry, and the 2-D suites' oracle work is pinned as a count; and three
+functions keep a cache."""
 
 import ast
 import math
@@ -384,3 +385,23 @@ def test_a_mesh_takes_its_rules_from_one_stacked_solve(monkeypatch):
     mesh, tips = orc._mesh(spec, 11, 3, {(3, False), (0, True)})
     assert calls == {"eigh": 1, "gauss_jacobi_rule": 0}
     assert set(tips) == {(3, False), (0, True)} and mesh[3].size > 0
+
+
+def _cached(node) -> bool:
+    """Whether a def carries functools' lru_cache or cache, called or bare,
+    by name or as an attribute."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "attr", getattr(target, "id", None)) in ("lru_cache", "cache"):
+            return True
+    return False
+
+
+def test_three_functions_keep_a_cache():
+    # the one-pair Jacobi and the Hermite rules, shared as read-only arrays,
+    # and the reflection's log(pi / sin); the graded composite rules and the
+    # 2-D mesh are built on each call, from the cached one-pair rules or one
+    # stacked solve
+    cached = {name for name, node in FUNCTIONS.items() if _cached(node)}
+    assert cached == {"orthopoly.gauss_jacobi_rule", "orthopoly.gauss_hermite_rule",
+                      "specfun._log_pi_over_sin"}

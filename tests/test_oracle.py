@@ -395,12 +395,6 @@ class TestUnitShear:
                 refine_until(QuadratureSpec(kernel, p, x, (lam, mu)), 1e-8)
 
 
-def test_unit_rule_is_read_only():
-    for arr in orc._unit_rule(0.4, -0.3, 6, 8):
-        with pytest.raises(ValueError):
-            arr[0] = 5.0
-
-
 class TestRegularizedKernel:
     def test_profile_even_and_compact(self):
         g, evals = convolution_profile(

@@ -446,8 +446,8 @@ class TestHyp2f1:
             b = rng.uniform(0.3, 2.0)
             a = rng.uniform(-1.5, 1.2)
             c = a + b + rng.uniform(0.4, 2.5)
-            rule = gauss_jacobi_rule(c - a - b - 1.0, b - 1.0, 80)
-            quad = float(rule.weights.sum()) * 2.0 ** (a + 1.0 - c)
+            _, weights = gauss_jacobi_rule(c - a - b - 1.0, b - 1.0, 80)
+            quad = float(weights.sum()) * 2.0 ** (a + 1.0 - c)
             euler = quad * gamma_ratio((c,), (b, c - b))
             got = hyp2f1(a, b, c, 1.0).value
             assert got == pytest.approx(euler, rel=1e-9)
