@@ -22,18 +22,20 @@ consecutive blocks reuse the same heap pages instead of trimming them away
 and faulting them back in.
 
 Every backend is a rung function, rung k sized from _ladder(k) (panel order
-8 + 3k, 6 + 5k dyadic grading levels), and _refine applies one stopping rule
-to all: stop at the first rung that agrees with the one before to the target.
-The 2D mesh reads the panel order alone; _unit_rule's graded rules, built on
-each call from the cached one-pair Gauss-Jacobi rules, serve the 3D outer
-axis and the Hermite and finite-part backends.  The finite part evaluates
-its convolution profile, which is even, at |u|.
+8 + 3k, 6 + 5k dyadic grading levels) giving (value, evaluations, noise
+floor), and _refine alone certifies: it stops at the first rung that agrees
+with the one before to the target, at an estimate of at least the floor.
+2D and 3D share one rung, whose 2D mesh reads the panel order alone;
+_interval_rule's graded rules, built on each call from the cached one-pair
+Gauss-Jacobi rules, serve the 3D outer axis and the Hermite and finite-part
+backends.  The finite part evaluates its convolution profile, which is even,
+at |u|.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -110,10 +112,11 @@ class QuadResult:
     level: int
 
 
-def _unit_rule(a0: float, a1: float, levels: int, order: int):
-    """Composite rule: int_0^1 u^a0 (1-u)^a1 g(u) du ~= sum w_j g(u_j).
+def _interval_rule(a: float, b: float, exp_a: float, exp_b: float, levels: int, order: int):
+    """Composite rule: int_a^b (u-a)^exp_a (b-u)^exp_b g(u) du ~= sum w_j g(u_j).
 
-    Graded dyadic panels toward both endpoints.  The panel touching an
+    Graded dyadic panels toward both endpoints, built on [0, 1] and moved to
+    [a, b]; at (a, b) = (0, 1) the move is exact.  The panel touching an
     endpoint folds that endpoint's exponent into a Gauss-Jacobi rule; all
     other algebraic factors are absorbed into the weights numerically, which
     is accurate because panel width never exceeds its distance to the other
@@ -129,20 +132,14 @@ def _unit_rule(a0: float, a1: float, levels: int, order: int):
     w_in = w * half
     h = cuts[0]  # the endpoint panel [0, h]
     pieces = []
-    for a_here, a_far, flip in ((a0, a1, False), (a1, a0, True)):
+    for a_here, a_far, flip in ((exp_a, exp_b, False), (exp_b, exp_a, True)):
         z, wz = gauss_jacobi_rule(0.0, a_here, order)
         u = np.concatenate((h * 0.5 * (1.0 + z), u_in.ravel()))
         w = np.concatenate((wz * (0.5 * h) ** (1.0 + a_here), (w_in * u_in**a_here).ravel()))
         w *= (1.0 - u) ** a_far
         pieces.append((1.0 - u, w) if flip else (u, w))
-    return tuple(np.concatenate(a) for a in zip(*pieces))
-
-
-def _interval_rule(a: float, b: float, exp_a: float, exp_b: float, levels: int, order: int):
-    """Rule for int_a^b (u-a)^exp_a (b-u)^exp_b g(u) du = sum w g(u)."""
-    u, w = _unit_rule(exp_a, exp_b, levels, order)
-    h = b - a
-    return a + h * u, w * h ** (1.0 + exp_a + exp_b)
+    u, w = (np.concatenate(a) for a in zip(*pieces))
+    return a + (b - a) * u, w * (b - a) ** (1.0 + exp_a + exp_b)
 
 
 _MAX_LEVEL = 5
@@ -156,31 +153,27 @@ def _ladder(level: int):
 
 
 def _refine(rung, target: float, max_level: int) -> QuadResult:
-    """The stopping rule over rung(k) -> (value, evaluations), k = 0, 1, ...:
-    return the first rung within target of the one before it, or raise
-    OracleConvergenceError when rung max_level is not.  The estimate is at
-    least the rounding floor 4e-16 |value|; see _floored."""
+    """The stopping rule over rung(k) -> (value, evaluations, floor), k = 0,
+    1, ...: return the first rung within target of the one before it, the
+    estimate at least its floor and 4e-16 |value|, as rungs that agree closer
+    certify no more; raise OracleConvergenceError when rung max_level is not,
+    or when the floor is not within target."""
     check_above("target", target, 0.0)
-    value, evals = rung(0)
+    value, evals, _ = rung(0)
     for level in range(1, max_level + 1):
         prev = value
-        value, e = rung(level)
+        value, e, floor = rung(level)
         evals += e
         diff = abs(value - prev)
         if diff < target:
-            return _floored(QuadResult(value, diff, evals, level), 4e-16 * abs(value), target)
+            floor = max(floor, 4e-16 * abs(value))
+            est = max(diff, floor)
+            if not est < target:
+                raise OracleConvergenceError(
+                    f"noise floor {floor:.3g} exceeds {target}", value, est)
+            return QuadResult(value, est, evals, level)
     raise OracleConvergenceError(
         f"no convergence to {target} within {max_level} refinements", value, diff)
-
-
-def _floored(result: QuadResult, floor: float, target: float) -> QuadResult:
-    """result with its estimate raised to its rung's noise floor, which must
-    lie within target: rungs that agree closer certify no more than it."""
-    est = max(result.est_error, floor)
-    if not est < target:
-        raise OracleConvergenceError(
-            f"noise floor {floor:.3g} exceeds {target}", result.value, est)
-    return replace(result, est_error=est)
 
 
 # float64 entries per row block temporary: 63 KB, four of them 252 KB, which
@@ -199,13 +192,13 @@ def _chunked_rows(n: int, width: int, block):
     return out
 
 
-def _eval_2d(spec: QuadratureSpec, xs, size: tuple):
+def _eval_2d(spec: QuadratureSpec, xs, order: int):
     """(value at each shear in xs, evaluations) of the 2D kernel integral on
-    _mesh at panel order size[0]: the plus half at |x|, signed per half, as
+    _mesh at panel order `order`: the plus half at |x|, signed per half, as
     the reflections (s, t) -> (-s, -t) and t -> -t take C_n(y) to C_n(-y) =
     (-1)^n C_n(y)."""
     xs = np.asarray(xs, dtype=float).tolist()
-    order, lam, (ell, m) = size[0], spec.gegenbauer[0], spec.degrees
+    lam, (ell, m) = spec.gegenbauer[0], spec.degrees
     ws = lam - 0.5
     power = 1.0 + spec.kernel_exponent + ws
     plus, minus = _HALVES[spec.kernel]
@@ -333,34 +326,32 @@ def _mesh(spec: QuadratureSpec, order: int, layers: int, tips):
     return (tau, sigma, u, w), first
 
 
-def _eval_3d(spec: QuadratureSpec, level: int):
-    """Outer integral over the extra axis of 2D values at shear sqrt(y).
+def _rung(spec: QuadratureSpec, level: int):
+    """Rung `level` of the spec's integral, floor 0: 2D values at panel order
+    _ladder(level)[0], weighted; in 2D the one value at x_shear.
 
-    Substituting y = x^2 turns the weight y^alpha (1-y)^beta dy into
-    2 x^(2 alpha + 1) (1-x)^beta (1+x)^beta dx on [0, 1]; the 2D value as a
-    function of the shear x is smooth there, so a short composite rule in x
-    suffices.  Both axes grow with the rung: at rung k the outer rule has
-    1 + k grading levels at panel order 8 (16 (k + 2) shears: 32, 48, 64,
-    ...), and the inner 2D stage takes the 2D path's rung _ladder(k).
+    In 3D, the outer integral over the extra axis at shear sqrt(y): y = x^2
+    turns y^alpha (1-y)^beta dy into 2 x^(2 alpha + 1) (1-x)^beta (1+x)^beta
+    dx on [0, 1], where the 2D value is smooth in x, so a short composite
+    rule suffices: 1 + k grading levels at panel order 8 at rung k (16 (k +
+    2) shears: 32, 48, 64, ...).
     """
-    alpha, beta_ = spec.extra_axis
-    xn, xw = _interval_rule(0.0, 1.0, 2.0 * alpha + 1.0, beta_, 1 + level, 8)
-    values, evals = _eval_2d(spec, xn, _ladder(level))
-    return 2.0 * float((xw * (1.0 + xn) ** beta_) @ values), evals
+    if spec.extra_axis is None:
+        xs, w = [spec.x_shear], np.ones(1)
+    else:
+        alpha, beta_ = spec.extra_axis
+        xs, w = _interval_rule(0.0, 1.0, 2.0 * alpha + 1.0, beta_, 1 + level, 8)
+        w = 2.0 * w * (1.0 + xs) ** beta_
+    values, evals = _eval_2d(spec, xs, _ladder(level)[0])
+    return float(w @ values), evals, 0.0
 
 
 def refine_until(spec: QuadratureSpec, target: float) -> QuadResult:
     """The spec's integral, refined until two consecutive rungs agree to
     target, within _MAX_LEVEL rungs in 2D and _MAX_LEVEL_3D in 3D; see
     _refine."""
-    if spec.extra_axis is not None:
-        return _refine(partial(_eval_3d, spec), target, _MAX_LEVEL_3D)
-
-    def rung(level: int):
-        values, evals = _eval_2d(spec, [spec.x_shear], _ladder(level))
-        return float(values[0]), evals
-
-    return _refine(rung, target, _MAX_LEVEL)
+    cap = _MAX_LEVEL if spec.extra_axis is None else _MAX_LEVEL_3D
+    return _refine(partial(_rung, spec), target, cap)
 
 
 def integrate_hermite_2d(nu: float, x: float, ell: int, m: int, target: float) -> QuadResult:
@@ -378,7 +369,7 @@ def integrate_hermite_2d(nu: float, x: float, ell: int, m: int, target: float) -
     def rung(level: int):
         order, levels = _ladder(level)
         t, tw = gauss_hermite_rule(4 * order)
-        u, uw = _unit_rule(2.0 * nu, 0.0, levels, order)
+        u, uw = _interval_rule(0.0, 1.0, 2.0 * nu, 0.0, levels, order)
         s0 = x * t
         reach = np.abs(s0) + 9.0
         outer = tw * hermite(m, t)
@@ -397,7 +388,7 @@ def integrate_hermite_2d(nu: float, x: float, ell: int, m: int, target: float) -
 
             part = _chunked_rows(s0.size, u.size, block) * reach ** (1.0 + 2.0 * nu)
             total += float(outer @ part)
-        return total, 2 * s0.size * u.size
+        return total, 2 * s0.size * u.size, 0.0
 
     return _refine(rung, target, _MAX_LEVEL)
 
@@ -409,7 +400,7 @@ def convolution_profile(exp_s: float, exp_t: float, u, size: tuple):
     folds one algebraic endpoint of each factor into the rule, and the other
     two lie outside it."""
     order, levels = size
-    v, wv = _unit_rule(exp_t, exp_s, levels, order)
+    v, wv = _interval_rule(0.0, 1.0, exp_t, exp_s, levels, order)
     a = np.minimum(np.abs(np.asarray(u, dtype=float)), 2.0)
 
     def block(r):
@@ -439,18 +430,17 @@ def regularized_inverse_square(lam: float, mu: float, target: float) -> QuadResu
     Requires lam, mu > -1/2 and lam + mu > 1 so the subtracted
     remainder is integrable.  Refined until two consecutive rungs agree to
     target.  Those rungs share the rounding noise of G(u) - G(0), which u^-2
-    amplifies, so est_error is the larger of their difference and the
-    stopping rung's noise floor 4 * 2 eps sum w (|G(u)| + |G(0)|) / u^2 over
-    the rule, which must lie within target: eps per value under the sum's
-    front factor 2, with a safety factor 4.  That estimate is tested for
-    lam, mu in [0.9, 2]; below lam or mu = 1/2 it can miss the error.
+    amplifies, so each rung reports the noise floor 4 * 2 eps sum w (|G(u)| +
+    |G(0)|) / u^2 over its rule, which _refine takes into est_error and
+    requires within target: eps per value under the sum's front factor 2,
+    with a safety factor 4.  That estimate is tested for lam, mu in [0.9, 2];
+    below lam or mu = 1/2 it can miss the error.
     """
     check_above("lam", lam, -0.5)
     check_above("mu", mu, -0.5)
     if not lam + mu > 1.0:
         raise DomainError("requires lam + mu > 1")
     exp_s, exp_t = lam - 0.5, mu - 0.5
-    floors = []  # noise floor of each rung, by level
 
     def rung(level: int):
         size = _ladder(level + 2)
@@ -464,8 +454,6 @@ def regularized_inverse_square(lam: float, mu: float, target: float) -> QuadResu
         sq = u * u
         total = 2.0 * float(w @ ((g - g0) / sq)) - g0
         noise = float(w @ ((np.abs(g) + abs(g0)) / sq))
-        floors.append(4.0 * 2.0 * np.finfo(float).eps * noise)
-        return total, evals
+        return total, evals, 4.0 * 2.0 * np.finfo(float).eps * noise
 
-    result = _refine(rung, target, _MAX_LEVEL)
-    return _floored(result, floors[result.level], target)
+    return _refine(rung, target, _MAX_LEVEL)

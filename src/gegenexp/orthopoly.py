@@ -170,10 +170,9 @@ def gauss_jacobi_rules(alpha: list, beta: list, order: int):
 
 
 def _read_only(nodes, weights):
-    """A cached rule's (nodes, weights), which callers share, as read-only."""
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    """A cached rule's (nodes, weights), which callers share, as read-only:
+    each backed by immutable bytes, so its write flag cannot be set again."""
+    return tuple(np.frombuffer(a.tobytes()) for a in (nodes, weights))
 
 
 @lru_cache(maxsize=512)

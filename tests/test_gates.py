@@ -6,7 +6,8 @@ function gathers the coefficient lattice and the cosine expansion reads
 the coefficient table, one sums the sheared 2F1, every export has a
 caller, a README mention or a test that compares against it, and the
 README's suite table is SUITE_TABLE; and the 2-D oracle path keeps one
-geometry, and the 2-D suites' oracle work is pinned as a count; and three
+geometry, the oracle's refinement driver alone raises its convergence
+error, and the 2-D suites' oracle work is pinned as a count; and three
 functions keep a cache."""
 
 import ast
@@ -359,8 +360,36 @@ def test_the_2d_path_keeps_one_geometry():
             todo.extend(_reads(top[name]) & top.keys())
     assert "_mesh" in reached
     read = set().union(*(_reads(top[name]) for name in reached))
-    assert not read & {"_unit_rule", "_interval_rule"}
+    assert "_interval_rule" not in read
     assert "_graded" not in top
+
+
+def _raise_sites(tree, error: str) -> list:
+    """The innermost function (module level: None) around each raise of
+    `error`, called or bare."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, ast.FunctionDef):
+            func = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "attr", getattr(exc, "id", None)) == error:
+                found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_refine_alone_certifies_an_oracle_result():
+    # every backend's rung reports its noise floor, and _refine alone takes
+    # it into the estimate and decides whether the result meets its target,
+    # so no backend raises a second time with a floor of its own
+    sites = {f"{name}.{func}" for name, tree in TREES.items()
+             for func in _raise_sites(tree, "OracleConvergenceError")}
+    assert sites == {"oracle._refine"}
 
 
 def test_a_mesh_takes_its_rules_from_one_stacked_solve(monkeypatch):

@@ -86,7 +86,7 @@ class TestSpecValidation:
     def test_extra_axis_entries(self, axis, monkeypatch):
         # checked when the spec is made, not when a rung first evaluates it
         calls = []
-        monkeypatch.setattr(orc, "_eval_3d", lambda *args: calls.append(args))
+        monkeypatch.setattr(orc, "_rung", lambda *args: calls.append(args))
         with pytest.raises(DomainError, match="extra_axis"):
             refine_until(QuadratureSpec(kernel="abs", kernel_exponent=1.0, extra_axis=axis), 1e-6)
         assert calls == []
@@ -116,7 +116,7 @@ class TestBasics:
         # int_0^1 u^a0 (1-u)^a1 u^j du = B(a0 + 1 + j, a1 + 1): a panel the
         # rule misplaced or misscaled, on either side, would break these
         order, levels = orc._ladder(level)
-        u, w = orc._unit_rule(a0, a1, levels, order)
+        u, w = orc._interval_rule(0.0, 1.0, a0, a1, levels, order)
         assert w.sum() == pytest.approx(gamma_ratio((a0 + 1.0, a1 + 1.0), (a0 + a1 + 2.0,)),
                                         rel=1e-13)
         assert w @ u == pytest.approx(gamma_ratio((a0 + 2.0, a1 + 1.0), (a0 + a1 + 3.0,)),
@@ -210,11 +210,23 @@ class TestRefinement:
 
     def test_driver_stops_at_first_agreeing_rung(self):
         # rung k returns 2^-k: consecutive rungs differ by 2^-k
-        r = orc._refine(lambda k: (2.0**-k, 10), 0.3, 5)
+        r = orc._refine(lambda k: (2.0**-k, 10, 0.0), 0.3, 5)
         assert (r.value, r.est_error, r.evaluations, r.level) == (0.25, 0.25, 30, 2)
         with pytest.raises(OracleConvergenceError) as info:
-            orc._refine(lambda k: (2.0**-k, 10), 0.01, 3)
+            orc._refine(lambda k: (2.0**-k, 10, 0.0), 0.01, 3)
         assert (info.value.value, info.value.est_error) == (0.125, 0.125)
+        # rung 2 lies 0.25 from rung 1: a floor between that and the target
+        # becomes the estimate, and one at or above the target raises with
+        # the value and that estimate
+        r = orc._refine(lambda k: (2.0**-k, 10, 0.28), 0.3, 5)
+        assert (r.value, r.est_error, r.evaluations, r.level) == (0.25, 0.28, 30, 2)
+        for floor in (0.3, 0.5):
+            with pytest.raises(OracleConvergenceError, match="noise floor") as info:
+                orc._refine(lambda k: (2.0**-k, 10, floor), 0.3, 5)
+            assert (info.value.value, info.value.est_error) == (0.25, floor)
+        # rungs that agree exactly certify no more than 4e-16 |value|
+        r = orc._refine(lambda k: (1e3, 10, 1e-20), 1e-9, 5)
+        assert (r.est_error, r.level) == (4e-16 * 1e3, 1)
 
     def test_estimate_honesty(self):
         # true error (vs closed form) at most 10x the reported estimate in
@@ -403,7 +415,7 @@ class TestRegularizedKernel:
         assert g[0] == g[1] and g[0] > 0.0
         assert g[2] == 0.0 and g[3] == 0.0
         # _ladder(2) = (order 14, 16 grading levels); exponents (exp_t, exp_s)
-        assert evals == 4 * orc._unit_rule(0.9, 0.8, 16, 14)[0].size
+        assert evals == 4 * orc._interval_rule(0.0, 1.0, 0.9, 0.8, 16, 14)[0].size
 
     def test_matches_continuation_closed_form(self):
         for lam, mu in [(1.3, 1.4), (2.0, 0.8)]:
@@ -492,8 +504,8 @@ class TestThreeDimensional:
     def test_evaluation_counts(self):
         # 32 then 48 outer shears, each (4 + 3 L) 8^2 and (4 + 3 L) 11^2
         # with L its layers: 329 and 513 pieces in all
-        assert orc._eval_3d(self.SPEC, 0)[1] == 21_056
-        assert orc._eval_3d(self.SPEC, 1)[1] == 62_073
+        assert orc._rung(self.SPEC, 0)[1] == 21_056
+        assert orc._rung(self.SPEC, 1)[1] == 62_073
 
     @pytest.mark.parametrize(
         "lam,mu,nu,b,ell,m",
@@ -512,14 +524,14 @@ class TestThreeDimensional:
         truth = shear_averaged_projection(lam, mu, nu, b, ell, m)
         # both targets climb the same rungs: evaluate each rung once
         rungs = {}
-        real = orc._eval_3d
+        real = orc._rung
 
         def once(s, level):
             if level not in rungs:
                 rungs[level] = real(s, level)
             return rungs[level]
 
-        monkeypatch.setattr(orc, "_eval_3d", once)
+        monkeypatch.setattr(orc, "_rung", once)
         for target in (1e-8, 1e-6):
             r = refine_until(spec, target)
             err = abs(r.value - truth)
@@ -548,12 +560,12 @@ class TestShearVector:
     @pytest.mark.parametrize("name", sorted(_vector_specs()))
     def test_each_shear_matches_its_scalar_call(self, name):
         spec = _vector_specs()[name]
-        size = orc._ladder(1)
-        values, evals = orc._eval_2d(spec, self.SHEARS, size)
+        order = orc._ladder(1)[0]
+        values, evals = orc._eval_2d(spec, self.SHEARS, order)
         scale = np.abs(values).max()
         total = 0
         for x, v in zip(self.SHEARS, values):
-            one, one_evals = orc._eval_2d(spec, [x], size)
+            one, one_evals = orc._eval_2d(spec, [x], order)
             assert abs(v - one[0]) <= 1e-14 * scale
             total += one_evals
         # each shear takes its own layers, so shears differ in cost
@@ -571,7 +583,7 @@ class TestChunking:
     def test_eval_2d(self, monkeypatch):
         spec = _vector_specs()["abssgn"]
         shears = np.linspace(-1.0, 1.0, 7)
-        a, b = self._small_chunk(monkeypatch, lambda: orc._eval_2d(spec, shears, orc._ladder(2)))
+        a, b = self._small_chunk(monkeypatch, lambda: orc._eval_2d(spec, shears, orc._ladder(2)[0]))
         np.testing.assert_allclose(b[0], a[0], rtol=1e-13, atol=1e-13 * np.abs(a[0]).max())
         assert a[1] == b[1]
 
@@ -583,7 +595,7 @@ class TestChunking:
             degrees=(2, 2),
             extra_axis=(1.2, 0.5),
         )
-        a, b = self._small_chunk(monkeypatch, lambda: orc._eval_3d(spec, 1))
+        a, b = self._small_chunk(monkeypatch, lambda: orc._rung(spec, 1))
         assert b[0] == pytest.approx(a[0], rel=1e-13, abs=0.0) and a[1] == b[1]
 
     def test_convolution_profile(self, monkeypatch):
@@ -605,9 +617,9 @@ class TestChunking:
 #: One call per chunked kernel, each with many row blocks.
 CHUNKED = {
     "eval_2d": lambda: orc._eval_2d(
-        _geg_spec("abs", 5, 5), np.linspace(-1.0, 1.0, 7), orc._ladder(2)
+        _geg_spec("abs", 5, 5), np.linspace(-1.0, 1.0, 7), orc._ladder(2)[0]
     ),
-    "eval_3d": lambda: orc._eval_3d(_geg_spec("abs", 5, 5, extra_axis=(1.2, 0.5)), 1),
+    "eval_3d": lambda: orc._rung(_geg_spec("abs", 5, 5, extra_axis=(1.2, 0.5)), 1),
     "convolution_profile": lambda: convolution_profile(
         0.8, 0.9, np.linspace(-2.0, 2.0, 3001), orc._ladder(3)
     ),

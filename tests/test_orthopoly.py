@@ -352,15 +352,22 @@ class TestRules:
         assert float(weights.sum()) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
     def test_cached_rules_are_read_only(self):
-        for rule in (
-            gauss_jacobi_rule(0.0, 0.0, 4),
-            gauss_jacobi_rule(0.3, -0.2, 1),
-            gauss_hermite_rule(8),
+        # callers share a cached rule's arrays: neither a write nor setting
+        # the write flag back may change what a later call returns
+        for make in (
+            partial(gauss_jacobi_rule, 0.0, 0.0, 4),
+            partial(gauss_jacobi_rule, 0.3, -0.2, 1),
+            partial(gauss_hermite_rule, 8),
         ):
+            rule = make()
+            bits = [arr.tobytes() for arr in rule]
             assert type(rule) is tuple and len(rule) == 2
             for arr in rule:
                 with pytest.raises(ValueError):
                     arr[0] = 5.0
+                with pytest.raises(ValueError):
+                    arr.setflags(write=True)
+            assert [arr.tobytes() for arr in make()] == bits
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
