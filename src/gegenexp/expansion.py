@@ -46,6 +46,12 @@ class HypothesisError(DomainError):
     """The series convergence hypothesis 2 nu > lambda + mu + 4 fails."""
 
 
+def _check_parity(name: str, v) -> None:
+    """Raise DomainError unless v, called name, is an integer 0 or 1, as check_degree reads one."""
+    if not (isinstance(v, (int, np.integer)) and v in (0, 1)):
+        raise DomainError(f"{name} must be 0 or 1")
+
+
 @dataclass(frozen=True)
 class ExpansionParams:
     """Kernel parameters: |s-t|^(2 nu) sgn^eps(s-t) expanded in the
@@ -61,8 +67,7 @@ class ExpansionParams:
         check_at_least("lam", self.lam, 0.0)  # 0 is the Chebyshev point
         check_at_least("mu", self.mu, 0.0)
         check_above("nu", self.nu, 0.0)
-        if self.eps not in (0, 1):
-            raise DomainError("eps must be 0 or 1")
+        _check_parity("eps", self.eps)
 
     @property
     def series_hypothesis_ok(self) -> bool:
@@ -353,7 +358,8 @@ def tail_bound(params: ExpansionParams, L: int, M: int) -> float:
     check_degree("L", L)
     check_degree("M", M)
     W = max(L, M) + _WINDOW
-    return _tail_from_grid(_term_sup_grid(params, W, W), params, L, M)
+    T = _term_sup_grid(params, W, W)
+    return _tail_from_grid(T, _shell_sums(T), params, L, M)
 
 
 def _shell_sums(T: np.ndarray) -> np.ndarray:
@@ -377,21 +383,19 @@ def _shell_sums(T: np.ndarray) -> np.ndarray:
     return shell
 
 
-def _tail_from_grid(T: np.ndarray, params: ExpansionParams, L: int, M: int, shell=None) -> float:
+def _tail_from_grid(T: np.ndarray, shell, params: ExpansionParams, L: int, M: int) -> float:
     """tail_bound read from the leading (W+1) x (W+1) block of a term grid
-    T = _term_sup_grid(params, N, N) with N >= W = max(L, M) + _WINDOW.
+    T = _term_sup_grid(params, N, N) with N >= W = max(L, M) + _WINDOW and
+    its _shell_sums, shell.
 
     The discarded part of the block is the shells max(l, m) = K+1..W, with
     K = max(L, M), summed directly, and for L != M the one rectangle of
-    rows past L or columns past M inside the K block.  shell, the
-    _shell_sums of T if given, makes the read O(W); truncation_order takes
-    it once per grid.  Grid entries and shells do not depend on the grid's
-    size, so the result is bit-identical to tail_bound for every N >= W.
+    rows past L or columns past M inside the K block, the shells making the
+    read O(W).  Grid entries and shells do not depend on the grid's size, so
+    the result is bit-identical to tail_bound for every N >= W.
     """
     W, K = max(L, M) + _WINDOW, max(L, M)
     T = T[: W + 1, : W + 1]
-    if shell is None:
-        shell = _shell_sums(T)
     finite = float(shell[K + 1 : W + 1].sum())
     finite += float(T[L + 1 : K + 1, : K + 1].sum() + T[: K + 1, M + 1 : K + 1].sum())
 
@@ -434,7 +438,7 @@ def truncation_order(params: ExpansionParams, tol: float) -> tuple:
             T = None  # release the old grid before building the larger one
             T = _term_sup_grid(params, size, size)
             shell = _shell_sums(T)
-        if _tail_from_grid(T, params, L, M, shell) < tol:
+        if _tail_from_grid(T, shell, params, L, M) < tol:
             return (L, M)
     raise DomainError(f"tail estimate cannot reach {tol} by order {MAX_ORDER}")
 
@@ -558,11 +562,6 @@ def moment_of_plus_integral(
     ), log, sign)
 
 
-def _rising_ratio(a: float, b: float, n: int) -> float:
-    """(a)_n / (b)_n as the running product of (a + k) / (b + k), k < n."""
-    return math.prod((a + k) / (b + k) for k in range(n))
-
-
 def shear_averaged_projection(
     lam: float, mu: float, nu: float, b: float, ell: int, m: int
 ) -> float:
@@ -578,14 +577,13 @@ def shear_averaged_projection(
     check_above("b", b, -1.0)
     if (ell + m) % 2:
         raise DomainError("requires ell + m even")
-    # C_ell(1) = (2 lam)_ell / ell! (1 for T_ell), C_m(1), (-nu)_half / (big)_half:
-    # running products of factors near 1, the gammas left in one ratio
+    # C_ell(1) (1 for T_ell), C_m(1) and (-nu)_half / (big)_half: running
+    # products of factors near 1, the gammas left in one ratio
     half = (ell + m) // 2
     big = lam + mu + nu + b + 2.0
-    products = (
-        (_rising_ratio(2.0 * lam, 1.0, ell) if lam else 1.0)
-        * (_rising_ratio(2.0 * mu, 1.0, m) if mu else 1.0)
-        * _rising_ratio(-nu, big, half)
+    products = float(
+        _endpoint_values(lam, ell)[-1] * _endpoint_values(mu, m)[-1]
+        * math.prod((-nu + k) / (big + k) for k in range(half))
     )
     # the two denominators that move with ell - m at their lattice points
     return math.sqrt(math.pi) * (-1.0) ** ((m - ell) // 2) * products * gamma_ratio(
@@ -604,8 +602,7 @@ def cosine_expansion(rho: float, parity: int, phi, psi, K: int) -> np.ndarray:
     and T_m(-cos(psi)) = (-1)^m cos(m psi).
     """
     check_above("rho", rho, 0.0)
-    if parity not in (0, 1):
-        raise DomainError("parity must be 0 or 1")
+    _check_parity("parity", parity)
     check_degree("K", K)
     check_points("phi", phi)
     check_points("psi", psi)

@@ -6,11 +6,11 @@ check_points (the one rule for arrays of evaluation points), the gamma pole
 test, log|Gamma| and its sign at a lattice point c + j/2 (_lgamma_at, the
 one function that calls math.lgamma: every gamma the package takes, each
 factor (c, j) or x of a gamma ratio included, goes through it), an in-house
-digamma (reflection, recurrence and the asymptotic series), and a
-real-argument Gauss hypergeometric function with termination detection, a
-z -> 1-z connection formula (including the logarithmic case for integer
-c-a-b) and exact Gauss summation at z = 1.
-Everything runs on math and numpy alone.
+digamma (reflection, recurrence and the asymptotic series), and a real
+Gauss 2F1: one loop sums its series, cut at n+1 terms or run to convergence,
+beside a z -> 1-z connection (with the logarithmic case for integer c-a-b)
+and the Gauss sum at z = 1, a gamma ratio whose denominator pole is its
+exact zero.  Everything runs on math and numpy alone.
 """
 
 from __future__ import annotations
@@ -217,7 +217,6 @@ class HypStatus(Enum):
     SERIES_CONVERGED = "series-converged"
     TERMINATED = "terminated"
     GAUSS_SUMMED = "gauss-summed"
-    POLE_CANCELLED_ZERO = "pole-cancelled-zero"
 
 
 @dataclass(frozen=True)
@@ -231,38 +230,27 @@ def _series(a: float, b: float, c: float, z: float, nterms: int | None = None):
     """Sum the Gauss series at z.  Returns (value, terms_used).
 
     With nterms given, sums exactly that many terms (terminating case);
-    otherwise runs until two consecutive terms drop below SERIES_RTOL times
-    the partial sum.  The term index k is a float, which gives the same
-    sums and products as an integer index without converting it each time.
+    otherwise stops at a zero term or two consecutive terms below SERIES_RTOL
+    times the partial sum.  The term index k is a float, which gives the
+    same sums and products as an integer index without converting it.
     """
     total = term = 1.0
     k = 0.0
-    if nterms is not None:
-        for _ in range(nterms):
-            denom = (c + k) * (k + 1.0)
-            if denom == 0.0:
-                raise PoleError(f"2F1 series denominator vanished at k={int(k)}")
-            term *= (a + k) * (b + k) / denom * z
-            total += term
-            k += 1.0
-        return total, nterms + 1
     small, rtol = 0, SERIES_RTOL
-    while k < MAX_TERMS:
+    for _ in range(MAX_TERMS if nterms is None else nterms):
         denom = (c + k) * (k + 1.0)
         if denom == 0.0:
             raise PoleError(f"2F1 series denominator vanished at k={int(k)}")
         term *= (a + k) * (b + k) / denom * z
         total += term
         k += 1.0
-        if abs(term) <= rtol * abs(total):
-            small += 1
-            if small >= 2:
+        if nterms is None:
+            small = small + 1 if abs(term) <= rtol * abs(total) else 0
+            if small >= 2 or term == 0.0:
                 return total, int(k) + 1
-        else:
-            small = 0
-        if term == 0.0:
-            return total, int(k) + 1
-    raise ConvergenceError(f"2F1 series did not converge in {MAX_TERMS} terms")
+    if nterms is None:
+        raise ConvergenceError(f"2F1 series did not converge in {MAX_TERMS} terms")
+    return total, nterms + 1
 
 
 def _gauss_sum(a: float, b: float, c: float) -> HypResult:
@@ -270,8 +258,6 @@ def _gauss_sum(a: float, b: float, c: float) -> HypResult:
     s = c - a - b
     if s <= INTEGER_TOL:
         raise DomainError(f"2F1 diverges at z=1 for c-a-b={s!r} <= 0")
-    if nonpositive_int(c - a) is not None or nonpositive_int(c - b) is not None:
-        return HypResult(0.0, HypStatus.POLE_CANCELLED_ZERO, 0)
     value = gamma_ratio((c, s), (c - a, c - b))
     return HypResult(value, HypStatus.GAUSS_SUMMED, 0)
 

@@ -82,8 +82,12 @@ class TestCoefficients:
     def test_domain(self):
         with pytest.raises(DomainError):
             expansion_coeff(-1.0, 1.0, 1.0, 0, 0)
-        with pytest.raises(DomainError):
-            ExpansionParams(1.0, 1.0, 1.0, 2)
+        # a float 1.0 once passed and then failed in coeff_table's slices
+        for eps in (2, 1.0):
+            with pytest.raises(DomainError, match="^eps must be 0 or 1$"):
+                ExpansionParams(1.0, 1.0, 1.0, eps)
+        numpy_eps = coeff_table(ExpansionParams(1.0, 1.0, 3.5, np.int64(1)), 4, 4)
+        assert np.array_equal(numpy_eps, coeff_table(ExpansionParams(1.0, 1.0, 3.5, 1), 4, 4))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameters(self, bad):
@@ -163,6 +167,47 @@ class TestCoefficients:
                 assert table[ell, m] == pytest.approx(
                     proj, rel=1e-8, abs=1e-12
                 )
+
+
+def _times_x(b: np.ndarray, lam: float):
+    """The (lower, upper) terms of the coefficients of x times sum_k b[k] P_k(x),
+    P_k = C_k^lam (T_k at lam = 0), at degrees k < len(b) - 1 along axis 0:
+    x C_k = [(k+1) C_(k+1) + (k+2 lam-1) C_(k-1)] / (2(k+lam)), x T_0 = T_1 and
+    x T_k = (T_(k+1) + T_(k-1)) / 2 (DLMF 18.9).  Degree 0 has no lower term."""
+    k = np.arange(len(b) - 1).reshape(-1, *[1] * (b.ndim - 1))
+    lower = np.zeros(b[:-1].shape)
+    if lam:
+        lower[1:] = k[1:] * b[:-2] / (2.0 * (k[1:] - 1.0 + lam))
+        return lower, (k + 2.0 * lam) * b[1:] / (2.0 * (k + 1.0 + lam))
+    lower[1], lower[2:] = b[0], b[1:-2] / 2.0
+    return lower, b[1:] / 2.0
+
+
+class TestMultiplicationIdentity:
+    """(s - t) |s-t|^(2 nu) sgn^eps(s-t) = |s-t|^(2 nu + 1) sgn^(1-eps)(s-t), so
+    the table at (nu + 1/2, 1 - eps) is the s-recurrence minus the
+    t-recurrence of the table at (nu, eps): an identity of whole grids at any
+    degree, with no quadrature."""
+
+    @pytest.mark.parametrize(
+        "lam, mu, nu, eps",
+        [(0.7, 1.3, 4.1, 1), (2.0, 0.5, 0.4, 0), (3.4998, 7.83, 4.5, 0), (0.0, 1.2, 2.3, 1),
+         (0.0, 0.0, 1.7, 0), (1.1, 0.0, 3.0, 0), (1.0, 1.0, 2.0, 0), (0.6, 0.9, 1.4999999, 1)],
+    )
+    def test_table_times_s_minus_t(self, lam, mu, nu, eps):
+        # polynomial kernels (nu = 2, 3), both Chebyshev points, lam = 1 with
+        # its 0/0 lower term at degree 0, nu next to a half-integer, and a
+        # point where the series hypothesis fails
+        n = 300
+        b = coeff_table(ExpansionParams(lam, mu, nu, eps), n + 1, n + 1)
+        want = coeff_table(ExpansionParams(lam, mu, nu + 0.5, 1 - eps), n, n)
+        terms = [*_times_x(b[:, : n + 1], lam)]
+        terms += [-t.T for t in _times_x(b[: n + 1].T, mu)]
+        gap = np.abs(sum(terms) - want)
+        scale = sum(np.abs(t) for t in terms)
+        assert np.all(gap <= 1e-12 * scale), float(np.max(gap / np.where(scale, scale, 1.0)))
+        masked = (np.add.outer(np.arange(n + 1), np.arange(n + 1)) + eps) % 2 == 0
+        assert np.all(want[masked] == 0.0) and np.all(scale[masked] == 0.0)
 
 
 class TestLatticeGammas:
@@ -378,7 +423,7 @@ class TestTruncationGrid:
             rungs = [(L, M) for L, M in _ladder(eps, size) if max(L, M) + ex._WINDOW <= size]
             rungs += [(10, 40), (57, 3)]
             for L, M in rungs:
-                assert ex._tail_from_grid(T, p, L, M) == tail_bound(p, L, M)
+                assert ex._tail_from_grid(T, ex._shell_sums(T), p, L, M) == tail_bound(p, L, M)
 
     def test_shells_sum_each_ring(self):
         # shell k sums the grid over max(l, m) = k, and a leading block of
@@ -763,6 +808,12 @@ class TestCosine:
                 ]
                 scale = math.fsum(map(abs, terms))
                 assert abs(grid[i, j] - math.fsum(terms)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("parity", [2, 1.0])
+    def test_parity_is_an_integer_0_or_1(self, parity):
+        # a float 1.0 once passed and then failed in coeff_table's slices
+        with pytest.raises(DomainError, match="^parity must be 0 or 1$"):
+            cosine_expansion(2.0, parity, 0.1, 0.2, 4)
 
     def test_returned_matrix_is_not_shared(self):
         # changing a returned grid in place leaves the next call's untouched

@@ -8,7 +8,7 @@ caller, a README mention or a test that compares against it, and the
 README's suite table is SUITE_TABLE; and the 2-D oracle path keeps one
 geometry, the oracle's refinement driver alone raises its convergence
 error, and the 2-D suites' oracle work is pinned as a count; and three
-functions keep a cache."""
+functions keep a cache, and the Gauss series is summed in one loop."""
 
 import ast
 import math
@@ -434,3 +434,12 @@ def test_three_functions_keep_a_cache():
     cached = {name for name, node in FUNCTIONS.items() if _cached(node)}
     assert cached == {"orthopoly.gauss_jacobi_rule", "orthopoly.gauss_hermite_rule",
                       "specfun._log_pi_over_sin"}
+
+
+def test_the_gauss_series_is_one_loop():
+    # the terminating and the convergent Gauss sums share _series' one loop,
+    # the stopping rule read only without a term count, so a running sum of
+    # |term| has one place to go
+    loops = [node for node in ast.walk(FUNCTIONS["specfun._series"])
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert len(loops) == 1

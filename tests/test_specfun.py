@@ -335,10 +335,10 @@ class TestHyp2f1:
 
     def test_gauss_pole_cancels_to_zero(self):
         # c - a = -1 makes the prefactor reciprocal gamma vanish while
-        # c - a - b = 0.5 keeps the value finite
+        # c - a - b = 0.5 keeps the value finite: gamma_ratio's exact zero
         r = hyp2f1(3.0, -1.5, 2.0, 1.0)
         assert r.value == 0.0
-        assert r.status is HypStatus.POLE_CANCELLED_ZERO
+        assert r.status is HypStatus.GAUSS_SUMMED
 
     @pytest.mark.parametrize(
         "a, b, c", [(-150.5, 0.5, 50.0), (-180.25, 0.5, 3.0), (0.5, -200.5, 10.0)]
@@ -382,6 +382,12 @@ class TestHyp2f1:
         # series ends (a = -1) before the c denominator reaches its zero
         r = hyp2f1(-1.0, 0.7, -2.5, 0.5)
         assert r.status is HypStatus.TERMINATED
+
+    def test_terms_used_past_an_underflowing_term(self):
+        # at z = 1e-200 the third term underflows to zero: a terminating sum
+        # still adds all its n + 1 terms, a convergent one stops there
+        assert hyp2f1(-5.0, 2.0, 3.0, 1e-200).terms_used == 6
+        assert hyp2f1(1.5, 2.0, 3.0, 1e-200).terms_used == 3
 
     def test_series_cap_is_an_error(self):
         with pytest.raises(ConvergenceError):
