@@ -21,15 +21,14 @@ top pad (128 KB + 128 KB), each under the 128 KB mmap threshold, so
 consecutive blocks reuse the same heap pages instead of trimming them away
 and faulting them back in.
 
-Every backend is a rung function, rung k sized from _ladder(k) (panel order
-8 + 3k, 6 + 5k dyadic grading levels) giving (value, evaluations, noise
-floor), and _refine alone certifies: it stops at the first rung that agrees
-with the one before to the target, at an estimate of at least the floor.
-2D and 3D share one rung, whose 2D mesh reads the panel order alone;
-_interval_rule's graded rules, built on each call from the cached one-pair
-Gauss-Jacobi rules, serve the 3D outer axis and the Hermite and finite-part
-backends.  The finite part evaluates its convolution profile, which is even,
-at |u|.
+Every backend is a rung function giving (value, evaluations, noise floor),
+and _refine alone certifies: it stops at the first rung that agrees with
+the one before to the target, at an estimate of at least the floor.  2D
+and 3D share one rung, sized from _ladder(k) (panel order 8 + 3k, 6 + 5k
+dyadic grading levels); _interval_rule's graded rules, built on each call
+from the cached one-pair Gauss-Jacobi rules, serve the 3D outer axis and
+the finite part, which evaluates its even convolution profile at |u|.  The
+Hermite backend is one rotated tensor rule per rung, exact up to rounding.
 """
 
 from __future__ import annotations
@@ -41,7 +40,8 @@ from functools import partial
 import numpy as np
 
 from .orthopoly import (
-    gauss_hermite_rule, gauss_jacobi_rule, gauss_jacobi_rules, gegenbauer, hermite)
+    gauss_hermite_rule, gauss_jacobi_rule, gauss_jacobi_rules, gegenbauer,
+    generalized_hermite_rule, hermite)
 from .specfun import ConvergenceError, DomainError, check_above, check_degree, check_points
 
 #: Each kernel's weights on its halves (plus, minus): the plus half lies
@@ -355,42 +355,43 @@ def refine_until(spec: QuadratureSpec, target: float) -> QuadResult:
 
 
 def integrate_hermite_2d(nu: float, x: float, ell: int, m: int, target: float) -> QuadResult:
-    """int over R^2 of |s - x t|^(2 nu) e^(-s^2-t^2) H_ell(s) H_m(t) ds dt,
-    refined until two consecutive rungs agree to target.
+    """int over R^2 of |s - x t|^(2 nu) e^(-s^2-t^2) H_ell(s) H_m(t) ds dt.
 
-    Outer axis by Gauss-Hermite of four times the rung's panel order; the
-    inner axis is split at s = x t with the kernel exponent folded into
-    graded Jacobi panels, truncated where the Gaussian factor falls below
-    ~1e-35.
+    The rotation u = (s - x t) / r, v = (x s + t) / r, r = sqrt(1 + x^2),
+    leaves r^(2 nu) |u|^(2 nu) e^(-u^2-v^2) times a polynomial of degree
+    ell + m in each of u and v, so rung k, generalized_hermite_rule in u by
+    gauss_hermite_rule in v at (ell + m) // 2 + 1 + k nodes, is exact up to
+    rounding.  A term rounds by a few eps per recurrence step and node, and
+    by eps |s H_ell'(s) H_m(t)| and its twin in t; the envelope 2^(n/2)
+    sqrt(n!) e^(y^2/2) >= |H_n(y)| (Indritz, Proc. AMS 12, 1961) has no zeros,
+    bounds |y H_n'(y)| / 2n at |y| <= sqrt(2n) and splits as s^2 + t^2 = u^2
+    + v^2: the floor is 4 (ell + m + 2) eps r^(2 nu) times its grid sum.
     """
     check_above("nu", nu, 0.0)
     check_above("x", x, -np.inf)
+    check_degree("ell", ell)
+    check_degree("m", m)
+    r = math.hypot(1.0, x)
+    cos, sin = 1.0 / r, x / r
+    overflow = f"value overflows at nu={nu!r}, ell={ell}, m={m}, x={x!r}"
+    try:
+        scale = r ** (2.0 * nu)
+    except OverflowError:
+        raise DomainError(overflow) from None
+    unit = 4.0 * (ell + m + 2) * math.ulp(1.0) * scale * math.prod(
+        math.sqrt(2.0 * k) for k in (*range(1, ell + 1), *range(1, m + 1)))
 
     def rung(level: int):
-        order, levels = _ladder(level)
-        t, tw = gauss_hermite_rule(4 * order)
-        u, uw = _interval_rule(0.0, 1.0, 2.0 * nu, 0.0, levels, order)
-        s0 = x * t
-        reach = np.abs(s0) + 9.0
-        outer = tw * hermite(m, t)
-        total = 0.0
-        for sgn in (+1.0, -1.0):
+        order = (ell + m) // 2 + 1 + level
+        (u, wu), (v, wv) = generalized_hermite_rule(nu, order), gauss_hermite_rule(order)
+        envelope = float(wu @ np.exp(0.5 * u * u)) * float(wv @ np.exp(0.5 * v * v))
+        f = hermite(ell, cos * u[:, None] + sin * v) * hermite(m, cos * v - sin * u[:, None])
+        value = scale * float(wu @ f @ wv)
+        if abs(value) == math.inf:
+            raise DomainError(overflow)
+        return value, f.size, unit * envelope
 
-            def block(r):
-                s = (sgn * reach[r, None]) * u
-                s += s0[r, None]
-                poly = hermite(ell, s)
-                s *= s  # s's buffer becomes exp(-s^2)
-                np.negative(s, out=s)
-                np.exp(s, out=s)
-                s *= poly
-                return s @ uw
-
-            part = _chunked_rows(s0.size, u.size, block) * reach ** (1.0 + 2.0 * nu)
-            total += float(outer @ part)
-        return total, 2 * s0.size * u.size, 0.0
-
-    return _refine(rung, target, _MAX_LEVEL)
+    return _refine(rung, target, 1)
 
 
 def convolution_profile(exp_s: float, exp_t: float, u, size: tuple):

@@ -183,8 +183,19 @@ def gauss_jacobi_rule(alpha: float, beta: float, order: int):
     return _read_only(nodes[0], weights[0])
 
 
+def generalized_hermite_rule(nu: float, order: int):
+    """Gaussian rule for int f(u) |u|^(2 nu) e^(-u^2) du, nu > -1/2, built on
+    each call by one eigh (Golub and Welsch, 1969) of the generalized Hermite
+    Jacobi matrix (Chihara 1978, ch. V 2): zero diagonal, squared
+    off-diagonal k/2 + nu at odd k and k/2 at even k, mass Gamma(nu + 1/2)."""
+    check_above("nu", nu, -0.5)
+    _check_order(order)
+    k = np.arange(1.0, order)
+    nodes, vecs = np.linalg.eigh(np.diag(np.sqrt(0.5 * k + nu * (k % 2.0)), -1))
+    return nodes, gamma_ratio((nu + 0.5,)) * vecs[0] ** 2
+
+
 @lru_cache(maxsize=64)
 def gauss_hermite_rule(order: int):
-    """Gaussian rule for int f(x) exp(-x^2) dx over the real line, cached."""
-    _check_order(order)
-    return _read_only(*np.polynomial.hermite.hermgauss(order))
+    """Gaussian rule for int f(x) e^(-x^2) dx: generalized_hermite_rule(0, order), cached."""
+    return _read_only(*generalized_hermite_rule(0.0, order))

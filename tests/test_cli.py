@@ -459,19 +459,35 @@ class TestCsvRoundTrip:
             assert float(b) == table[int(ell), int(m)]
 
 
+def _fresh_python(code: str) -> str:
+    """Standard output of code run in a fresh interpreter on this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
 def test_cli_import_loads_no_scipy():
     """The package runs on numpy alone: importing the CLI must not pull in
     scipy (whose import used to be most of a cold start), nor
     concurrent.futures, since the suites run serially."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     code = (
         "import gegenexp.cli, sys; "
         "print(sorted(m for m in sys.modules "
         "if m.split('.')[0] == 'scipy' or m.startswith('concurrent.futures')))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert _fresh_python(code) == "[]"
+
+
+def test_hermite_oracle_loads_no_numpy_polynomial():
+    """The Hermite rules come from the package's own Golub-Welsch solve, so
+    a Hermite oracle call leaves numpy.polynomial, whose lazy import took
+    ~4 ms, unloaded."""
+    code = (
+        "import gegenexp, sys; gegenexp.integrate_hermite_2d(1.0, 0.5, 2, 2, 1e-6); "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
     )
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(code) == "[]"

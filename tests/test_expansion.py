@@ -44,6 +44,7 @@ from gegenexp.orthopoly import (
     gegenbauer,
     gegenbauer_all,
     gegenbauer_norm_sq,
+    generalized_hermite_rule,
     hermite,
     u_prefactor,
 )
@@ -1095,6 +1096,8 @@ DEGREE_ENTRIES = {
     "gegenbauer_norm_sq": lambda n: gegenbauer_norm_sq(1.0, n),
     "u_prefactor": lambda n: u_prefactor(1.0, n),
     "hermite": lambda n: hermite(n, 0.3),
+    "integrate_hermite_2d-ell": lambda n: integrate_hermite_2d(1.0, 0.5, n, 2, 1e-6),
+    "integrate_hermite_2d-m": lambda n: integrate_hermite_2d(1.0, 0.5, 2, n, 1e-6),
     "QuadratureSpec-ell": lambda n: QuadratureSpec("abs", gegenbauer=(1.0, 1.0), degrees=(n, 0)),
     "QuadratureSpec-m": lambda n: QuadratureSpec("abs", gegenbauer=(1.0, 1.0), degrees=(0, n)),
 }
@@ -1170,6 +1173,7 @@ REAL_ENTRIES = {
     "u_prefactor-lam": ("lam", -0.5, lambda v: u_prefactor(v, 0)),
     "gauss_jacobi_rule-alpha": ("alpha", -1.0, lambda v: gauss_jacobi_rule(v, 0.0, 4)),
     "gauss_jacobi_rule-beta": ("beta", -1.0, lambda v: gauss_jacobi_rule(0.0, v, 4)),
+    "generalized_hermite_rule-nu": ("nu", -0.5, lambda v: generalized_hermite_rule(v, 4)),
     "QuadratureSpec-kernel_exponent":
         ("kernel exponent", -1.0, lambda v: QuadratureSpec("abs", kernel_exponent=v)),
     "QuadratureSpec-gegenbauer-lam":

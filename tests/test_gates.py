@@ -6,9 +6,10 @@ function gathers the coefficient lattice and the cosine expansion reads
 the coefficient table, one sums the sheared 2F1, every export has a
 caller, a README mention or a test that compares against it, and the
 README's suite table is SUITE_TABLE; and the 2-D oracle path keeps one
-geometry, the oracle's refinement driver alone raises its convergence
-error, and the 2-D suites' oracle work is pinned as a count; and three
-functions keep a cache, and the Gauss series is summed in one loop."""
+geometry, the Hermite backend is one tensor rule, the oracle's refinement
+driver alone raises its convergence error, and the 2-D suites' oracle work
+is pinned as a count; and three functions keep a cache, and the Gauss
+series is summed in one loop."""
 
 import ast
 import math
@@ -348,8 +349,8 @@ def test_verify_2d_oracle_work_is_pinned(monkeypatch):
 def test_the_2d_path_keeps_one_geometry():
     # _eval_2d and every oracle function it reaches take the one geometric
     # mesh: none reads the graded composite rules, which serve the 3-D
-    # outer axis, the Hermite and the finite-part backends, and the graded
-    # split rule is gone
+    # outer axis and the finite-part backend, and the graded split rule is
+    # gone
     top = {node.name: node for node in TREES["oracle"].body
            if isinstance(node, ast.FunctionDef)}
     reached, todo = set(), ["_eval_2d"]
@@ -362,6 +363,14 @@ def test_the_2d_path_keeps_one_geometry():
     read = set().union(*(_reads(top[name]) for name in reached))
     assert "_interval_rule" not in read
     assert "_graded" not in top
+
+
+def test_the_hermite_backend_is_one_tensor_rule():
+    # each rung of integrate_hermite_2d is one rotated tensor rule, exact up
+    # to rounding: it reads no graded composite rule and sums no row blocks
+    read = _reads(FUNCTIONS["oracle.integrate_hermite_2d"])
+    assert {"generalized_hermite_rule", "gauss_hermite_rule", "_refine"} <= read
+    assert not read & {"_interval_rule", "_chunked_rows", "_ladder"}
 
 
 def _raise_sites(tree, error: str) -> list:
@@ -428,9 +437,9 @@ def _cached(node) -> bool:
 
 def test_three_functions_keep_a_cache():
     # the one-pair Jacobi and the Hermite rules, shared as read-only arrays,
-    # and the reflection's log(pi / sin); the graded composite rules and the
-    # 2-D mesh are built on each call, from the cached one-pair rules or one
-    # stacked solve
+    # and the reflection's log(pi / sin); the graded composite rules, the
+    # 2-D mesh and the generalized Hermite rules are built on each call, from
+    # the cached one-pair rules or one eigensolve
     cached = {name for name, node in FUNCTIONS.items() if _cached(node)}
     assert cached == {"orthopoly.gauss_jacobi_rule", "orthopoly.gauss_hermite_rule",
                       "specfun._log_pi_over_sin"}

@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -300,6 +301,67 @@ class TestHermite2D:
         for nu, x in [(0.0, 0.5), (math.nan, 0.5), (1.0, math.nan)]:
             with pytest.raises(DomainError):
                 integrate_hermite_2d(nu, x, 0, 0, 1e-8)
+
+    def test_degrees_are_checked_by_name_before_any_rule(self, monkeypatch):
+        # refused under its own name, as the closed form refuses it, before
+        # any rule is built or hermite sees it as n
+        def no_rule(*args):
+            raise AssertionError("a rule was built")
+
+        monkeypatch.setattr(orc, "generalized_hermite_rule", no_rule)
+        monkeypatch.setattr(orc, "gauss_hermite_rule", no_rule)
+        for ell, m, name in ((-1, 0, "ell"), (0, -1, "m"), (2.5, 0, "ell"), (0, 2.5, "m")):
+            with pytest.raises(DomainError, match=f"^{name} must be a nonnegative integer"):
+                integrate_hermite_2d(1.0, 0.5, ell, m, 1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_shear_is_a_domain_error(self):
+        # r^(2 nu) past the double range: neither a numpy warning, a NaN
+        # value nor Python's OverflowError, but the closed form's DomainError
+        for nu, x in ((1.0, 1e200), (1.0, -1.7e308), (300.0, 100.0)):
+            with pytest.raises(DomainError, match="^value overflows at"):
+                integrate_hermite_2d(nu, x, 0, 0, 1e-6)
+
+    def test_every_rung_is_exact(self):
+        # rung k takes n + k nodes per axis, n = (ell + m) // 2 + 1, and is
+        # exact, so refinement stops at rung 1; at ell = m = 0 rung 0 is the
+        # rules' masses, sqrt(pi) Gamma(nu + 1/2) r^(2 nu)
+        r = integrate_hermite_2d(0.8, 0.6, 3, 1, 1e-9)
+        assert (r.level, r.evaluations) == (1, 3 * 3 + 4 * 4)
+        r = integrate_hermite_2d(1.3, 1.0, 0, 0, 1e-9)
+        assert (r.level, r.evaluations) == (1, 1 + 2 * 2)
+        assert r.value == pytest.approx(2.0**1.3 * math.sqrt(math.pi) * math.gamma(1.8), rel=1e-14)
+
+    @staticmethod
+    @mp.workdps(40)
+    def _reference(nu, ell, m, x):
+        """The integral at 40 digits, ell + m even: (-nu)_h (-1)^((ell-m)/2)
+        2^(ell+m) sqrt(pi) Gamma(nu+1/2) (x^2+1)^(nu-h) x^m, h = (ell+m)/2."""
+        nu, x, h = mp.mpf(nu), mp.mpf(x), (ell + m) // 2
+        return float(mp.rf(-nu, h) * (-1) ** ((ell - m) // 2) * mp.mpf(2) ** (ell + m)
+                     * mp.sqrt(mp.pi) * mp.gamma(nu + 0.5) * (x * x + 1) ** (nu - h) * x**m)
+
+    @pytest.mark.parametrize("top", [7, 12])
+    def test_estimate_covers_the_error(self, top):
+        # 200 draws, nu in (0.4, 2.5), |x| <= 4, ell, m <= top with ell + m
+        # even, at target 1e-6 (1 + |value|): each result lies within its
+        # est_error, or the call raises where the terms dwarf the value and
+        # the rounding floor exceeds the target; at top 7 no draw raises
+        rng = np.random.default_rng(2031 + top)
+        raised = 0
+        for _ in range(200):
+            nu, x = rng.uniform(0.4, 2.5), rng.uniform(-4.0, 4.0)
+            ell, m = (int(k) for k in rng.integers(0, top + 1, 2))
+            if (ell + m) % 2:
+                m = m - 1 if m else 1
+            ref = self._reference(nu, ell, m, x)
+            try:
+                r = integrate_hermite_2d(nu, x, ell, m, 1e-6 * (1.0 + abs(ref)))
+            except OracleConvergenceError:
+                raised += 1
+                continue
+            assert abs(r.value - ref) <= r.est_error, (nu, x, ell, m)
+        assert raised == 0 or top > 7
 
 
 class TestTriangles:
@@ -606,13 +668,6 @@ class TestChunking:
         np.testing.assert_allclose(b[0], a[0], rtol=1e-13, atol=1e-13 * np.abs(a[0]).max())
         assert a[1] == b[1]
 
-    def test_hermite(self, monkeypatch):
-        a, b = self._small_chunk(
-            monkeypatch, lambda: integrate_hermite_2d(0.8, 0.6, 3, 1, 1e-9)
-        )
-        assert b.value == pytest.approx(a.value, rel=1e-13, abs=0.0)
-        assert (a.evaluations, a.level) == (b.evaluations, b.level)
-
 
 #: One call per chunked kernel, each with many row blocks.
 CHUNKED = {
@@ -623,7 +678,6 @@ CHUNKED = {
     "convolution_profile": lambda: convolution_profile(
         0.8, 0.9, np.linspace(-2.0, 2.0, 3001), orc._ladder(3)
     ),
-    "hermite": lambda: integrate_hermite_2d(0.8, 0.6, 3, 1, 1e-9),
 }
 
 

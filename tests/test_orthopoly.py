@@ -14,6 +14,7 @@ from gegenexp.orthopoly import (
     gegenbauer,
     gegenbauer_all,
     gegenbauer_norm_sq,
+    generalized_hermite_rule,
     hermite,
     u_prefactor,
 )
@@ -351,6 +352,18 @@ class TestRules:
         _, weights = gauss_hermite_rule(64)
         assert float(weights.sum()) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
+    @pytest.mark.parametrize("nu", [0.0, -0.3, 0.45, 1.7])
+    @pytest.mark.parametrize("order", [1, 4, 9])
+    def test_generalized_hermite_moments(self, nu, order):
+        # int u^(2k) |u|^(2 nu) e^(-u^2) du = Gamma(nu + k + 1/2) for k < order,
+        # and the odd moments vanish
+        nodes, weights = generalized_hermite_rule(nu, order)
+        for k in range(order):
+            even = float(weights @ nodes ** (2 * k))
+            assert even == pytest.approx(gamma_ratio((nu + k + 0.5,)), rel=1e-13), k
+            odd = float(weights @ nodes ** (2 * k + 1))
+            assert abs(odd) <= 1e-14 * float(weights @ np.abs(nodes) ** (2 * k + 1)), k
+
     def test_cached_rules_are_read_only(self):
         # callers share a cached rule's arrays: neither a write nor setting
         # the write flag back may change what a later call returns
@@ -380,6 +393,8 @@ class TestRules:
             (lambda n: gauss_jacobi_rule(0.0, 0.0, n), 2.5),
             (gauss_hermite_rule, 0),
             (gauss_hermite_rule, 2.5),
+            (partial(generalized_hermite_rule, 0.7), 0),
+            (partial(generalized_hermite_rule, 0.7), 2.5),
         ],
     )
     def test_order_must_be_a_positive_integer(self, make, order):
