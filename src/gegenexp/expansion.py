@@ -301,7 +301,10 @@ def series_eval_grid(
     params: ExpansionParams, s, t, L: int, M: int, force: bool = False
 ) -> np.ndarray:
     """Partial expansion sum on the tensor grid s x t.  Every point lies in
-    [-1, 1], the square that the tail estimate's sup runs over."""
+    [-1, 1], the square that the tail estimate's sup runs over.  Only
+    entries with l + m + eps even are nonzero, so the sum is two products,
+    one per parity block of the table: rows l = i mod 2 against columns
+    m = i + eps mod 2."""
     check_degree("L", L)
     check_degree("M", M)
     check_points("s", s, 1.0)
@@ -309,7 +312,9 @@ def series_eval_grid(
     params.require_hypothesis(force)
     cs = gegenbauer_all(params.lam, L, np.atleast_1d(s))
     ct = gegenbauer_all(params.mu, M, np.atleast_1d(t))
-    return cs.T @ coeff_table(params, L, M) @ ct
+    table = coeff_table(params, L, M)
+    return sum(cs[i::2].T @ table[i::2, j::2] @ ct[j::2]
+               for i, j in ((0, params.eps), (1, 1 - params.eps)))
 
 
 def series_eval(

@@ -452,3 +452,26 @@ def test_the_gauss_series_is_one_loop():
     loops = [node for node in ast.walk(FUNCTIONS["specfun._series"])
              if isinstance(node, (ast.For, ast.While, ast.comprehension))]
     assert len(loops) == 1
+
+
+def _powers(tree) -> list:
+    """The ** operations, plain or augmented, and the reads of a power
+    function (np.power, np.float_power) in a tree."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
+            or isinstance(node, ast.Attribute) and node.attr in ("power", "float_power")]
+
+
+def test_the_profile_node_is_one_exp_of_summed_logs():
+    # convolution_profile's row block takes each node's (a + hv)^exp_s
+    # (2 - hv)^exp_t as one exp of summed logs, which numpy runs in vector
+    # loops, where a float power is a libm call per node; the one ** left is
+    # the per-row factor (2 - a)^(1 + exp_s + exp_t), outside the block
+    profile = FUNCTIONS["oracle.convolution_profile"]
+    block = next(node for node in ast.walk(profile)
+                 if isinstance(node, ast.FunctionDef) and node.name == "block")
+    assert _powers(block) == []
+    assert len(_powers(profile)) == 1
+    exps = [node for node in ast.walk(profile) if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "np.exp"]
+    assert len(exps) == 1

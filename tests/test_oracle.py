@@ -13,6 +13,7 @@ from gegenexp import verify as vf
 from gegenexp.expansion import (
     ExpansionParams,
     dotsenko_fateev,
+    hermite_kernel_integral,
     plus_base_integral,
     projection_integral,
     shear_averaged_projection,
@@ -322,6 +323,16 @@ class TestHermite2D:
             with pytest.raises(DomainError, match="^value overflows at"):
                 integrate_hermite_2d(nu, x, 0, 0, 1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_degrees_are_a_domain_error(self):
+        # the recurrences pass the double range and their differences turn
+        # to NaN: the closed form's DomainError at the same point, with no
+        # numpy warning, rather than an OracleConvergenceError carrying NaN
+        with pytest.raises(DomainError, match="^value overflows at"):
+            hermite_kernel_integral(1.3, 300, 300, 0.5)
+        with pytest.raises(DomainError, match="^value overflows at"):
+            integrate_hermite_2d(1.3, 0.5, 300, 300, 1e-6)
+
     def test_every_rung_is_exact(self):
         # rung k takes n + k nodes per axis, n = (ell + m) // 2 + 1, and is
         # exact, so refinement stops at rung 1; at ell = m = 0 rung 0 is the
@@ -479,6 +490,24 @@ class TestRegularizedKernel:
         # _ladder(2) = (order 14, 16 grading levels); exponents (exp_t, exp_s)
         assert evals == 4 * orc._interval_rule(0.0, 1.0, 0.9, 0.8, 16, 14)[0].size
 
+    @pytest.mark.parametrize("lam,mu", [(0.9, 2.0), (2.0, 0.9), (1.45, 1.45), (2.0, 2.0)])
+    def test_profile_is_the_power_form(self, lam, mu):
+        # one exp of summed logs against the two powers on the same rule, at
+        # u = 0, at the smallest and the largest node of df's graded u rule:
+        # each node rounds by about (1 + |exp_s log(a + hv)| + |exp_t log(2 -
+        # hv)|) eps, and both sums then round alike
+        exp_s, exp_t = lam - 0.5, mu - 0.5
+        order, levels = size = orc._ladder(3)
+        v, wv = orc._interval_rule(0.0, 1.0, exp_t, exp_s, levels, order)
+        u = orc._interval_rule(0.0, 2.0, 0.0, 0.0, 15, order)[0]
+        eps = np.finfo(float).eps
+        for a in (0.0, u.min(), u.max()):
+            (g,), _ = convolution_profile(exp_s, exp_t, [a], size)
+            hv = (2.0 - a) * v
+            f = (a + hv) ** exp_s * (2.0 - hv) ** exp_t
+            scale = (2.0 - a) ** (1.0 + exp_s + exp_t)
+            assert abs(g - scale * (f @ wv)) <= 8.0 * eps * scale * (np.abs(wv) @ np.abs(f)), a
+
     def test_matches_continuation_closed_form(self):
         for lam, mu in [(1.3, 1.4), (2.0, 0.8)]:
             r = regularized_inverse_square(lam, mu, 1e-6)
@@ -526,6 +555,14 @@ class TestRegularizedKernel:
             ref = dotsenko_fateev(lam, mu)
             assert abs(r.value - ref) <= r.est_error
         assert raised == [(0.9, 0.9)]
+
+    @pytest.mark.parametrize("lam,mu", [(0.95, 1.9), (1.1, 1.7), (1.45, 1.15)])
+    def test_symmetric_in_the_weights(self, lam, mu):
+        # swapping s and t swaps the weights: the two calls integrate on
+        # different rules (exp_s and exp_t trade endpoints) and must agree
+        # within their estimates, with no closed form read
+        r, swapped = (regularized_inverse_square(*p, 1e-6) for p in ((lam, mu), (mu, lam)))
+        assert abs(r.value - swapped.value) <= r.est_error + swapped.est_error
 
     @pytest.mark.parametrize("lam,mu", [(0.8, 0.9), (0.6, 1.1)])
     def test_floor_above_target_raises(self, lam, mu):
