@@ -27,7 +27,8 @@ the one before to the target, at an estimate of at least the floor.  2D
 and 3D share one rung, sized from _ladder(k) (panel order 8 + 3k, 6 + 5k
 dyadic grading levels); _interval_rule's graded rules, built on each call
 from the cached one-pair Gauss-Jacobi rules, serve the 3D outer axis and
-the finite part, which evaluates its even convolution profile at |u|.  The
+the finite part, which evaluates its even convolution profile at |u|, on
+the full grading depth only for rows with 3 |u| < 2.  The
 Hermite backend is one rotated tensor rule per rung, exact up to rounding.
 """
 
@@ -405,12 +406,22 @@ def convolution_profile(exp_s: float, exp_t: float, u, size: tuple):
     folds one algebraic endpoint of each factor into the rule, and the other
     two lie outside it.
 
-    The integrand at the remaining factors, (a + hv)^exp_s (2 - hv)^exp_t
-    with a = |u| and overlap length h = 2 - a, is one exp of summed logs,
-    which numpy takes in vector loops where a float power is a libm call per
-    node.  Each node then rounds by about (1 + |exp_s log(a + hv)| + |exp_t
-    log(2 - hv)|) eps relative, the exponent's error carried into exp; a log
-    is large only where its factor, and so the node's term, is small.  On
+    With a = |u| and overlap length h = 2 - a, the remaining factors (a +
+    hv)^exp_s (2 - hv)^exp_t vanish at v = -a/h and v = 1 + a/h, a/h from
+    the rule's ends.  _interval_rule is accurate while no panel is wider
+    than its distance to such a point, and its depth-0 rule's end panels
+    are 1/2 wide: so rows with 3a >= 2 (a/h >= 1/2) take that rule, 2 * order
+    nodes, and only the rows nearer u = 0 take the `levels`-deep one.  On
+    regularized_inverse_square's u nodes over lam, mu in [0.9, 2] (a 6 x 6
+    grid, rungs 0 to 2) each far row agrees with the deep rule's sum of two
+    powers within 11.2 eps of its sum of magnitudes; its u^-2 there is at
+    most 9/4, so the finite part moves by rounding only.
+
+    The integrand at those factors is one exp of summed logs, which numpy
+    takes in vector loops where a float power is a libm call per node.  Each
+    node then rounds by about (1 + |exp_s log(a + hv)| + |exp_t log(2 -
+    hv)|) eps relative, the exponent's error carried into exp; a log is
+    large only where its factor, and so the node's term, is small.  On
     regularized_inverse_square's rules over lam, mu in [0.9, 2] (a 6 x 6
     grid, rungs 0 to 2) the weighted node error is at most 1.2 eps against
     a long-double reference (1.0 eps with two powers), and each rung's
@@ -418,23 +429,31 @@ def convolution_profile(exp_s: float, exp_t: float, u, size: tuple):
     so the floor's safety factor 4 still covers it.
     """
     order, levels = size
-    v, wv = _interval_rule(0.0, 1.0, exp_t, exp_s, levels, order)
     a = np.minimum(np.abs(np.asarray(u, dtype=float)), 2.0)
 
-    def block(r):
-        hv = (2.0 - a[r, None]) * v  # overlap length 2 - a; s = a - 1 + h v
-        f = a[r, None] + hv
-        np.log(f, out=f)
-        f *= exp_s
-        np.subtract(2.0, hv, out=hv)
-        np.log(hv, out=hv)
-        hv *= exp_t
-        f += hv
-        np.exp(f, out=f)
-        return f @ wv
+    def rows(a, depth: int):
+        v, wv = _interval_rule(0.0, 1.0, exp_t, exp_s, depth, order)
 
-    out = _chunked_rows(a.size, v.size, block) * (2.0 - a) ** (1.0 + exp_s + exp_t)
-    return out, a.size * v.size
+        def block(r):
+            hv = (2.0 - a[r, None]) * v  # overlap length 2 - a; s = a - 1 + h v
+            f = a[r, None] + hv
+            np.log(f, out=f)
+            f *= exp_s
+            np.subtract(2.0, hv, out=hv)
+            np.log(hv, out=hv)
+            hv *= exp_t
+            f += hv
+            np.exp(f, out=f)
+            return f @ wv
+
+        return _chunked_rows(a.size, v.size, block), a.size * v.size
+
+    far = 3.0 * a >= 2.0
+    out = np.empty(a.size)
+    out[~far], near_evals = rows(a[~far], levels)
+    out[far], far_evals = rows(a[far], 0)
+    out *= (2.0 - a) ** (1.0 + exp_s + exp_t)
+    return out, near_evals + far_evals
 
 
 def regularized_inverse_square(lam: float, mu: float, target: float) -> QuadResult:
@@ -471,10 +490,10 @@ def regularized_inverse_square(lam: float, mu: float, target: float) -> QuadResu
         # same grading resolves G's (2-u)^(lam+mu) end.
         u, w = _interval_rule(0.0, 2.0, 0.0, 0.0, 13 + 2 * level, size[0])
         g, evals = convolution_profile(exp_s, exp_t, np.concatenate(([0.0], u)), size)
-        g0, g = g[0], g[1:]
+        g0, g = float(g[0]), g[1:]
         sq = u * u
         total = 2.0 * float(w @ ((g - g0) / sq)) - g0
         noise = float(w @ ((np.abs(g) + abs(g0)) / sq))
-        return total, evals, 4.0 * 2.0 * np.finfo(float).eps * noise
+        return total, evals, 4.0 * 2.0 * math.ulp(1.0) * noise
 
     return _refine(rung, target, _MAX_LEVEL)

@@ -487,26 +487,62 @@ class TestRegularizedKernel:
         )
         assert g[0] == g[1] and g[0] > 0.0
         assert g[2] == 0.0 and g[3] == 0.0
-        # _ladder(2) = (order 14, 16 grading levels); exponents (exp_t, exp_s)
-        assert evals == 4 * orc._interval_rule(0.0, 1.0, 0.9, 0.8, 16, 14)[0].size
+        # _ladder(2) = (order 14, 16 grading levels): the two rows at |u| =
+        # 0.31 take the 16-level v rule, 2 * 17 * 14 = 476 nodes, and the two
+        # at |u| >= 2/3 the one-level rule, 2 * 14 = 28 nodes
+        assert evals == 2 * 476 + 2 * 28 == 1008
 
     @pytest.mark.parametrize("lam,mu", [(0.9, 2.0), (2.0, 0.9), (1.45, 1.45), (2.0, 2.0)])
     def test_profile_is_the_power_form(self, lam, mu):
-        # one exp of summed logs against the two powers on the same rule, at
-        # u = 0, at the smallest and the largest node of df's graded u rule:
-        # each node rounds by about (1 + |exp_s log(a + hv)| + |exp_t log(2 -
-        # hv)|) eps, and both sums then round alike
+        # one exp of summed logs against the two powers on the rule the row
+        # takes, at u = 0, at the smallest and the largest node of df's
+        # graded u rule: each node rounds by about (1 + |exp_s log(a + hv)| +
+        # |exp_t log(2 - hv)|) eps, and both sums then round alike
         exp_s, exp_t = lam - 0.5, mu - 0.5
         order, levels = size = orc._ladder(3)
-        v, wv = orc._interval_rule(0.0, 1.0, exp_t, exp_s, levels, order)
         u = orc._interval_rule(0.0, 2.0, 0.0, 0.0, 15, order)[0]
         eps = np.finfo(float).eps
         for a in (0.0, u.min(), u.max()):
+            depth = 0 if 3.0 * a >= 2.0 else levels
+            v, wv = orc._interval_rule(0.0, 1.0, exp_t, exp_s, depth, order)
             (g,), _ = convolution_profile(exp_s, exp_t, [a], size)
             hv = (2.0 - a) * v
             f = (a + hv) ** exp_s * (2.0 - hv) ** exp_t
             scale = (2.0 - a) ** (1.0 + exp_s + exp_t)
             assert abs(g - scale * (f @ wv)) <= 8.0 * eps * scale * (np.abs(wv) @ np.abs(f)), a
+
+    @pytest.mark.parametrize("lam,mu", [(0.9, 2.0), (2.0, 0.9), (1.45, 1.45), (-0.3, 1.6)])
+    def test_far_rows_match_the_deep_rule(self, lam, mu):
+        # a row with 3a >= 2 takes the one-level v rule, whose end panels,
+        # 1/2 wide, lie a/h >= 1/2 from the factors' zeros at v = -a/h and
+        # 1 + a/h: on df's u nodes of rungs 0 and 1 it matches the two powers
+        # on the levels-deep rule within the rounding of both sums, each
+        # within 8 eps as in test_profile_is_the_power_form (measured 5.7)
+        exp_s, exp_t = lam - 0.5, mu - 0.5
+        eps = np.finfo(float).eps
+        for level in (0, 1):
+            order, levels = size = orc._ladder(level + 2)
+            u = orc._interval_rule(0.0, 2.0, 0.0, 0.0, 13 + 2 * level, order)[0]
+            u = u[3.0 * u >= 2.0]
+            g, evals = convolution_profile(exp_s, exp_t, u, size)
+            assert evals == u.size * 2 * order
+            v, wv = orc._interval_rule(0.0, 1.0, exp_t, exp_s, levels, order)
+            hv = (2.0 - u[:, None]) * v
+            f = (u[:, None] + hv) ** exp_s * (2.0 - hv) ** exp_t
+            scale = (2.0 - u) ** (1.0 + exp_s + exp_t)
+            bound = 16.0 * eps * scale * (np.abs(f) @ np.abs(wv))
+            assert np.all(np.abs(g - scale * (f @ wv)) <= bound)
+
+    @pytest.mark.parametrize("ea,eb", [(1.5, 0.4), (0.4, 1.5), (-0.8, 1.1), (0.95, 0.95)])
+    @pytest.mark.parametrize("order", [14, 17])
+    def test_one_level_rule_moments(self, ea, eb, order):
+        # the far rows' rule: two panels of width 1/2, each folding its own
+        # end's exponent, the other end's factor absorbed, 1/2 away
+        v, w = orc._interval_rule(0.0, 1.0, ea, eb, 0, order)
+        assert v.size == 2 * order
+        for k in range(9):
+            exact = gamma_ratio((ea + 1.0 + k, eb + 1.0), (ea + eb + 2.0 + k,))
+            assert w @ v**k == pytest.approx(exact, rel=1e-13), k
 
     def test_matches_continuation_closed_form(self):
         for lam, mu in [(1.3, 1.4), (2.0, 0.8)]:
@@ -532,13 +568,16 @@ class TestRegularizedKernel:
                 regularized_inverse_square(lam, mu, 1e-4)
 
     def test_evaluation_counts(self):
-        # (1 + u-nodes) x v-width per rung.  Rung 0: _ladder(2) = (14, 16),
-        # u on 13 levels each way, 2 * 14 * 14 = 392; v width 2 * 17 * 14 = 476.
-        # Rung 1: _ladder(3) = (17, 21), u on 15 levels, 2 * 16 * 17 = 544;
-        # v width 2 * 22 * 17 = 748.  393 * 476 + 545 * 748 = 594_728.
+        # Rows times v-width per rung, the near rows (3|u| < 2, and u = 0) on
+        # the levels-deep rule, the far rows on the one-level rule.  Rung 0:
+        # _ladder(2) = (14, 16), u on 13 levels each way, 2 * 14 * 14 = 392
+        # nodes, 187 of them near; widths 2 * 17 * 14 = 476 and 2 * 14 = 28.
+        # Rung 1: _ladder(3) = (17, 21), u on 15 levels, 2 * 16 * 17 = 544
+        # nodes, 262 near; widths 2 * 22 * 17 = 748 and 2 * 17 = 34.
+        # 188 * 476 + 205 * 28 + 263 * 748 + 282 * 34 = 301_540.
         r = regularized_inverse_square(1.3, 1.4, 1e-6)
         assert r.level == 1
-        assert r.evaluations == 594_728
+        assert r.evaluations == 301_540
 
     def test_estimate_covers_error_over_draw_range(self):
         # consecutive rungs share the G(u) - G(0) rounding noise, so their
@@ -797,3 +836,10 @@ class TestOneStoppingRule:
         r = BACKENDS[backend](1e-6)
         assert r.est_error <= 1e-6
         assert 1 <= r.level <= 5 and r.evaluations > 0
+
+    def test_results_are_python_floats(self, backend):
+        # every backend returns and raises plain floats, not numpy scalars
+        with pytest.raises(OracleConvergenceError) as info:
+            BACKENDS[backend](1e-30)
+        for result in (BACKENDS[backend](1e-6), info.value):
+            assert type(result.value) is float and type(result.est_error) is float
