@@ -231,23 +231,30 @@ def _series(a: float, b: float, c: float, z: float, nterms: int | None = None):
 
     With nterms given, sums exactly that many terms (terminating case);
     otherwise stops at a zero term or two consecutive terms below SERIES_RTOL
-    times the partial sum.  The term index k is a float, which gives the
-    same sums and products as an integer index without converting it.
+    times the partial sum.  SERIES_RTOL is below half an ulp, so a term it
+    calls small leaves a finite sum unchanged: the test is taken only when
+    the sum stood still or is not finite.  The term index k is a float,
+    which gives the same sums and products as an integer index without
+    converting it.
     """
     total = term = 1.0
     k = 0.0
-    small, rtol = 0, SERIES_RTOL
+    small, inf = 0, math.inf
     for _ in range(MAX_TERMS if nterms is None else nterms):
-        denom = (c + k) * (k + 1.0)
-        if denom == 0.0:
-            raise PoleError(f"2F1 series denominator vanished at k={int(k)}")
-        term *= (a + k) * (b + k) / denom * z
+        try:
+            term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
+        except ZeroDivisionError:
+            raise PoleError(f"2F1 series denominator vanished at k={int(k)}") from None
+        last = total
         total += term
         k += 1.0
         if nterms is None:
-            small = small + 1 if abs(term) <= rtol * abs(total) else 0
-            if small >= 2 or term == 0.0:
-                return total, int(k) + 1
+            if total != last and -inf < total < inf:
+                small = 0
+            else:
+                small = small + 1 if abs(term) <= SERIES_RTOL * abs(total) else 0
+                if small >= 2 or term == 0.0:
+                    return total, int(k) + 1
     if nterms is None:
         raise ConvergenceError(f"2F1 series did not converge in {MAX_TERMS} terms")
     return total, nterms + 1
@@ -366,9 +373,10 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> HypResult:
     """
     if not -1.0 < z <= 1.0:
         raise DomainError(f"2F1 supported for -1 < z <= 1, got z={z!r}")
-    check_above("a", a, -math.inf)
-    check_above("b", b, -math.inf)
-    check_above("c", c, -math.inf)
+    if not -math.inf < a + b + c < math.inf:
+        check_above("a", a, -math.inf)
+        check_above("b", b, -math.inf)
+        check_above("c", c, -math.inf)
 
     # the smallest n with a or b snapping to -n: the series has n+1 terms
     na, nb = nonpositive_int(a), nonpositive_int(b)

@@ -5,13 +5,17 @@ closed forms, recomputes the same quantity with the quadrature oracle, and
 records the comparison.  A case passes when |closed - oracle| is at most
 tol * (1 + |closed|); a suite passes when it ran at least one case and
 every case passed.  SUITE_TABLE holds one row per suite.  run_suite draws
-every case from one seeded generator and runs each as it is drawn, one
-after another, so a report depends only on its arguments.
+every case from one random.Random(seed) and runs each as it is drawn, one
+after another, so a report depends only on its arguments; fixed cases
+consume no draw.  The standard library documents that random() repeats
+its sequence for a seed across Python versions, which numpy's Generator
+streams do not promise, and a run imports no numpy.random.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
@@ -139,9 +143,7 @@ def _draw(rng, ranges: dict) -> dict:
     """One draw per key, in key order: uniform on a (lo, hi) interval, or a
     uniform integer from a range."""
     return {
-        key: int(rng.integers(r.start, r.stop))
-        if isinstance(r, range)
-        else float(rng.uniform(*r))
+        key: rng.randrange(r.start, r.stop) if isinstance(r, range) else rng.uniform(*r)
         for key, r in ranges.items()
     }
 
@@ -167,7 +169,7 @@ X_SET = (0.0, 0.3, -0.3, 0.9, -0.9, 1.0)
 def _draw_main(rng, i):
     p = _draw(rng, {"lambda": (0.2, 3.0), "mu": (0.2, 3.0), "nu": (0.5, 4.0),
                     "ell": range(6), "m": range(6)})
-    p["x"] = float(X_SET[int(rng.integers(0, len(X_SET)))])
+    p["x"] = X_SET[rng.randrange(len(X_SET))]
     return p
 
 
@@ -334,8 +336,9 @@ def run_suite(
     if cases is not None:
         check_degree("cases", cases)
     check_degree("seed", seed)
+    seed = int(seed)  # random.Random takes no numpy integer
     rows = list(SUITE_TABLE.values()) if suite == "all" else [SUITE_TABLE[suite]]
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     results = []
     for row in rows:
         suite_tol = row.tol if tol is None else tol

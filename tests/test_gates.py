@@ -343,7 +343,7 @@ def test_verify_2d_oracle_work_is_pinned(monkeypatch):
         assert vf.run_suite(suite, cases=cases).overall_pass, suite
     assert len(results) == 50  # 48 cases, warnaar taking two halves each
     assert max(r.level for r in results) == 1
-    assert sum(r.evaluations for r in results) == 55_870
+    assert sum(r.evaluations for r in results) == 64_195
 
 
 def test_the_2d_path_keeps_one_geometry():

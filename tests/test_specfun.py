@@ -393,6 +393,14 @@ class TestHyp2f1:
         with pytest.raises(ConvergenceError):
             _series(0.3, 0.4, 0.5, 0.999999)
 
+    def test_series_stopping_rule_at_a_pole_and_an_overflow(self):
+        # the stopping test runs only where the sum stood still or is not
+        # finite: the first infinite sum counts as one small term, so the
+        # sum stops a term earlier than a test on a standing sum alone
+        with pytest.raises(PoleError, match="^2F1 series denominator vanished at k=2$"):
+            _series(1.0, 1.0, -2.0, 0.5)
+        assert _series(300.0, 300.0, 0.5, 0.7) == (math.inf, 292)
+
     @pytest.mark.parametrize(
         "a,b,c,z",
         [

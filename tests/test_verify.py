@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from gegenexp import verify as vf
@@ -22,14 +23,43 @@ def test_all_runs_every_suite_in_table_order():
     assert [c.identity for c in report.cases] == [r.identity for r in vf.SUITE_TABLE.values()]
 
 
-@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("seed", [1, 3])
 def test_drawn_hermite_case_has_even_degree_sum(seed):
     # hermite's three fixed cases come first; the fourth is drawn, and at
-    # seed 2 the draw is (ell, m) = (0, 1), which _even lifts to (0, 2)
+    # seed 3 the draw is (ell, m) = (1, 2), which _even lifts to (1, 3)
     report = vf.run_suite("hermite", seed=seed, cases=4)
     assert report.overall_pass, [c.rel_err for c in report.cases]
     drawn = report.cases[-1].params
     assert (drawn["ell"] + drawn["m"]) % 2 == 0
+
+
+@pytest.mark.parametrize("seed, suite, index, params", [
+    (20240401, "main", 0, {"lambda": 0.5658298926272334, "mu": 2.6390462040654343,
+                           "nu": 2.3540451713504575, "ell": 1, "m": 5, "x": 0.0}),
+    (1, "main", 0, {"lambda": 0.5762198835147234, "mu": 2.5728144634242516,
+                    "nu": 3.1732111664181493, "ell": 2, "m": 0, "x": 0.9}),
+    (20240401, "hermite", 3, {"nu": 0.674372419470425, "ell": 1, "m": 1,
+                              "x": 0.5107539990162384}),
+    (1, "hermite", 3, {"nu": 0.6821649126360426, "ell": 0, "m": 2,
+                       "x": -0.7641625926578779}),
+])
+def test_first_drawn_case_is_pinned(seed, suite, index, params):
+    # the draws come from random.Random(seed), whose random() sequence for a
+    # seed is documented to repeat (randrange's is not); a change of
+    # generator, of draw order, of how a value is drawn or of Python's
+    # randrange fails here by name, not only in a report's digest
+    report = vf.run_suite(suite, seed=seed, cases=index + 1, timings=False)
+    drawn = report.cases[index].params
+    assert drawn == params
+    assert [type(v) for v in drawn.values()] == [type(v) for v in params.values()]
+
+
+def test_numpy_integer_seed_gives_the_same_report():
+    # check_degree takes numpy integers, which random.Random does not
+    plain = vf.run_suite("all", seed=7, timings=False)
+    numpy_seed = vf.run_suite("all", seed=np.int64(7), timings=False)
+    assert numpy_seed.to_dict() == plain.to_dict()
+    assert type(numpy_seed.seed) is int
 
 
 def test_moment_suite_reaches_odd_degree_sums():
